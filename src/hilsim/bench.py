@@ -35,11 +35,11 @@ class Bench:
         self.spi = SpiSlaveModel(regs, self.clock)
         self.uart = UartModel(regs, self.clock)
         self.trace = TraceUnit(regs, self.clock, seed=self.config.seed)
-        self.refdev.register_init_hook("i2c", self._reinit_i2c)
-        self.refdev.register_init_hook("spi", self._reinit_spi)
-        self.refdev.register_init_hook("uart", self._reinit_uart)
-        self.refdev.register_init_hook("timer", self._reinit_trace)
-        self.refdev.register_init_hook("trace", self._clear_trace)
+        self.refdev.register_init_hook("i2c", self.i2c.reinit)
+        self.refdev.register_init_hook("spi", self.spi.reinit)
+        self.refdev.register_init_hook("uart", self.uart.reinit)
+        self.refdev.register_init_hook("timer", self.trace.reinit)
+        self.refdev.register_init_hook("trace", self.trace.clear)
         self.dut = DutDevice(
             self.scheduler,
             self.i2c,
@@ -51,28 +51,6 @@ class Bench:
             handler_overhead_ns=self.config.handler_overhead_ns,
             pin_map=self.config.pin_map,
         )
-
-    # models read config from the register file owned by the refdev; rebind
-    # in case reset() replaced the file
-    def _reinit_i2c(self) -> None:
-        self.i2c.regs = self.refdev.regs
-        self.i2c.reinit()
-
-    def _reinit_spi(self) -> None:
-        self.spi.regs = self.refdev.regs
-        self.spi.reinit()
-
-    def _reinit_uart(self) -> None:
-        self.uart.regs = self.refdev.regs
-        self.uart.reinit()
-
-    def _reinit_trace(self) -> None:
-        self.trace.regs = self.refdev.regs
-        self.trace.reinit()
-
-    def _clear_trace(self) -> None:
-        self.trace.regs = self.refdev.regs
-        self.trace.clear()
 
     def reset(self) -> None:
         """Reset both devices, as a harness setup phase does."""

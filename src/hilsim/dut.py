@@ -70,9 +70,11 @@ class _Hang(Exception):
     """Internal marker: the command would never return."""
 
 
-class _I2cError(Exception):
+class _DutError(Exception):
+    """A command failed with an errno; I2C, SPI, UART and GPIO commands share it."""
+
     def __init__(self, code: int):
-        super().__init__(f"bus error {-code}")
+        super().__init__(f"DUT error {-code}")
         self.code = code
 
 
@@ -133,7 +135,7 @@ class DutDevice:
         except _Hang:
             self.clock.advance(COMMAND_DEADLINE_NS)
             fields_out = {"result": RESULT_TIMEOUT}
-        except _I2cError as exc:
+        except _DutError as exc:
             if self.faults.swallow_error_return:
                 fields_out = {"data": 0, "result": RESULT_SUCCESS}
             else:
@@ -149,7 +151,7 @@ class DutDevice:
     def _dispatch(self, line: str) -> dict:
         parts = line.split()
         if not parts:
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         handler = getattr(self, f"_cmd_{parts[0]}", None)
         if handler is None:
             return {"result": RESULT_ERROR, "error_code": -EINVAL, "data": -EINVAL}
@@ -173,7 +175,7 @@ class DutDevice:
         if self._hung:
             raise _Hang()
         if not self._i2c_ready:
-            raise _I2cError(ENODEV)
+            raise _DutError(ENODEV)
 
     def _cmd_i2c_init(self, args) -> dict:
         if self._hung:
@@ -193,9 +195,9 @@ class DutDevice:
         if result.status == "addr-nack":
             if self.faults.missing_error_cleanup:
                 self._hung = True
-            raise _I2cError(ENXIO)
+            raise _DutError(ENXIO)
         if result.status == "data-nack":
-            raise _I2cError(EIO)
+            raise _DutError(EIO)
         return {"data": list(result.data[:length]), "result": RESULT_SUCCESS}
 
     def _cmd_i2c_write_reg(self, args) -> dict:
@@ -209,12 +211,12 @@ class DutDevice:
             self._write_streak = 0
         if self.faults.inverted_status_check:
             # status poll predicate is inverted: the ready state looks busy
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         result = self.i2c.write_reg(addr, reg, data, self._i2c_bitrate)
         if result.status == "addr-nack":
-            raise _I2cError(ENXIO)
+            raise _DutError(ENXIO)
         if result.status == "data-nack":
-            raise _I2cError(EIO)
+            raise _DutError(EIO)
         return {"result": RESULT_SUCCESS}
 
     def _cmd_i2c_read_bytes(self, args) -> dict:
@@ -223,7 +225,7 @@ class DutDevice:
         self._write_streak = 0
         result = self.i2c.read_bytes(addr, length, self._i2c_bitrate)
         if not result.ok:
-            raise _I2cError(ENXIO if result.status == "addr-nack" else EIO)
+            raise _DutError(ENXIO if result.status == "addr-nack" else EIO)
         return {"data": list(result.data), "result": RESULT_SUCCESS}
 
     def _cmd_i2c_write_bytes(self, args) -> dict:
@@ -231,7 +233,7 @@ class DutDevice:
         self._i2c_guard()
         result = self.i2c.write_bytes(addr, data, self._i2c_bitrate)
         if not result.ok:
-            raise _I2cError(ENXIO if result.status == "addr-nack" else EIO)
+            raise _DutError(ENXIO if result.status == "addr-nack" else EIO)
         return {"result": RESULT_SUCCESS}
 
     # -- SPI ------------------------------------------------------------
@@ -240,16 +242,16 @@ class DutDevice:
         self._spi_mode = args[0] if args else 0
         self._spi_bitrate = args[1] if len(args) > 1 else DEFAULT_SPI_BITRATE
         if self._spi_mode not in (0, 1, 2, 3):
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         self._spi_ready = True
         return {"result": RESULT_SUCCESS}
 
     def _cmd_spi_transfer(self, args) -> dict:
         if not self._spi_ready:
-            raise _I2cError(ENODEV)
+            raise _DutError(ENODEV)
         result = self.spi.transfer(bytes(args), self._spi_bitrate, mode=self._spi_mode)
         if not result.ok:
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         return {"data": list(result.data), "result": RESULT_SUCCESS}
 
     # -- UART -----------------------------------------------------------
@@ -261,7 +263,7 @@ class DutDevice:
 
     def _cmd_uart_write(self, args) -> dict:
         if not self._uart_ready:
-            raise _I2cError(ENODEV)
+            raise _DutError(ENODEV)
         reply = self.uart.process(bytes(args), self._uart_bitrate)
         return {"data": list(reply), "result": RESULT_SUCCESS}
 
@@ -269,7 +271,7 @@ class DutDevice:
 
     def _ref_pin(self, pin: int) -> int:
         if pin not in self.pin_map:
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         return self.pin_map[pin]
 
     def _drive_pin(self, pin: int, level: int) -> None:
@@ -297,7 +299,7 @@ class DutDevice:
         """
         n_timers, period_ns, pin = args[0], args[1], args[2]
         if n_timers < 1:
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         ref_pin = self._ref_pin(pin)
         target = self.clock.now + self._dut_interval(period_ns)
         for i in range(n_timers):
@@ -311,7 +313,7 @@ class DutDevice:
         """Toggle a pin every period for n edges, timed by the DUT clock."""
         n_edges, period_ns, pin = args[0], args[1], args[2]
         if n_edges < 1:
-            raise _I2cError(EINVAL)
+            raise _DutError(EINVAL)
         self._ref_pin(pin)
         base = self.clock.now
         for k in range(1, n_edges + 1):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -58,6 +59,25 @@ class StepFailure(Exception):
     def __init__(self, message: str, measured: dict | None = None):
         super().__init__(message)
         self.measured = measured or {}
+
+
+@lru_cache(maxsize=8)
+def _reset_writes(name_map: NameMap) -> tuple[str, ...]:
+    """One ``wr`` of the default image per contiguous non-read-only span, init flags set to 1.
+
+    Followed by ``ex``, these restore what a local reset restores in every
+    byte a client may write.
+    """
+    spans: list[tuple[int, bytearray]] = []
+    for entry in sorted(name_map.entries.values(), key=lambda e: e.offset):
+        if entry.access == "read-only":
+            continue
+        data = (1).to_bytes(entry.size, "little") if "init-trigger" in entry.flags else entry.default_bytes()
+        if spans and spans[-1][0] + len(spans[-1][1]) == entry.offset:
+            spans[-1][1].extend(data)
+        else:
+            spans.append((entry.offset, bytearray(data)))
+    return tuple(f"wr {offset} {' '.join(map(str, data))}" for offset, data in spans)
 
 
 def load_manifest(suite: str) -> dict:
@@ -160,22 +180,12 @@ class SuiteRunner:
             raise StepFailure("DUT sync failed")
 
     def _soft_reset_ref(self) -> None:
-        """Write defaults back to all mode registers and re-init every module."""
-        name_map = self.phil.map
-        staged = 0
-        for name in name_map.names():
-            entry = name_map.lookup(name)
-            if ".mode." not in name or name.endswith(".init") or entry.access != "writable":
-                continue
-            result = self.phil.write_reg(name, int(entry.default or 0))
-            if not result.ok:
-                raise StepFailure(f"soft reset write {name}: {result.error}")
-            staged += 1
-        for name in name_map.names():
-            if name.endswith(".mode.init"):
-                self.phil.write_reg(name, 1)
-                staged += 1
-        if staged and not self.phil.execute().ok:
+        """Write the default image back, raising every init flag, and execute."""
+        for line in _reset_writes(self.phil.map):
+            reply = self.phil.raw(line)
+            if reply.get("result") != 0:
+                raise StepFailure(f"soft reset write at {line.split()[1]}: device result {reply.get('result')}")
+        if not self.phil.execute().ok:
             raise StepFailure("soft reset execute failed")
 
     # -- step interpreter -----------------------------------------------
@@ -257,7 +267,7 @@ class SuiteRunner:
             step.get("pin", 0),
         )
         threshold = step.get("ppm_threshold", self.config.ppm_threshold)
-        measured = {"timing": stats.as_dict(), "ppm_threshold": threshold}
+        measured = {"timing": asdict(stats), "ppm_threshold": threshold}
         if abs(stats.ppm_error) > threshold:
             raise StepFailure(
                 f"timer accuracy {stats.ppm_error:+.1f} PPM exceeds threshold {threshold} PPM",

@@ -17,15 +17,6 @@ class TimingStats:
     jitter_ns: float
     drift_ns_per_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "n_events": self.n_events,
-            "mean_period_ns": self.mean_period_ns,
-            "ppm_error": self.ppm_error,
-            "jitter_ns": self.jitter_ns,
-            "drift_ns_per_s": self.drift_ns_per_s,
-        }
-
 
 def compute_timing_stats(events: list[GpioEvent], nominal_period_ns: float) -> TimingStats:
     """Period statistics from consecutive same-direction edges.

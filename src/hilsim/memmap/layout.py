@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
 
 
+# per-byte codes of LayoutedMap.access_mask; padding between entries is writable
+ACCESS_CODES = {"writable": 0, "privileged": 1, "read-only": 2}
+
+
 class LayoutError(ValueError):
     """Layout constraint violation (e.g. exceeding the padded size)."""
 
@@ -57,10 +61,22 @@ class LayoutedMap:
     entries: tuple[LayoutEntry, ...]
     total_size: int
     by_name: dict[str, LayoutEntry] = field(default_factory=dict)
+    # the whole map at its defaults, which every reset restores, and one
+    # ACCESS_CODES byte per map byte; set here rather than as cached
+    # properties, which would slow every attribute lookup on the map
+    default_image: bytes = field(init=False, repr=False, compare=False)
+    access_mask: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.by_name:
             self.by_name = {e.name: e for e in self.entries}
+        image = bytearray(self.total_size)
+        mask = bytearray(self.total_size)
+        for e in self.entries:
+            image[e.offset : e.offset + e.size] = e.default_bytes()
+            mask[e.offset : e.offset + e.size] = bytes([ACCESS_CODES[e.access]]) * e.size
+        self.default_image = bytes(image)
+        self.access_mask = bytes(mask)
 
     @property
     def version(self) -> str:

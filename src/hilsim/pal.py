@@ -16,6 +16,7 @@ import socket
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from hilsim.memmap.layout import LayoutEntry
 from hilsim.memmap.schema import SCALAR_TYPES
 
 SUCCESS = "Success"
@@ -94,50 +95,36 @@ def open_transport(endpoint):
     raise TypeError(f"cannot interpret endpoint {endpoint!r}")
 
 
-@dataclass(frozen=True)
-class MapEntry:
-    name: str
-    offset: int
-    size: int
-    type: str
-    access: str
-    description: str
-    default: str = ""
-
-    @property
-    def elem_size(self) -> int:
-        return SCALAR_TYPES[self.type][0]
-
-    @property
-    def array_len(self) -> int:
-        return self.size // self.elem_size
-
-
 class NameMap:
-    """Qualified name -> (offset, size, type) lookup loaded from a CSV map."""
+    """Qualified name -> layout entry lookup loaded from a CSV map."""
 
-    def __init__(self, entries: dict[str, MapEntry], version: str = ""):
+    def __init__(self, entries: dict[str, LayoutEntry], version: str = ""):
         self.entries = entries
         self.version = version
 
     @classmethod
     def from_csv(cls, text: str, version: str = "") -> "NameMap":
-        reader = csv.DictReader(io.StringIO(text))
+        """Parse ``emit_csv`` rows back into layout entries (a one-element list default becomes a scalar)."""
         entries = {}
-        for row in reader:
-            entry = MapEntry(
+        for row in csv.DictReader(io.StringIO(text)):
+            size = int(row["size"])
+            default = row.get("default") or "0"
+            flags = row.get("flags") or ""
+            entry = LayoutEntry(
                 name=row["name"],
                 offset=int(row["offset"]),
-                size=int(row["size"]),
+                size=size,
                 type=row["type"],
+                array_len=size // SCALAR_TYPES[row["type"]][0],
                 access=row["access"],
+                default=[int(v) for v in default.split(";")] if ";" in default else int(default),
+                flags=tuple(flags.split("|")) if flags else (),
                 description=row["description"],
-                default=row.get("default", ""),
             )
             entries[entry.name] = entry
         return cls(entries, version=version)
 
-    def lookup(self, name: str) -> MapEntry:
+    def lookup(self, name: str) -> LayoutEntry:
         try:
             return self.entries[name]
         except KeyError:
@@ -235,14 +222,12 @@ class RefDeviceClient:
         return self._issue(line)
 
     def read_reg(self, name: str, index: int = 0, count: int | None = None) -> PalResult:
+        count = 1 if count is None else count
         try:
             entry = self._require_map().lookup(name)
-        except KeyError as exc:
+            offset = self._offset(entry, index, count)
+        except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        count = 1 if count is None else count
-        if index < 0 or index + count > entry.array_len:
-            return PalResult(result=ERROR, error=f"{name}: index {index}+{count} exceeds array length {entry.array_len}")
-        offset = entry.offset + index * entry.elem_size
         size = count * entry.elem_size
         line = f"rr {offset} {size}"
         reply = self._issue(line)
@@ -257,7 +242,14 @@ class RefDeviceClient:
         ]
         return PalResult(cmd=[line], data=values)
 
-    def _encode(self, entry: MapEntry, value) -> bytes:
+    @staticmethod
+    def _offset(entry: LayoutEntry, index: int, count: int) -> int:
+        """Byte offset of element ``index``; elements index..index+count must lie in the entry."""
+        if index < 0 or index + count > entry.array_len:
+            raise ValueError(f"{entry.name}: index {index}+{count} exceeds array length {entry.array_len}")
+        return entry.offset + index * entry.elem_size
+
+    def _encode(self, entry: LayoutEntry, value) -> bytes:
         lo, hi = SCALAR_TYPES[entry.type][1:]
         values = value if isinstance(value, (list, tuple)) else [value]
         out = bytearray()
@@ -276,9 +268,9 @@ class RefDeviceClient:
             return PalResult(result=ERROR, error=f"{name} is read-only")
         try:
             data = self._encode(entry, value)
+            offset = self._offset(entry, index, len(data) // entry.elem_size)
         except ValueError as exc:
             return PalResult(result=ERROR, error=str(exc))
-        offset = entry.offset + index * entry.elem_size
         line = "wr {} {}".format(offset, " ".join(str(b) for b in data))
         reply = self._issue(line)
         if reply.get("result") != 0:

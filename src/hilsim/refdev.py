@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-from hilsim.memmap.layout import LayoutedMap
+from hilsim.memmap.layout import ACCESS_CODES, LayoutedMap
 
 # Result codes for the register protocol.
 RESULT_SUCCESS = 0
@@ -20,15 +20,7 @@ RESULT_OUT_OF_RANGE = 2
 RESULT_ACCESS_VIOLATION = 3
 RESULT_INTERNAL_ERROR = 4
 
-_ACCESS_WRITABLE = 0
-_ACCESS_PRIVILEGED = 1
-_ACCESS_READ_ONLY = 2
-
-_ACCESS_CODES = {
-    "writable": _ACCESS_WRITABLE,
-    "privileged": _ACCESS_PRIVILEGED,
-    "read-only": _ACCESS_READ_ONLY,
-}
+_READ_ONLY = bytes([ACCESS_CODES["read-only"]])
 
 
 class AccessViolation(ValueError):
@@ -46,14 +38,15 @@ class RegisterFile:
 
     def __init__(self, layout: LayoutedMap):
         self.map = layout
-        self.committed = bytearray(layout.total_size)
-        self.access_mask = bytearray(layout.total_size)  # defaults writable
+        self.committed = bytearray(layout.default_image)
+        self.access_mask = layout.access_mask
         self.staged: list[tuple[int, bytes]] = []
-        for entry in layout.entries:
-            self.committed[entry.offset : entry.offset + entry.size] = entry.default_bytes()
-            code = _ACCESS_CODES[entry.access]
-            for i in range(entry.offset, entry.offset + entry.size):
-                self.access_mask[i] = code
+
+    def reset(self) -> None:
+        """Restore the default image in place and drop staged writes."""
+        # a full-slice assignment also restores the size of a grown file
+        self.committed[:] = self.map.default_image
+        self.staged.clear()
 
     @property
     def total_size(self) -> int:
@@ -69,9 +62,9 @@ class RegisterFile:
         """Stage a write; it takes effect only on commit."""
         if len(data) < 1 or offset < 0 or offset + len(data) > self.total_size:
             raise RangeViolation(f"write of {len(data)} bytes at {offset} out of range")
-        for i in range(offset, offset + len(data)):
-            if self.access_mask[i] == _ACCESS_READ_ONLY:
-                raise AccessViolation(i)
+        read_only = self.access_mask.find(_READ_ONLY, offset, offset + len(data))
+        if read_only >= 0:
+            raise AccessViolation(read_only)
         self.staged.append((offset, bytes(data)))
 
     def commit(self) -> None:
@@ -132,7 +125,7 @@ class ReferenceDevice:
 
     def reset(self) -> None:
         """Restore defaults and re-init all registered peripheral models."""
-        self.regs = RegisterFile(self.regs.map)
+        self.regs.reset()
         for hook in self._init_hooks.values():
             hook()
 
@@ -195,7 +188,7 @@ class ReferenceDevice:
             return format_response({"result": RESULT_PARSE_ERROR})
         try:
             offset = _parse_int(args[0])
-            data = bytes(_parse_byte(a) for a in args[1:])
+            data = _parse_bytes(args[1:])
         except ValueError:
             return format_response({"result": RESULT_PARSE_ERROR})
         try:
@@ -214,8 +207,12 @@ def _parse_int(token: str) -> int:
     return value
 
 
-def _parse_byte(token: str) -> int:
-    value = _parse_int(token)
-    if value > 0xFF:
-        raise ValueError(token)
-    return value
+_DECIMAL_BYTES = {str(i): i for i in range(256)}
+
+
+def _parse_bytes(tokens: list[str]) -> bytes:
+    try:
+        # fast path for plain decimal bytes; any other spelling takes the checked path
+        return bytes(map(_DECIMAL_BYTES.__getitem__, tokens))
+    except KeyError:
+        return bytes(_parse_int(t) for t in tokens)  # ValueError above 0xFF

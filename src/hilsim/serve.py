@@ -51,7 +51,8 @@ class LineServer(socketserver.ThreadingTCPServer):
         return f"{host}:{port}"
 
     def serve_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # poll for shutdown() every 0.05 s; socketserver's 0.5 s default makes shutdown() wait that long
+        thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         return thread
 

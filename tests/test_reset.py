@@ -1,0 +1,124 @@
+"""One default image: in-place reset, the CSV map round trip, and served resets."""
+
+import pytest
+
+from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
+from hilsim.memmap import emit_csv
+from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.reference import reference_layout
+from hilsim.serve import serve_tcp
+
+from conftest import make_bench
+
+
+def test_bench_reset_keeps_one_register_file_shared_by_every_model(bench):
+    regs = bench.refdev.regs
+    bench.reset()
+    assert bench.refdev.regs is regs
+    for model in (bench.i2c, bench.spi, bench.uart, bench.trace):
+        assert model.regs is regs
+
+
+def dirty(regs):
+    user = regs.map.lookup("user_reg.user_reg")
+    regs.poke(user.offset, b"\xaa" * user.size)
+    regs.poke_param("i2c.r_count", 9)
+    regs.stage_write(user.offset, b"\x55")
+
+
+def test_register_file_reset_restores_the_default_image_and_drops_staged_writes(bench):
+    regs = bench.refdev.regs
+    dirty(regs)
+    regs.reset()
+    assert bytes(regs.committed) == reference_layout().default_image
+    assert regs.staged == []
+
+
+def test_bench_reset_gives_the_image_of_a_fresh_bench(bench):
+    regs = bench.refdev.regs
+    dirty(regs)
+    bench.reset()
+    assert regs.staged == []
+    # the model re-init hooks publish their telemetry over the default image
+    assert regs.committed == make_bench(seed=7).refdev.regs.committed
+
+
+def test_register_file_reset_shrinks_a_grown_file():
+    regs = make_bench().refdev.regs
+    regs.poke(regs.total_size, b"\x01" * 16)
+    assert regs.total_size == reference_layout().total_size + 16
+    regs.reset()
+    assert bytes(regs.committed) == reference_layout().default_image
+
+
+def test_default_image_matches_every_entry_default():
+    layout = reference_layout()
+    image = layout.default_image
+    assert len(image) == layout.total_size == len(layout.access_mask)
+    for entry in layout.entries:
+        assert image[entry.offset : entry.offset + entry.size] == entry.default_bytes(), entry.name
+
+
+def test_csv_map_round_trips_to_the_layout_entries():
+    layout = reference_layout()
+    assert NameMap.from_csv(emit_csv(layout)).entries == layout.by_name
+
+
+# -- served resets --------------------------------------------------------
+
+
+def test_wr_takes_every_byte_spelling_and_rejects_bad_ones(bench):
+    """A reset writes whole spans as decimal bytes; other spellings still parse."""
+    refdev = bench.refdev
+    user = refdev.regs.map.lookup("user_reg.user_reg").offset
+    for line in (f"wr {user} 1 2 255", f"wr {user} 0x01 002 0xFF", f"wr {user} 0X1 +2 255"):
+        assert refdev.handle_line(line) == '{"result": 0}', line
+        refdev.handle_line("ex")
+        assert refdev.regs.read(user, 3) == b"\x01\x02\xff", line
+    for bad in ("256", "-1", "0x100", "x"):
+        assert refdev.handle_line(f"wr {user} 1 {bad}") == '{"result": 1}', bad
+
+SEED = 3
+ORDERS = [
+    ("i2c", "uart", "i2c"),
+    SUITE_NAMES,
+    tuple(reversed(SUITE_NAMES)),
+]
+
+
+@pytest.fixture(scope="module")
+def local_verdicts():
+    verdicts = {}
+    for suite in SUITE_NAMES:
+        report = SuiteRunner.local(RunConfig(seed=SEED)).run_suite(suite)
+        verdicts[suite] = {c.id: c.verdict for c in report.cases}
+    return verdicts
+
+
+def test_served_verdicts_equal_local_verdicts_in_any_order(local_verdicts):
+    bench = make_bench(seed=SEED)
+    servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+    for server in servers:
+        server.serve_background()
+    ref_server, dut_server = servers
+    layout = reference_layout()
+    runner = SuiteRunner(
+        DutClient(dut_server.endpoint),
+        RefDeviceClient(ref_server.endpoint, NameMap.from_csv(emit_csv(layout), version=layout.version)),
+        config=RunConfig(seed=SEED),
+    )
+    try:
+        mismatches = []
+        for order in ORDERS:
+            for suite in order:
+                for case in runner.run_suite(suite).cases:
+                    expected = local_verdicts[suite][case.id]
+                    if case.verdict != expected:
+                        mismatches.append(f"{order}: {case.id} served {case.verdict}, local {expected} ({case.reason})")
+        assert mismatches == []
+    finally:
+        runner.dut.transport.close()
+        runner.phil.transport.close()
+        for server in servers:
+            server.shutdown()
+            server.server_close()
