@@ -13,6 +13,7 @@ import click
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import RunConfig, SUITE_NAMES, emit_report, run_suite
+from hilsim.harness.runner import read_trace
 from hilsim.memmap import (
     compute_layout,
     emit_csv,
@@ -179,23 +180,16 @@ def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, see
 @click.option("--out", default="-", show_default=True, help="output CSV path, '-' for stdout")
 def dump_trace(endpoint: str, maps: str, out: str) -> None:
     """Dump the capture trace buffer as CSV."""
-    client = _client(endpoint, maps)
-    count = client.read_reg("trace.index").data[0]
-    rows = []
-    if count:
-        sources = client.read_reg("trace.source", 0, count).data
-        values = client.read_reg("trace.value", 0, count).data
-        ticks = client.read_reg("trace.tick", 0, count).data
-        rows = list(zip(range(count), sources, values, ticks))
+    events = read_trace(_client(endpoint, maps))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["index", "pin", "level", "tick_ns"])
-    writer.writerows(rows)
+    writer.writerows((i, e.pin, e.level, e.timestamp_ns) for i, e in enumerate(events))
     if out == "-":
         click.echo(buf.getvalue(), nl=False)
     else:
         Path(out).write_text(buf.getvalue(), "utf-8")
-        click.echo(f"{count} events written to {out}", err=True)
+        click.echo(f"{len(events)} events written to {out}", err=True)
 
 
 if __name__ == "__main__":

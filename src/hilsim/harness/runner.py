@@ -15,12 +15,10 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult, TestReport
-from hilsim.harness.stats import TimingStats, compute_timing_stats
+from hilsim.harness.stats import TimingStats, compute_timing_stats, fit_slope
 from hilsim.memmap import emit_csv
 from hilsim.pal import DutClient, NameMap, RefDeviceClient, SUCCESS
 from hilsim.reference import reference_layout
@@ -72,12 +70,23 @@ def _reset_writes(name_map: NameMap) -> tuple[str, ...]:
     for entry in sorted(name_map.entries.values(), key=lambda e: e.offset):
         if entry.access == "read-only":
             continue
-        data = (1).to_bytes(entry.size, "little") if "init-trigger" in entry.flags else entry.default_bytes()
+        data = entry.pack(1) if "init-trigger" in entry.flags else entry.default_bytes()
         if spans and spans[-1][0] + len(spans[-1][1]) == entry.offset:
             spans[-1][1].extend(data)
         else:
             spans.append((entry.offset, bytearray(data)))
     return tuple(f"wr {offset} {' '.join(map(str, data))}" for offset, data in spans)
+
+
+def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
+    """Fetch the trace buffer through named register reads."""
+    count = client.read_reg("trace.index").data[0]
+    if count == 0:
+        return []
+    sources = client.read_reg("trace.source", 0, count).data
+    values = client.read_reg("trace.value", 0, count).data
+    ticks = client.read_reg("trace.tick", 0, count).data
+    return [GpioEvent(pin=p, level=v, timestamp_ns=t) for p, v, t in zip(sources, values, ticks)]
 
 
 def load_manifest(suite: str) -> dict:
@@ -294,17 +303,7 @@ class SuiteRunner:
     # -- measurement operations -----------------------------------------
 
     def read_trace(self) -> list[GpioEvent]:
-        """Fetch the trace buffer through named register reads."""
-        count = self.phil.read_reg("trace.index").data[0]
-        if count == 0:
-            return []
-        sources = self.phil.read_reg("trace.source", 0, count).data
-        values = self.phil.read_reg("trace.value", 0, count).data
-        ticks = self.phil.read_reg("trace.tick", 0, count).data
-        return [
-            GpioEvent(pin=p, level=v, timestamp_ns=t)
-            for p, v, t in zip(sources, values, ticks)
-        ]
+        return read_trace(self.phil)
 
     def clear_trace(self) -> None:
         result = self.phil.write_and_execute("trace.mode.init", 1)
@@ -354,7 +353,7 @@ class SuiteRunner:
                     f"(overruns {self.phil.read_reg('trace.overrun_count').data[0]})"
                 )
             delays.append(max(e.timestamp_ns for e in events) - target)
-        slope = float(np.polyfit(np.arange(1, n_max + 1), delays, 1)[0]) if n_max > 1 else delays[0]
+        slope = fit_slope(range(1, n_max + 1), delays) if n_max > 1 else delays[0]
         return delays, slope
 
 

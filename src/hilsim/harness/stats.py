@@ -18,6 +18,12 @@ class TimingStats:
     drift_ns_per_s: float
 
 
+def fit_slope(x, y) -> float:
+    """Least-squares slope of y against x; ``np.polyfit`` needs LAPACK, about 1 MB more resident memory."""
+    dx = np.asarray(x, dtype=float) - np.mean(x)
+    return float(dx @ (np.asarray(y, dtype=float) - np.mean(y)) / (dx @ dx))
+
+
 def compute_timing_stats(events: list[GpioEvent], nominal_period_ns: float) -> TimingStats:
     """Period statistics from consecutive same-direction edges.
 
@@ -47,7 +53,7 @@ def compute_timing_stats(events: list[GpioEvent], nominal_period_ns: float) -> T
     residuals = timestamps - (timestamps[0] + idx * mean_period)
     elapsed_s = (timestamps - timestamps[0]) / 1e9
     if float(elapsed_s[-1]) > 0:
-        drift = float(np.polyfit(elapsed_s, residuals, 1)[0])
+        drift = fit_slope(elapsed_s, residuals)
     else:
         drift = 0.0
 

@@ -10,6 +10,7 @@ end of a map never moves existing entries. Total size is padded up to
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
@@ -17,6 +18,10 @@ from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
 
 # per-byte codes of LayoutedMap.access_mask; padding between entries is writable
 ACCESS_CODES = {"writable": 0, "privileged": 1, "read-only": 2}
+
+# struct format character of each scalar type; register values are little-endian
+STRUCT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i8": "b", "i16": "h", "i32": "i", "i64": "q"}
+_ELEMENT = {t: struct.Struct("<" + code) for t, code in STRUCT_CODES.items()}  # pack's hot case, one element
 
 
 class LayoutError(ValueError):
@@ -41,16 +46,29 @@ class LayoutEntry:
     def elem_size(self) -> int:
         return self.size // self.array_len
 
+    def element_offset(self, index: int, count: int = 1) -> int:
+        """Byte offset of element ``index``; elements index..index+count must lie in the entry."""
+        if index < 0 or index + count > self.array_len:
+            raise ValueError(f"{self.name}: index {index}+{count} exceeds array length {self.array_len}")
+        return self.offset + index * self.size // self.array_len
+
+    def pack(self, value) -> bytes:
+        """Encode one value, or a list of consecutive elements, as register bytes."""
+        try:
+            if isinstance(value, (list, tuple)):
+                return struct.pack(f"<{len(value)}{STRUCT_CODES[self.type]}", *value)
+            return _ELEMENT[self.type].pack(value)
+        except struct.error:
+            raise ValueError(f"{self.name}: value {value!r} out of range for {self.type}") from None
+
+    def unpack(self, raw: bytes) -> list[int]:
+        """Decode register bytes into one int per element."""
+        return list(struct.unpack(f"<{len(raw) // self.elem_size}{STRUCT_CODES[self.type]}", raw))
+
     def default_bytes(self) -> bytes:
         """Expand the default value to the entry's committed byte image."""
-        elem = self.elem_size
-        signed = self.type.startswith("i")
         values = self.default if isinstance(self.default, list) else [self.default] * self.array_len
-        values = list(values) + [0] * (self.array_len - len(values))
-        out = bytearray()
-        for v in values:
-            out += int(v).to_bytes(elem, "little", signed=signed)
-        return bytes(out)
+        return self.pack(list(values) + [0] * (self.array_len - len(values)))
 
 
 @dataclass

@@ -225,39 +225,15 @@ class RefDeviceClient:
         count = 1 if count is None else count
         try:
             entry = self._require_map().lookup(name)
-            offset = self._offset(entry, index, count)
+            offset = entry.element_offset(index, count)
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        size = count * entry.elem_size
-        line = f"rr {offset} {size}"
+        line = f"rr {offset} {count * entry.elem_size}"
         reply = self._issue(line)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
         raw = reply["data"]
-        raw = bytes([raw] if isinstance(raw, int) else raw)
-        signed = entry.type.startswith("i")
-        values = [
-            int.from_bytes(raw[i : i + entry.elem_size], "little", signed=signed)
-            for i in range(0, len(raw), entry.elem_size)
-        ]
-        return PalResult(cmd=[line], data=values)
-
-    @staticmethod
-    def _offset(entry: LayoutEntry, index: int, count: int) -> int:
-        """Byte offset of element ``index``; elements index..index+count must lie in the entry."""
-        if index < 0 or index + count > entry.array_len:
-            raise ValueError(f"{entry.name}: index {index}+{count} exceeds array length {entry.array_len}")
-        return entry.offset + index * entry.elem_size
-
-    def _encode(self, entry: LayoutEntry, value) -> bytes:
-        lo, hi = SCALAR_TYPES[entry.type][1:]
-        values = value if isinstance(value, (list, tuple)) else [value]
-        out = bytearray()
-        for v in values:
-            if not lo <= v <= hi:
-                raise ValueError(f"{entry.name}: value {v} out of range for {entry.type}")
-            out += int(v).to_bytes(entry.elem_size, "little", signed=entry.type.startswith("i"))
-        return bytes(out)
+        return PalResult(cmd=[line], data=entry.unpack(bytes([raw] if isinstance(raw, int) else raw)))
 
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:
         try:
@@ -267,11 +243,11 @@ class RefDeviceClient:
         if entry.access == "read-only":
             return PalResult(result=ERROR, error=f"{name} is read-only")
         try:
-            data = self._encode(entry, value)
-            offset = self._offset(entry, index, len(data) // entry.elem_size)
+            offset = entry.element_offset(index, len(value) if isinstance(value, (list, tuple)) else 1)
+            data = entry.pack(value)
         except ValueError as exc:
             return PalResult(result=ERROR, error=str(exc))
-        line = "wr {} {}".format(offset, " ".join(str(b) for b in data))
+        line = "wr {} {}".format(offset, " ".join(map(str, data)))
         reply = self._issue(line)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")

@@ -81,21 +81,15 @@ class RegisterFile:
 
     def read_param(self, name: str, index: int = 0, count: int | None = None) -> int | list[int]:
         entry = self.map.lookup(name)
-        elem = entry.elem_size
         count = 1 if count is None else count
-        raw = self.read(entry.offset + index * elem, count * elem)
-        signed = entry.type.startswith("i")
-        values = [
-            int.from_bytes(raw[i : i + elem], "little", signed=signed)
-            for i in range(0, len(raw), elem)
-        ]
+        values = entry.unpack(self.read(entry.element_offset(index, count), count * entry.elem_size))
         return values[0] if count == 1 else values
 
-    def poke_param(self, name: str, value: int, index: int = 0) -> None:
+    def poke_param(self, name: str, value: int | list[int], index: int = 0) -> None:
+        """Poke one value, or a list of consecutive elements from ``index``, inside the entry."""
         entry = self.map.lookup(name)
-        elem = entry.elem_size
-        signed = entry.type.startswith("i")
-        self.poke(entry.offset + index * elem, int(value).to_bytes(elem, "little", signed=signed))
+        count = len(value) if isinstance(value, (list, tuple)) else 1
+        self.poke(entry.element_offset(index, count), entry.pack(value))
 
 
 def format_response(fields: dict) -> str:

@@ -2,7 +2,8 @@
 
 One request line in, one JSON response line out. The TCP server accepts
 multiple sequential clients; each connection gets its own read loop but
-all of them talk to the same device instance.
+all of them talk to the same device instance. One lock serialises the
+requests of every server in the process, as its devices may share a bench.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 import socketserver
 import sys
 import threading
+
+# a ``wr`` of the whole map is about 8 KiB; a longer line closes its connection
+MAX_LINE = 64 * 1024
+
+_LOCK = threading.Lock()
 
 
 def serve_stdio(device, infile=None, outfile=None) -> None:
@@ -19,17 +25,21 @@ def serve_stdio(device, infile=None, outfile=None) -> None:
     for line in infile:
         if not line.strip():
             continue
-        outfile.write(device.handle_line(line) + "\n")
+        with _LOCK:
+            reply = device.handle_line(line)
+        outfile.write(reply + "\n")
         outfile.flush()
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE + 1):
+            if len(raw) > MAX_LINE:
+                return
             line = raw.decode("utf-8", errors="replace")
             if not line.strip():
                 continue
-            with self.server.lock:
+            with _LOCK:
                 reply = self.server.device.handle_line(line)
             self.wfile.write(reply.encode("utf-8") + b"\n")
 
@@ -43,7 +53,6 @@ class LineServer(socketserver.ThreadingTCPServer):
     def __init__(self, device, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _LineHandler)
         self.device = device
-        self.lock = threading.Lock()
 
     @property
     def endpoint(self) -> str:

@@ -21,6 +21,7 @@ class TraceUnit:
         self.regs = regs
         self.clock = clock
         self.seed = seed
+        self.slots = regs.map.lookup("trace.source").array_len
         self.trace = GpioTrace(CAPTURE_METHODS["timer-capture-irq"], seed=seed)
         self.reinit()
 
@@ -59,13 +60,15 @@ class TraceUnit:
         return kept
 
     def publish(self) -> None:
-        """Mirror the captured events into the trace register arrays."""
-        events = self.trace.events
+        """Mirror the first ``slots`` captured events into the trace arrays; the rest count as overruns."""
+        captured = self.trace.events
+        events = captured[: self.slots]
+        overruns = self.trace.overrun_count + len(captured) - len(events)
         self.regs.poke_param("trace.index", len(events))
-        self.regs.poke_param("trace.overrun_count", self.trace.overrun_count)
+        self.regs.poke_param("trace.overrun_count", overruns)
         self.regs.poke_param("timer.event_count", len(events))
-        self.regs.poke_param("timer.overrun_count", self.trace.overrun_count)
-        for i, event in enumerate(events):
-            self.regs.poke_param("trace.source", event.pin, index=i)
-            self.regs.poke_param("trace.value", event.level, index=i)
-            self.regs.poke_param("trace.tick", event.timestamp_ns & 0xFFFFFFFF, index=i)
+        self.regs.poke_param("timer.overrun_count", overruns)
+        if events:  # every reset publishes an empty trace; trace.index already says so
+            self.regs.poke_param("trace.source", [e.pin for e in events])
+            self.regs.poke_param("trace.value", [e.level for e in events])
+            self.regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in events])
