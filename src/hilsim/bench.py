@@ -39,7 +39,7 @@ class Bench:
         self.refdev.register_init_hook("spi", self.spi.reinit)
         self.refdev.register_init_hook("uart", self.uart.reinit)
         self.refdev.register_init_hook("timer", self.trace.reinit)
-        self.refdev.register_init_hook("trace", self.trace.clear)
+        self.refdev.register_init_hook("trace", self.trace.reinit)
         self.dut = DutDevice(
             self.scheduler,
             self.i2c,

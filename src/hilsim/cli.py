@@ -19,7 +19,6 @@ from hilsim.memmap import (
     emit_csv,
     emit_docs,
     emit_struct_decl,
-    map_version,
     parse_config_file,
 )
 from hilsim.pal import MapStore, RefDeviceClient
@@ -53,7 +52,7 @@ def generate(config: str, out_dir: str) -> None:
     """Generate struct, CSV map, docs, and version files from a map config."""
     spec = parse_config_file(config)
     layout = compute_layout(spec)
-    version, map_hash = map_version(layout)
+    version, map_hash = layout.version, layout.map_hash
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

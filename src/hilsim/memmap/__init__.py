@@ -18,7 +18,7 @@ from hilsim.memmap.schema import (
     parse_config_file,
 )
 from hilsim.memmap.layout import LayoutedMap, LayoutEntry, LayoutError, compute_layout
-from hilsim.memmap.emit import emit_csv, emit_docs, emit_struct_decl, map_version
+from hilsim.memmap.emit import emit_csv, emit_docs, emit_struct_decl
 
 __all__ = [
     "ACCESS_LEVELS",
@@ -38,5 +38,4 @@ __all__ = [
     "emit_csv",
     "emit_docs",
     "emit_struct_decl",
-    "map_version",
 ]

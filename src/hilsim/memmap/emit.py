@@ -1,4 +1,4 @@
-"""Artifact emission: C-style struct text, CSV map, docs, version identifier."""
+"""Artifact emission: C-style struct text, CSV map, docs."""
 
 from __future__ import annotations
 
@@ -91,11 +91,3 @@ def emit_docs(layout: LayoutedMap) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def map_version(layout: LayoutedMap) -> tuple[str, str]:
-    """Return the map's semantic version and its content digest.
-
-    The digest covers (name, offset, size, type) only; descriptions and
-    defaults do not affect it.
-    """
-    return layout.version, layout.map_hash

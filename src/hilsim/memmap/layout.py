@@ -84,17 +84,29 @@ class LayoutedMap:
     # properties, which would slow every attribute lookup on the map
     default_image: bytes = field(init=False, repr=False, compare=False)
     access_mask: bytes = field(init=False, repr=False, compare=False)
+    # per module, the merged byte ranges of its read-only entries, which the
+    # module's re-init returns to the default image
+    read_only_spans: dict[str, tuple[slice, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.by_name:
             self.by_name = {e.name: e for e in self.entries}
         image = bytearray(self.total_size)
         mask = bytearray(self.total_size)
+        spans: dict[str, list[list[int]]] = {}
         for e in self.entries:
             image[e.offset : e.offset + e.size] = e.default_bytes()
             mask[e.offset : e.offset + e.size] = bytes([ACCESS_CODES[e.access]]) * e.size
+            module_spans = spans.setdefault(e.name.split(".")[0], [])
+            if e.access != "read-only":
+                continue
+            if module_spans and module_spans[-1][1] == e.offset:
+                module_spans[-1][1] = e.offset + e.size
+            else:
+                module_spans.append([e.offset, e.offset + e.size])
         self.default_image = bytes(image)
         self.access_mask = bytes(mask)
+        self.read_only_spans = {m: tuple(slice(*span) for span in s) for m, s in spans.items()}
 
     @property
     def version(self) -> str:
@@ -102,6 +114,7 @@ class LayoutedMap:
 
     @property
     def map_hash(self) -> str:
+        """Digest of each entry's name, offset, size and type; descriptions and defaults do not affect it."""
         digest = hashlib.sha256()
         for e in self.entries:
             digest.update(f"{e.name}:{e.offset}:{e.size}:{e.type}\n".encode())

@@ -259,18 +259,20 @@ class RefDeviceClient:
         return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
 
     def write_and_execute(self, name: str, value, index: int = 0) -> PalResult:
-        """Write a parameter, raise its module's init flag, and execute."""
+        """Write a parameter, raise its module's init flag unless that was the write, and execute."""
         first = self.write_reg(name, value, index=index)
         if not first.ok:
             return first
-        module = name.split(".")[0]
-        flag = self.write_reg(f"{module}.mode.init", 1)
-        if not flag.ok:
+        init_flag = name.split(".")[0] + ".mode.init"
+        if name != init_flag:
+            flag = self.write_reg(init_flag, 1)
             flag.cmd = first.cmd + flag.cmd
-            flag.error = f"init flag write failed: {flag.error}"
-            return flag
+            if not flag.ok:
+                flag.error = f"init flag write failed: {flag.error}"
+                return flag
+            first = flag
         final = self.execute()
-        final.cmd = first.cmd + flag.cmd + final.cmd
+        final.cmd = first.cmd + final.cmd
         if not final.ok:
             final.error = "execute failed"
         return final

@@ -48,6 +48,13 @@ class RegisterFile:
         self.committed[:] = self.map.default_image
         self.staged.clear()
 
+    def restore(self, *modules: str) -> None:
+        """Return every read-only register of ``modules`` to its default-image bytes."""
+        image = self.map.default_image
+        for module in modules:
+            for span in self.map.read_only_spans[module]:
+                self.committed[span] = image[span]
+
     @property
     def total_size(self) -> int:
         return len(self.committed)
@@ -104,7 +111,8 @@ class ReferenceDevice:
         self.regs = RegisterFile(layout)
         self.version = layout.version
         # module name -> re-init callback, invoked on execute when the
-        # module's init flag byte transitioned to 1
+        # module's init flag byte transitioned to 1; one callback may serve
+        # several modules and runs once per reset or execute
         self._init_hooks: dict[str, Callable[[], None]] = {}
         self._init_flags: dict[str, int] = {}
         for entry in layout.entries:
@@ -120,8 +128,7 @@ class ReferenceDevice:
     def reset(self) -> None:
         """Restore defaults and re-init all registered peripheral models."""
         self.regs.reset()
-        for hook in self._init_hooks.values():
-            hook()
+        self._reinit(self._init_hooks)
 
     def read_regs(self, offset: int, size: int) -> bytes:
         return self.regs.read(offset, size)
@@ -130,14 +137,19 @@ class ReferenceDevice:
         self.regs.stage_write(offset, data)
 
     def execute(self) -> None:
-        """Commit staged writes, then re-init flagged modules exactly once."""
+        """Commit staged writes, then lower each init flag at 1 and re-init its module."""
         self.regs.commit()
-        for module, flag_offset in self._init_flags.items():
-            if self.regs.committed[flag_offset] == 1:
-                hook = self._init_hooks.get(module)
-                if hook is not None:
-                    hook()
-                self.regs.committed[flag_offset] = 0
+        committed = self.regs.committed
+        raised = [module for module, offset in self._init_flags.items() if committed[offset] == 1]
+        for module in raised:
+            committed[self._init_flags[module]] = 0
+        self._reinit(raised)
+
+    def _reinit(self, modules) -> None:
+        """Run the distinct hooks of ``modules``, each once."""
+        hooks = self._init_hooks
+        for hook in dict.fromkeys(hooks[m] for m in modules if m in hooks):
+            hook()
 
     def handle_line(self, line: str) -> str:
         """Dispatch one command line; always returns one JSON line."""

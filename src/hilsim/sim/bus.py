@@ -126,9 +126,7 @@ class I2cSlaveModel(_PeripheralModel):
         self.nack_addr = bool(rp("i2c.mode.nack_addr"))
         self.reg_index = 0
         self.transactions.clear()
-        for counter in ("i2c.r_count", "i2c.w_count", "i2c.err_count", "i2c.nack_count"):
-            self.regs.poke_param(counter, 0)
-        self.regs.poke_param("i2c.state", 0)
+        self.regs.restore(self.module)
 
     def _finish(self, direction: str, register: int | None, wire_bytes: bytes, bitrate: int) -> BusTransaction:
         bits = I2C_BITS_PER_BYTE * (len(wire_bytes) + 1)
@@ -244,9 +242,7 @@ class SpiSlaveModel(_PeripheralModel):
         self.reg_bytes = 2 if rp("spi.mode.reg_16_bit") else 1
         self.big_endian = bool(rp("spi.mode.reg_16_big_endian"))
         self.transactions.clear()
-        for counter in ("spi.transfer_count", "spi.r_count", "spi.w_count"):
-            self.regs.poke_param(counter, 0)
-        self.regs.poke_param("spi.state", 0)
+        self.regs.restore(self.module)
 
     def transfer(self, frame: bytes, bitrate: int, mode: int | None = None) -> SpiResult:
         _check_bitrate(bitrate, SPI_BITRATE_RANGE, "SPI")
@@ -316,8 +312,7 @@ class UartModel(_PeripheralModel):
         self.mode = rp("uart.mode.if_type")
         self.baud = rp("uart.baud")
         self.transactions.clear()
-        for counter in ("uart.rx_count", "uart.tx_count", "uart.rx_error_count"):
-            self.regs.poke_param(counter, 0)
+        self.regs.restore(self.module)
 
     def process(self, data: bytes, bitrate: int) -> bytes:
         _check_bitrate(bitrate, UART_BITRATE_RANGE, "UART")

@@ -44,9 +44,6 @@ class EventScheduler:
         heapq.heappush(self._queue, (t, self._seq, callback))
         self._seq += 1
 
-    def schedule_in(self, delta: int, callback: Callable[[], None]) -> None:
-        self.schedule_at(self.clock.now + delta, callback)
-
     def run_until_idle(self) -> None:
         """Pop and run events in time order, advancing the clock."""
         while self._queue:

@@ -46,7 +46,7 @@ class GpioTrace:
     seed: int = 0
     overrun_count: int = 0
     _events: deque = field(default_factory=deque)
-    _rng: random.Random = field(default_factory=random.Random)
+    _rng: random.Random = field(init=False)  # seeded in __post_init__
     _last_accept_ns: dict = field(default_factory=dict)
     _last_level: dict = field(default_factory=dict)
 

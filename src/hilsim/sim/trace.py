@@ -22,7 +22,6 @@ class TraceUnit:
         self.clock = clock
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
-        self.trace = GpioTrace(CAPTURE_METHODS["timer-capture-irq"], seed=seed)
         self.reinit()
 
     @property
@@ -30,22 +29,13 @@ class TraceUnit:
         return self.trace.method
 
     def reinit(self) -> None:
-        """Reconfigure the capture backend from the timer registers."""
+        """Re-init the timer and trace modules: apply the capture method, drop every capture."""
         code = self.regs.read_param("timer.mode.capture_method")
         method = CAPTURE_METHODS[_METHOD_BY_CODE.get(code, "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
+        self.regs.restore("timer", "trace", *GPIO_MODULES)
         self.regs.poke_param("timer.min_tick", method.t_min_ns)
         self.regs.poke_param("timer.min_holdoff", method.t_jitter_ns)
-        self.regs.poke_param("timer.overrun_count", 0)
-        self.regs.poke_param("timer.event_count", 0)
-        self.clear()
-
-    def clear(self) -> None:
-        self.trace.clear()
-        self.publish()
-        for mod in GPIO_MODULES:
-            for param in ("edge_count", "rise_ticks", "fall_ticks", "overrun_count"):
-                self.regs.poke_param(f"{mod}.{param}", 0)
 
     def record_edge(self, pin: int, level: int) -> bool:
         t = self.clock.now
@@ -68,7 +58,6 @@ class TraceUnit:
         self.regs.poke_param("trace.overrun_count", overruns)
         self.regs.poke_param("timer.event_count", len(events))
         self.regs.poke_param("timer.overrun_count", overruns)
-        if events:  # every reset publishes an empty trace; trace.index already says so
-            self.regs.poke_param("trace.source", [e.pin for e in events])
-            self.regs.poke_param("trace.value", [e.level for e in events])
-            self.regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in events])
+        self.regs.poke_param("trace.source", [e.pin for e in events])
+        self.regs.poke_param("trace.value", [e.level for e in events])
+        self.regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in events])

@@ -14,7 +14,6 @@ from hilsim.memmap import (
     emit_csv,
     emit_docs,
     emit_struct_decl,
-    map_version,
     parse_config,
 )
 from hilsim.pal import NameMap
@@ -235,12 +234,12 @@ def test_emit_docs_lists_parameters(ref_layout):
 
 
 def test_map_version_tracks_layout_changes(ref_layout):
-    version, map_hash = map_version(ref_layout)
+    version, map_hash = ref_layout.version, ref_layout.map_hash
     assert version == "1.2.3"
     assert len(map_hash) == 16
     cfg = make_config([{"name": "a", "parameters": [param("x")]}], version="1.2.3")
     other = compute_layout(parse_config(cfg))
-    assert map_version(other)[1] != map_hash
+    assert other.map_hash != map_hash
 
 
 # -- the bundled reference map ------------------------------------------

@@ -1,0 +1,78 @@
+"""One module re-init: an init flag returns its module's read-only registers to the default image."""
+
+from hilsim.sim.gpio import CAPTURE_METHODS
+from hilsim.sim.trace import TraceUnit
+
+from conftest import make_bench
+from test_pal_guards import connected_client
+
+GPIO_IRQ = 2  # timer.mode.capture_method code
+
+
+def test_read_only_spans_cover_exactly_each_modules_read_only_entries(bench):
+    layout = bench.refdev.regs.map
+    for module, spans in layout.read_only_spans.items():
+        covered = {i for span in spans for i in range(span.start, span.stop)}
+        expected = {
+            i
+            for e in layout.module_entries(module)
+            if e.access == "read-only"
+            for i in range(e.offset, e.offset + e.size)
+        }
+        assert covered == expected, module
+
+
+def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench):
+    regs = bench.refdev.regs
+    layout = regs.map
+    for entry in layout.entries:
+        if entry.access == "read-only":
+            regs.poke(entry.offset, b"\x5a" * entry.size)
+    dirty = bytes(regs.committed)
+    client, _ = connected_client(bench)
+    assert client.write_and_execute("spi.mode.cpha", 1).ok
+    for entry in layout.entries:
+        if entry.access != "read-only":
+            continue
+        span = slice(entry.offset, entry.offset + entry.size)
+        expected = layout.default_image[span] if entry.name.startswith("spi.") else dirty[span]
+        assert regs.committed[span] == expected, entry.name
+
+
+def test_write_and_execute_of_an_init_flag_sends_it_once(bench):
+    client, wire = connected_client(bench)
+    offset = bench.refdev.regs.map.lookup("trace.mode.init").offset
+    result = client.write_and_execute("trace.mode.init", 1)
+    assert result.ok
+    assert wire.lines == result.cmd == [f"wr {offset} 1", "ex"]
+
+
+def test_a_trace_init_equals_a_timer_init(bench):
+    client, _ = connected_client(bench)
+    assert client.write_reg("timer.mode.capture_method", GPIO_IRQ).ok
+    assert client.write_and_execute("trace.mode.init", 1).ok
+    method = CAPTURE_METHODS["gpio-irq"]
+    assert bench.trace.method == method
+    assert client.read_reg("timer.min_tick").data == [method.t_min_ns]
+
+
+def test_timer_and_trace_share_one_reinit_that_runs_once(monkeypatch):
+    calls = []
+    original = TraceUnit.reinit
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(TraceUnit, "reinit", counted)
+    bench = make_bench()
+    calls.clear()
+    bench.reset()
+    assert len(calls) == 1
+    client, _ = connected_client(bench)
+    assert client.write_reg("timer.mode.init", 1).ok
+    assert client.write_reg("trace.mode.init", 1).ok
+    assert client.execute().ok
+    assert len(calls) == 2
+    assert client.write_and_execute("trace.mode.init", 1).ok
+    assert len(calls) == 3
