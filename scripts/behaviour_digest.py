@@ -1,0 +1,93 @@
+"""Print digests of hilsim's observable behaviour, to check that a refactor changes none of it.
+
+Run it on two trees and compare the lines it prints:
+
+    PYTHONPATH=src python scripts/behaviour_digest.py
+
+``suites`` hashes ``TestReport.to_dict()`` (minus ``wall_time_s``) of all five
+suites for seeds 0-7, fault-free and with each seeded fault alone. ``streams``
+hashes the DUT and reference-device replies, the final register image and the
+simulated clock of 20 seeded random command streams of 300 steps over every
+bus command and ``gpio_toggle``, with occasional bus-mode re-inits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from hilsim.bench import Bench, BenchConfig
+from hilsim.dut import FaultConfig
+from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
+
+I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
+SPI_RATES = (100_000, 1_000_000, 5_000_000)
+UART_RATES = (9_600, 57_600, 115_200)
+REINITS = ("i2c.mode.nack_addr", "i2c.mode.nack_data", "i2c.mode.reg_16_bit", "spi.mode.cpha", "uart.mode.if_type")
+
+
+def suites_digest() -> str:
+    digest = hashlib.sha256()
+    fault_sets = [None] + [FaultConfig(**{name: True}) for name in FaultConfig.flag_names()]
+    for seed in range(8):
+        for faults in fault_sets:
+            for suite in SUITE_NAMES:
+                doc = SuiteRunner.local(RunConfig(seed=seed, faults=faults)).run_suite(suite).to_dict()
+                del doc["wall_time_s"]
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def random_bytes(rng: random.Random, most: int) -> str:
+    return " ".join(str(rng.randrange(256)) for _ in range(rng.randint(1, most)))
+
+
+def random_command(rng: random.Random) -> str:
+    addr = 85 if rng.random() < 0.85 else 99
+    kind = rng.randrange(11)
+    if kind == 0:
+        return f"i2c_init {rng.choice(I2C_RATES)}"
+    if kind == 1:
+        return f"i2c_read_reg {addr} {rng.randrange(40)} {rng.randint(1, 6)}"
+    if kind == 2:
+        return f"i2c_write_reg {addr} {rng.randrange(40)} {random_bytes(rng, 5)}"
+    if kind == 3:
+        return f"i2c_read_bytes {addr} {rng.randint(1, 6)}"
+    if kind == 4:
+        return f"i2c_write_bytes {addr} {random_bytes(rng, 5)}"
+    if kind == 5:
+        return f"spi_init {rng.randrange(5)} {rng.choice(SPI_RATES)}"
+    if kind == 6:
+        return f"spi_transfer {rng.randrange(256)} {random_bytes(rng, 6)}"
+    if kind == 7:
+        return f"uart_init {rng.choice(UART_RATES)}"
+    if kind == 8:
+        return f"uart_write {random_bytes(rng, 12)}"
+    return f"gpio_toggle {rng.randrange(4)}"
+
+
+def streams_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(20):
+        rng = random.Random(seed)
+        faults = FaultConfig(**{name: rng.random() < 0.2 for name in FaultConfig.flag_names()})
+        bench = Bench(BenchConfig(seed=seed, faults=faults))
+        layout = bench.refdev.regs.map
+        for _ in range(300):
+            if rng.random() < 0.05:
+                name = rng.choice(REINITS)
+                flag = layout.lookup(name.split(".")[0] + ".mode.init").offset
+                lines = [f"wr {layout.lookup(name).offset} {rng.randrange(3)}", f"wr {flag} 1", "ex"]
+                replies = [bench.refdev.handle_line(line) for line in lines]
+            else:
+                replies = [bench.dut.handle_line(random_command(rng))]
+            digest.update("\n".join(replies).encode())
+        digest.update(bytes(bench.refdev.regs.committed))
+        digest.update(str(bench.clock.now).encode())
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print("suites ", suites_digest())
+    print("streams", streams_digest())

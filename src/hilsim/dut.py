@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from hilsim.sim.bus import I2cSlaveModel, SpiSlaveModel, UartModel
+from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 from hilsim.sim.clock import EventScheduler
 from hilsim.sim.trace import TraceUnit
 
@@ -26,6 +26,9 @@ ENXIO = 6
 EAGAIN = 11
 ENODEV = 19
 EINVAL = 22
+
+# the DUT's bus-status table: the errno each failed bus status returns
+BUS_ERRNO = {"addr-nack": ENXIO, "data-nack": EIO, "bad-mode": EINVAL}
 
 # simulated-time deadline after which a command counts as hung
 COMMAND_DEADLINE_NS = 1_000_000_000
@@ -192,13 +195,9 @@ class DutDevice:
         self._write_streak = 0
         wire_length = length + 1 if self.faults.extra_read_byte else length
         result = self.i2c.read_reg(addr, reg, wire_length, self._i2c_bitrate)
-        if result.status == "addr-nack":
-            if self.faults.missing_error_cleanup:
-                self._hung = True
-            raise _DutError(ENXIO)
-        if result.status == "data-nack":
-            raise _DutError(EIO)
-        return {"data": list(result.data[:length]), "result": RESULT_SUCCESS}
+        if result.status == "addr-nack" and self.faults.missing_error_cleanup:
+            self._hung = True
+        return {"data": list(_bus_data(result)[:length]), "result": RESULT_SUCCESS}
 
     def _cmd_i2c_write_reg(self, args) -> dict:
         addr, reg, data = args[0], args[1], bytes(args[2:])
@@ -212,28 +211,20 @@ class DutDevice:
         if self.faults.inverted_status_check:
             # status poll predicate is inverted: the ready state looks busy
             raise _DutError(EINVAL)
-        result = self.i2c.write_reg(addr, reg, data, self._i2c_bitrate)
-        if result.status == "addr-nack":
-            raise _DutError(ENXIO)
-        if result.status == "data-nack":
-            raise _DutError(EIO)
+        _bus_data(self.i2c.write_reg(addr, reg, data, self._i2c_bitrate))
         return {"result": RESULT_SUCCESS}
 
     def _cmd_i2c_read_bytes(self, args) -> dict:
         addr, length = args[0], args[1]
         self._i2c_guard()
         self._write_streak = 0
-        result = self.i2c.read_bytes(addr, length, self._i2c_bitrate)
-        if not result.ok:
-            raise _DutError(ENXIO if result.status == "addr-nack" else EIO)
-        return {"data": list(result.data), "result": RESULT_SUCCESS}
+        data = _bus_data(self.i2c.read_bytes(addr, length, self._i2c_bitrate))
+        return {"data": list(data), "result": RESULT_SUCCESS}
 
     def _cmd_i2c_write_bytes(self, args) -> dict:
         addr, data = args[0], bytes(args[1:])
         self._i2c_guard()
-        result = self.i2c.write_bytes(addr, data, self._i2c_bitrate)
-        if not result.ok:
-            raise _DutError(ENXIO if result.status == "addr-nack" else EIO)
+        _bus_data(self.i2c.write_bytes(addr, data, self._i2c_bitrate))
         return {"result": RESULT_SUCCESS}
 
     # -- SPI ------------------------------------------------------------
@@ -249,10 +240,8 @@ class DutDevice:
     def _cmd_spi_transfer(self, args) -> dict:
         if not self._spi_ready:
             raise _DutError(ENODEV)
-        result = self.spi.transfer(bytes(args), self._spi_bitrate, mode=self._spi_mode)
-        if not result.ok:
-            raise _DutError(EINVAL)
-        return {"data": list(result.data), "result": RESULT_SUCCESS}
+        data = _bus_data(self.spi.transfer(bytes(args), self._spi_bitrate, mode=self._spi_mode))
+        return {"data": list(data), "result": RESULT_SUCCESS}
 
     # -- UART -----------------------------------------------------------
 
@@ -326,6 +315,13 @@ class DutDevice:
     def _toggle_now(self, pin: int) -> None:
         level = 1 - self._pin_levels.get(pin, 0)
         self._drive_pin(pin, level)
+
+
+def _bus_data(result: BusResult) -> bytes:
+    """The data of a bus result, or its failed status's errno as a ``_DutError``."""
+    if result.status != "ok":
+        raise _DutError(BUS_ERRNO[result.status])
+    return result.data
 
 
 def _to_int(token: str) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -49,17 +49,7 @@ class TestReport:
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "cases": [
-                {
-                    "id": c.id,
-                    "suite": c.suite,
-                    "category": c.category,
-                    "verdict": c.verdict,
-                    "measured": c.measured,
-                    "reason": c.reason,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(c) for c in self.cases],
             "totals": self.totals,
             "wall_time_s": self.wall_time_s,
             "sim_time_ns": self.sim_time_ns,

@@ -3,8 +3,8 @@
 from hilsim.sim.clock import SimClock, EventScheduler
 from hilsim.sim.gpio import CaptureMethod, GpioEvent, GpioTrace, CAPTURE_METHODS
 from hilsim.sim.bus import (
+    BusResult,
     BusTransaction,
-    I2cResult,
     I2cSlaveModel,
     SpiSlaveModel,
     UartModel,
@@ -18,8 +18,8 @@ __all__ = [
     "GpioEvent",
     "GpioTrace",
     "CAPTURE_METHODS",
+    "BusResult",
     "BusTransaction",
-    "I2cResult",
     "I2cSlaveModel",
     "SpiSlaveModel",
     "UartModel",

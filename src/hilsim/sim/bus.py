@@ -50,14 +50,10 @@ class BusTransaction:
 
 
 @dataclass(frozen=True)
-class I2cResult:
-    status: str  # ok, addr-nack, data-nack
+class BusResult:
+    status: str  # ok, addr-nack, data-nack, bad-mode
     data: bytes = b""
     txn: BusTransaction | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 def estimate_bus_speed(txn: BusTransaction) -> float:
@@ -76,7 +72,7 @@ def _check_bitrate(bitrate: int, lo_hi: tuple[int, int], bus: str) -> None:
 
 
 class _PeripheralModel:
-    """Shared plumbing: a register file, a clock, and a transaction log."""
+    """Shared plumbing: a register file, a clock, a transaction log and the bus telemetry."""
 
     module = ""
 
@@ -93,14 +89,13 @@ class _PeripheralModel:
         raise NotImplementedError
 
     def _window_read(self, offset: int, size: int) -> bytes:
-        out = bytearray()
-        for i in range(size):
-            out.append(self.regs.committed[self._window_offset + (offset + i) % self._window_size])
-        return bytes(out)
+        committed, base, n = self.regs.committed, self._window_offset, self._window_size
+        return bytes(committed[base + (offset + i) % n] for i in range(size))
 
     def _window_write(self, offset: int, data: bytes) -> None:
+        committed, base, n = self.regs.committed, self._window_offset, self._window_size
         for i, b in enumerate(data):
-            self.regs.committed[self._window_offset + (offset + i) % self._window_size] = b
+            committed[base + (offset + i) % n] = b
 
     def _bump(self, param: str, delta: int) -> None:
         self._poke_wrapped(param, self.regs.read_param(param) + delta)
@@ -109,6 +104,23 @@ class _PeripheralModel:
         """Publish a value, wrapping at the register width like a real counter."""
         entry = self.regs.map.lookup(param)
         self.regs.poke_param(param, int(value) % (1 << (8 * entry.elem_size)))
+
+    def _hold_bus(self, duration_ns: int, direction: str, register, payload: bytes, bitrate: int, address=None):
+        """Occupy the bus for ``duration_ns``, then log and return the transaction."""
+        start = self.clock.now
+        self.clock.advance(duration_ns)
+        txn = BusTransaction(
+            self.module.upper(), direction, address, register, bytes(payload), start, self.clock.now, bitrate
+        )
+        self.transactions.append(txn)
+        return txn
+
+    def _publish_times(self, txn: BusTransaction) -> None:
+        """Publish the transaction's start and stop times and, if it carried bytes, its speed."""
+        self.regs.poke_param(f"{self.module}.start_time", txn.start_ns)
+        self.regs.poke_param(f"{self.module}.stop_time", txn.end_ns)
+        if txn.payload:
+            self._poke_wrapped(f"{self.module}.speed_hz", round(estimate_bus_speed(txn)))
 
 
 class I2cSlaveModel(_PeripheralModel):
@@ -128,103 +140,70 @@ class I2cSlaveModel(_PeripheralModel):
         self.transactions.clear()
         self.regs.restore(self.module)
 
-    def _finish(self, direction: str, register: int | None, wire_bytes: bytes, bitrate: int) -> BusTransaction:
-        bits = I2C_BITS_PER_BYTE * (len(wire_bytes) + 1)
-        duration = round(bits * 1e9 / bitrate) + self.clock_stretch_ns
-        start = self.clock.now
-        self.clock.advance(duration)
-        txn = BusTransaction(
-            bus="I2C",
-            direction=direction,
-            address=self.slave_address,
-            register=register,
-            payload=wire_bytes,
-            start_ns=start,
-            end_ns=self.clock.now,
-            bitrate=bitrate,
-        )
-        self.transactions.append(txn)
-        self.regs.poke_param("i2c.start_time", txn.start_ns)
-        self.regs.poke_param("i2c.stop_time", txn.end_ns)
-        if txn.payload:
-            self._poke_wrapped("i2c.speed_hz", round(estimate_bus_speed(txn)))
-        # per-phase durations in microseconds
+    def _nacked(self, address: int, bitrate: int, data_phase: bool = True) -> BusResult | None:
+        """The address and NACK path: the NACKed frame's result, or None if the slave takes the frame."""
+        _check_bitrate(bitrate, I2C_BITRATE_RANGE, "I2C")
+        if address != self.slave_address or self.nack_addr:
+            status = "addr-nack"
+        elif data_phase and self.nack_data:
+            status = "data-nack"
+        else:
+            return None
+        self._bump("i2c.nack_count", 1)
+        self._bump("i2c.err_count", 1)
+        return self._frame(status, "write", None, b"", bitrate)
+
+    def _frame(
+        self, status: str, direction: str, register: int | None, wire: bytes, bitrate: int, data: bytes = b""
+    ) -> BusResult:
+        """Hold the bus for the address byte plus ``wire``, then publish times and per-phase ticks (µs)."""
+        duration = round(I2C_BITS_PER_BYTE * (len(wire) + 1) * 1e9 / bitrate) + self.clock_stretch_ns
+        txn = self._hold_bus(duration, direction, register, wire, bitrate, self.slave_address)
+        self._publish_times(txn)
         self._poke_wrapped("i2c.addr_ticks", round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
         ticks = "i2c.read_ticks" if direction == "read" else "i2c.write_ticks"
         self._poke_wrapped(ticks, round(duration / 1_000))
-        return txn
+        return BusResult(status, data, txn)
 
-    def _nack(self, kind: str, bitrate: int, wire_bytes: bytes = b"") -> I2cResult:
-        self._bump("i2c.nack_count", 1)
-        self._bump("i2c.err_count", 1)
-        txn = self._finish("write", None, wire_bytes, bitrate)
-        return I2cResult(status=kind, txn=txn)
+    def _pointer(self, register: int) -> bytes:
+        return register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
 
-    def _address_phase(self, address: int, bitrate: int) -> I2cResult | None:
-        _check_bitrate(bitrate, I2C_BITRATE_RANGE, "I2C")
-        if address != self.slave_address or self.nack_addr:
-            return self._nack("addr-nack", bitrate)
-        return None
-
-    def read_reg(self, address: int, register: int, length: int, bitrate: int) -> I2cResult:
+    def read_reg(self, address: int, register: int, length: int, bitrate: int) -> BusResult:
         """Register-pointer write followed by a data read."""
-        nack = self._address_phase(address, bitrate)
+        nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        if self.nack_data:
-            return self._nack("data-nack", bitrate)
         self.reg_index = register
         data = self._window_read(register * self.reg_bytes, length)
         self._bump("i2c.w_count", self.reg_bytes)
         self._bump("i2c.r_count", length)
-        ptr = register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
-        txn = self._finish("read", register, ptr + data, bitrate)
-        return I2cResult(status="ok", data=data, txn=txn)
+        return self._frame("ok", "read", register, self._pointer(register) + data, bitrate, data)
 
-    def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> I2cResult:
-        nack = self._address_phase(address, bitrate)
+    def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
+        nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        if self.nack_data:
-            return self._nack("data-nack", bitrate)
         self.reg_index = register
         self._window_write(register * self.reg_bytes, data)
         self._bump("i2c.w_count", self.reg_bytes + len(data))
-        ptr = register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
-        txn = self._finish("write", register, ptr + bytes(data), bitrate)
-        return I2cResult(status="ok", txn=txn)
+        return self._frame("ok", "write", register, self._pointer(register) + bytes(data), bitrate)
 
-    def read_bytes(self, address: int, length: int, bitrate: int) -> I2cResult:
-        """Plain read from the current register pointer."""
-        nack = self._address_phase(address, bitrate)
+    def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
+        """Plain read from the current register pointer; the master acks the data, so no data NACK."""
+        nack = self._nacked(address, bitrate, data_phase=False)
         if nack is not None:
             return nack
         data = self._window_read(self.reg_index * self.reg_bytes, length)
         self._bump("i2c.r_count", length)
-        txn = self._finish("read", self.reg_index, data, bitrate)
-        return I2cResult(status="ok", data=data, txn=txn)
+        return self._frame("ok", "read", self.reg_index, data, bitrate, data)
 
-    def write_bytes(self, address: int, data: bytes, bitrate: int) -> I2cResult:
-        nack = self._address_phase(address, bitrate)
+    def write_bytes(self, address: int, data: bytes, bitrate: int) -> BusResult:
+        nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        if self.nack_data:
-            return self._nack("data-nack", bitrate)
         self._window_write(self.reg_index * self.reg_bytes, data)
         self._bump("i2c.w_count", len(data))
-        txn = self._finish("write", self.reg_index, bytes(data), bitrate)
-        return I2cResult(status="ok", txn=txn)
-
-
-@dataclass(frozen=True)
-class SpiResult:
-    status: str  # ok, bad-mode
-    data: bytes = b""
-    txn: BusTransaction | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
+        return self._frame("ok", "write", self.reg_index, data, bitrate)
 
 
 class SpiSlaveModel(_PeripheralModel):
@@ -240,61 +219,33 @@ class SpiSlaveModel(_PeripheralModel):
         rp = self.regs.read_param
         self.mode = (rp("spi.mode.cpol") << 1) | rp("spi.mode.cpha")
         self.reg_bytes = 2 if rp("spi.mode.reg_16_bit") else 1
-        self.big_endian = bool(rp("spi.mode.reg_16_big_endian"))
         self.transactions.clear()
         self.regs.restore(self.module)
 
-    def transfer(self, frame: bytes, bitrate: int, mode: int | None = None) -> SpiResult:
+    def transfer(self, frame: bytes, bitrate: int, mode: int | None = None) -> BusResult:
         _check_bitrate(bitrate, SPI_BITRATE_RANGE, "SPI")
         if mode is not None and mode != self.mode:
-            return SpiResult(status="bad-mode")
+            return BusResult("bad-mode")
         if not frame:
-            return SpiResult(status="ok", data=b"")
-        command = frame[0]
-        register = command & ~SPI_WRITE_FLAG
+            return BusResult("ok")
+        register = frame[0] & ~SPI_WRITE_FLAG
         offset = register * self.reg_bytes
         n = len(frame) - 1
-        if command & SPI_WRITE_FLAG:
+        if frame[0] & SPI_WRITE_FLAG:
             self._window_write(offset, frame[1:])
             self._bump("spi.w_count", n)
-            reply = bytes(len(frame))
-            direction = "write"
+            reply, direction = bytes(len(frame)), "write"
         else:
-            data = self._window_read(offset, n)
+            reply, direction = bytes(1) + self._window_read(offset, n), "read"
             self._bump("spi.r_count", n)
-            reply = bytes(1) + data
-            direction = "read"
         self._bump("spi.transfer_count", len(frame))
         duration = round(SPI_BITS_PER_BYTE * len(frame) * 1e9 / bitrate)
-        start = self.clock.now
-        self.clock.advance(duration)
-        txn = BusTransaction(
-            bus="SPI",
-            direction=direction,
-            address=None,
-            register=register,
-            payload=bytes(frame),
-            start_ns=start,
-            end_ns=self.clock.now,
-            bitrate=bitrate,
-        )
-        self.transactions.append(txn)
-        self.regs.poke_param("spi.start_time", txn.start_ns)
-        self.regs.poke_param("spi.stop_time", txn.end_ns)
-        self._poke_wrapped("spi.speed_hz", round(estimate_bus_speed(txn)))
+        txn = self._hold_bus(duration, direction, register, frame, bitrate)
+        self._publish_times(txn)
         self._poke_wrapped("spi.prev_ticks", self.regs.read_param("spi.frame_ticks"))
         self._poke_wrapped("spi.frame_ticks", round(duration / 1_000))
         self._poke_wrapped("spi.byte_ticks", round(duration / 1_000 / len(frame)))
-        return SpiResult(status="ok", data=reply, txn=txn)
-
-    def write_value(self, register: int, value: int, bitrate: int) -> SpiResult:
-        data = value.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
-        return self.transfer(bytes([SPI_WRITE_FLAG | register]) + data, bitrate)
-
-    def read_value(self, register: int, bitrate: int) -> tuple[SpiResult, int]:
-        result = self.transfer(bytes([register]) + bytes(self.reg_bytes), bitrate)
-        value = int.from_bytes(result.data[1:], "big" if self.big_endian else "little")
-        return result, value
+        return BusResult("ok", reply, txn)
 
 
 UART_MODE_ECHO = 0
@@ -308,9 +259,7 @@ class UartModel(_PeripheralModel):
     module = "uart"
 
     def reinit(self) -> None:
-        rp = self.regs.read_param
-        self.mode = rp("uart.mode.if_type")
-        self.baud = rp("uart.baud")
+        self.mode = self.regs.read_param("uart.mode.if_type")
         self.transactions.clear()
         self.regs.restore(self.module)
 
@@ -325,20 +274,7 @@ class UartModel(_PeripheralModel):
         self._bump("uart.rx_count", len(data))
         self._bump("uart.tx_count", len(reply))
         self._window_write(0, data[: self._window_size])
-        rx_duration = round(UART_BITS_PER_BYTE * len(data) * 1e9 / bitrate)
-        start = self.clock.now
-        self.clock.advance(rx_duration)
-        txn = BusTransaction(
-            bus="UART",
-            direction="transfer",
-            address=None,
-            register=None,
-            payload=bytes(data),
-            start_ns=start,
-            end_ns=self.clock.now,
-            bitrate=bitrate,
-        )
-        self.transactions.append(txn)
+        self._hold_bus(round(UART_BITS_PER_BYTE * len(data) * 1e9 / bitrate), "transfer", None, data, bitrate)
         if reply:
             self.clock.advance(round(UART_BITS_PER_BYTE * len(reply) * 1e9 / bitrate))
         return reply

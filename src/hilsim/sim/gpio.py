@@ -81,10 +81,3 @@ class GpioTrace:
 
     def events_for_pin(self, pin: int) -> list[GpioEvent]:
         return [e for e in self._events if e.pin == pin]
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.overrun_count = 0
-        self._last_accept_ns.clear()
-        self._last_level.clear()
-        self._rng = random.Random(self.seed)

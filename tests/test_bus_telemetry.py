@@ -1,0 +1,171 @@
+"""Every register, transaction field and errno a bus transaction produces, against closed forms."""
+
+import json
+
+import pytest
+
+from hilsim.sim.bus import BusTransaction
+
+from conftest import make_bench
+
+I2C_FIELDS = (
+    "start_time", "stop_time", "speed_hz", "addr_ticks", "read_ticks",
+    "write_ticks", "r_count", "w_count", "nack_count", "err_count",
+)
+SPI_FIELDS = (
+    "start_time", "stop_time", "speed_hz", "frame_ticks", "prev_ticks",
+    "byte_ticks", "transfer_count", "r_count", "w_count",
+)
+SLAVE = 85  # i2c.slave_addr_1 default
+
+
+def wire_ns(bits: int, bitrate: int) -> int:
+    return round(bits * 1e9 / bitrate)
+
+
+def published(regs, module: str, names) -> dict:
+    return {name: regs.read_param(f"{module}.{name}") for name in names}
+
+
+def window(regs, offset: int, size: int) -> bytes:
+    return regs.read(regs.map.lookup("user_reg.user_reg").offset + offset, size)
+
+
+def test_i2c_registers_and_transactions_match_closed_forms():
+    bench = make_bench()
+    regs, i2c, clock = bench.refdev.regs, bench.i2c, bench.clock
+    regs.poke(regs.map.lookup("user_reg.user_reg").offset + 4, b"\x11\x22\x33")
+    want = dict.fromkeys(I2C_FIELDS, 0)
+
+    def frame(call, status, data, direction, register, payload, bitrate, stretch_ns=0):
+        """Run one frame; it holds the bus for the address byte plus the payload, 9 bits a byte."""
+        start = clock.now
+        duration = wire_ns(9 * (len(payload) + 1), bitrate) + stretch_ns
+        result = call()
+        assert (result.status, result.data) == (status, data)
+        txn = BusTransaction("I2C", direction, SLAVE, register, payload, start, start + duration, bitrate)
+        assert result.txn == i2c.transactions[-1] == txn
+        assert clock.now == start + duration
+        want.update(start_time=start, stop_time=start + duration, addr_ticks=round(9e6 / bitrate))
+        want["read_ticks" if direction == "read" else "write_ticks"] = round(duration / 1_000)
+        if payload:
+            want["speed_hz"] = round(9 * (len(payload) + 1) * 1e9 / duration)
+
+    frame(lambda: i2c.read_reg(SLAVE, 4, 3, 100_000), "ok", b"\x11\x22\x33", "read", 4, b"\x04\x11\x22\x33", 100_000)
+    want.update(r_count=3, w_count=1)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+
+    frame(lambda: i2c.write_reg(SLAVE, 8, b"\xaa\xbb", 400_000), "ok", b"", "write", 8, b"\x08\xaa\xbb", 400_000)
+    want.update(w_count=4)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+    assert window(regs, 8, 2) == b"\xaa\xbb"
+
+    # a plain read starts at the register pointer the last write_reg left
+    frame(lambda: i2c.read_bytes(SLAVE, 2, 10_000), "ok", b"\xaa\xbb", "read", 8, b"\xaa\xbb", 10_000)
+    want.update(r_count=5)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+
+    frame(lambda: i2c.write_bytes(SLAVE, b"\x01\x02\x03", 100_000), "ok", b"", "write", 8, b"\x01\x02\x03", 100_000)
+    want.update(w_count=7)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+    assert window(regs, 8, 3) == b"\x01\x02\x03"
+
+    # an address NACK is an empty write frame: times and ticks, no speed, no data counts
+    frame(lambda: i2c.read_reg(99, 0, 1, 100_000), "addr-nack", b"", "write", None, b"", 100_000)
+    want.update(nack_count=1, err_count=1)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+
+    # re-init clears the module's telemetry; a data NACK then holds the bus for the stretch too
+    regs.poke_param("i2c.mode.nack_data", 1)
+    regs.poke_param("i2c.clk_stretch_delay", 5_000)
+    i2c.reinit()
+    assert i2c.transactions == []
+    want = dict.fromkeys(I2C_FIELDS, 0)
+    frame(lambda: i2c.write_reg(SLAVE, 0, b"\x05", 100_000), "data-nack", b"", "write", None, b"", 100_000, 5_000)
+    want.update(nack_count=1, err_count=1)
+    assert published(regs, "i2c", I2C_FIELDS) == want
+    assert window(regs, 0, 1) == b"\x00"
+
+
+def test_spi_registers_and_transactions_match_closed_forms():
+    bench = make_bench()
+    regs, spi, clock = bench.refdev.regs, bench.spi, bench.clock
+    regs.poke(regs.map.lookup("user_reg.user_reg").offset + 4, b"\x11\x22\x33")
+    want = dict.fromkeys(SPI_FIELDS, 0)
+
+    def frame(frame_bytes, reply, direction, bitrate):
+        """Run one frame; it holds the bus for 8 bits a byte of the whole frame."""
+        start = clock.now
+        duration = wire_ns(8 * len(frame_bytes), bitrate)
+        result = spi.transfer(frame_bytes, bitrate)
+        assert (result.status, result.data) == ("ok", reply)
+        txn = BusTransaction("SPI", direction, None, frame_bytes[0] & 0x7F, frame_bytes, start, start + duration, bitrate)
+        assert result.txn == spi.transactions[-1] == txn
+        assert clock.now == start + duration
+        want.update(
+            start_time=start,
+            stop_time=start + duration,
+            speed_hz=round(8 * len(frame_bytes) * 1e9 / duration),
+            prev_ticks=want["frame_ticks"],
+            frame_ticks=round(duration / 1_000),
+            byte_ticks=round(duration / 1_000 / len(frame_bytes)),
+            transfer_count=want["transfer_count"] + len(frame_bytes),
+        )
+
+    frame(bytes([4, 0, 0, 0]), b"\x00\x11\x22\x33", "read", 1_000_000)
+    want.update(r_count=3)
+    assert published(regs, "spi", SPI_FIELDS) == want
+
+    frame(bytes([0x80 | 6, 0xCA, 0xFE]), bytes(3), "write", 5_000_000)
+    want.update(w_count=2)
+    assert published(regs, "spi", SPI_FIELDS) == want
+    assert window(regs, 6, 2) == b"\xca\xfe"
+
+    # a mode mismatch moves nothing: no data, no transaction, no time, no register
+    before, start, logged = bytes(regs.committed), clock.now, len(spi.transactions)
+    result = spi.transfer(bytes([4, 0]), 1_000_000, mode=1)
+    assert (result.status, result.data, result.txn) == ("bad-mode", b"", None)
+    assert (bytes(regs.committed), clock.now, len(spi.transactions)) == (before, start, logged)
+
+
+@pytest.mark.parametrize("if_type, reply", [(0, b"\x01\xff\x10"), (1, b"\x02\x00\x11"), (2, b"")])
+def test_uart_registers_and_transactions_match_closed_forms(if_type, reply):
+    bench = make_bench()
+    regs, uart, clock = bench.refdev.regs, bench.uart, bench.clock
+    regs.poke_param("uart.mode.if_type", if_type)
+    uart.reinit()
+    data, bitrate = b"\x01\xff\x10", 115_200
+    start = clock.now
+    assert uart.process(data, bitrate) == reply
+    rx_ns = wire_ns(10 * len(data), bitrate)
+    assert uart.transactions[-1] == BusTransaction("UART", "transfer", None, None, data, start, start + rx_ns, bitrate)
+    # the reply goes out after the received bytes, 10 bits a byte
+    assert clock.now == start + rx_ns + (wire_ns(10 * len(reply), bitrate) if reply else 0)
+    assert published(regs, "uart", ("rx_count", "tx_count")) == {"rx_count": 3, "tx_count": len(reply)}
+    assert window(regs, 0, 3) == data
+
+
+def dut_errors(bench, *lines):
+    return [json.loads(bench.dut.handle_line(line)).get("error_code") for line in lines]
+
+
+def test_every_i2c_command_maps_an_address_nack_to_enxio():
+    bench = make_bench()
+    assert dut_errors(bench, "i2c_init", "i2c_write_reg 99 0 1", "i2c_read_bytes 99 1", "i2c_write_bytes 99 1") == [
+        None, -6, -6, -6,
+    ]
+
+
+def test_every_i2c_write_maps_a_data_nack_to_eio():
+    bench = make_bench()
+    bench.refdev.regs.poke_param("i2c.mode.nack_data", 1)
+    bench.i2c.reinit()
+    # a plain read has no data phase for the slave to NACK: the master acks the bytes it reads
+    assert dut_errors(bench, "i2c_init", "i2c_write_reg 85 0 1", "i2c_read_bytes 85 1", "i2c_write_bytes 85 1") == [
+        None, -5, None, -5,
+    ]
+
+
+def test_spi_transfer_maps_a_mode_mismatch_to_einval():
+    bench = make_bench()
+    assert dut_errors(bench, "spi_init 1", "spi_transfer 4 0") == [None, -22]

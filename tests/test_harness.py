@@ -207,6 +207,31 @@ def test_json_report_roundtrip():
     assert doc["cases"][1]["reason"] == "boom"
 
 
+def test_json_report_text_keeps_its_key_order():
+    report = TestReport(
+        suite="demo",
+        cases=[
+            CaseResult(id="a", suite="demo", category="usage", verdict=PASS, measured={"t": {"mean_ns": 1.5}, "d": [1, 2]}),
+            CaseResult(id="b", suite="demo", category="negative", verdict=FAIL, reason="boom"),
+        ],
+        wall_time_s=0.25,
+        sim_time_ns=42,
+    )
+    expected = {
+        "suite": "demo",
+        "cases": [
+            {"id": "a", "suite": "demo", "category": "usage", "verdict": "pass",
+             "measured": {"t": {"mean_ns": 1.5}, "d": [1, 2]}, "reason": ""},
+            {"id": "b", "suite": "demo", "category": "negative", "verdict": "fail", "measured": {}, "reason": "boom"},
+        ],
+        "totals": {"pass": 1, "fail": 1, "skip": 0},
+        "wall_time_s": 0.25,
+        "sim_time_ns": 42,
+        "infrastructure_error": "",
+    }
+    assert emit_report(report, "json") == json.dumps(expected, indent=2)
+
+
 def test_table_report_contains_verdicts():
     text = emit_report(sample_report(), "table")
     assert "FAIL" in text and "boom" in text

@@ -240,11 +240,17 @@ def test_gpio_irq_unbounded():
     assert len(trace.events) == 300
 
 
-def test_clear_resets_state_and_rng():
-    trace = GpioTrace(CAPTURE_METHODS["timer-capture-irq"], seed=1)
-    trace.record(0, 1, 10_000)
-    first = trace.events[0].timestamp_ns
-    trace.clear()
-    assert trace.events == [] and trace.overrun_count == 0
-    trace.record(0, 1, 10_000)
-    assert trace.events[0].timestamp_ns == first  # seeded jitter replays
+def test_trace_reinit_drops_captures_and_replays_jitter():
+    bench = make_bench(seed=1)
+    bench.refdev.regs.poke_param("timer.mode.capture_method", 1)  # timer-capture-irq
+    unit = bench.trace
+    unit.reinit()
+    bench.clock.advance_to(10_000)
+    unit.record_edge(0, 1)
+    unit.record_edge(0, 1)  # same level again: an overrun
+    first = unit.trace.events[0].timestamp_ns
+    assert unit.trace.overrun_count == 1
+    unit.reinit()
+    assert unit.trace.events == [] and unit.trace.overrun_count == 0
+    unit.record_edge(0, 1)
+    assert unit.trace.events[0].timestamp_ns == first  # seeded jitter replays
