@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
 
 
-# per-byte codes of LayoutedMap.access_mask; padding between entries is writable
+# per-byte codes of LayoutedMap.access_mask; padding between and after the entries is read-only
 ACCESS_CODES = {"writable": 0, "privileged": 1, "read-only": 2}
 
 # struct format character of each scalar type; register values are little-endian
@@ -92,7 +92,7 @@ class LayoutedMap:
         if not self.by_name:
             self.by_name = {e.name: e for e in self.entries}
         image = bytearray(self.total_size)
-        mask = bytearray(self.total_size)
+        mask = bytearray([ACCESS_CODES["read-only"]]) * self.total_size
         spans: dict[str, list[list[int]]] = {}
         for e in self.entries:
             image[e.offset : e.offset + e.size] = e.default_bytes()

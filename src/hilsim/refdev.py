@@ -39,12 +39,14 @@ class RegisterFile:
     def __init__(self, layout: LayoutedMap):
         self.map = layout
         self.committed = bytearray(layout.default_image)
+        # poke writes through this view: faster than a bytearray slice assignment, and while
+        # the view exists the file cannot be resized
+        self._view = memoryview(self.committed)
         self.access_mask = layout.access_mask
         self.staged: list[tuple[int, bytes]] = []
 
     def reset(self) -> None:
         """Restore the default image in place and drop staged writes."""
-        # a full-slice assignment also restores the size of a grown file
         self.committed[:] = self.map.default_image
         self.staged.clear()
 
@@ -84,7 +86,10 @@ class RegisterFile:
     # staging so models can publish telemetry between commands.
 
     def poke(self, offset: int, data: bytes) -> None:
-        self.committed[offset : offset + len(data)] = data
+        end = offset + len(data)
+        if offset < 0 or end > len(self._view):
+            raise RangeViolation(f"poke of {len(data)} bytes at {offset} out of range")
+        self._view[offset:end] = data
 
     def read_param(self, name: str, index: int = 0, count: int | None = None) -> int | list[int]:
         entry = self.map.lookup(name)

@@ -25,6 +25,18 @@ UART_BITRATE_RANGE = (9_600, 115_200)
 SPI_WRITE_FLAG = 0x80
 
 
+def frame_bits(bus: str, n_bytes: int) -> int:
+    """Bits on the wire for a frame of ``n_bytes`` bytes; an I2C frame also carries its address byte."""
+    if bus == "I2C":
+        return I2C_BITS_PER_BYTE * (n_bytes + 1)
+    return (SPI_BITS_PER_BYTE if bus == "SPI" else UART_BITS_PER_BYTE) * n_bytes
+
+
+def wire_ns(bits: int, bitrate: int) -> int:
+    """Time on the wire of ``bits`` at ``bitrate``, in whole nanoseconds."""
+    return round(bits * 1e9 / bitrate)
+
+
 @dataclass(frozen=True)
 class BusTransaction:
     bus: str  # I2C, SPI, UART
@@ -42,11 +54,7 @@ class BusTransaction:
 
     @property
     def bits_on_wire(self) -> int:
-        if self.bus == "I2C":
-            return I2C_BITS_PER_BYTE * (len(self.payload) + 1)  # address byte
-        if self.bus == "SPI":
-            return SPI_BITS_PER_BYTE * len(self.payload)
-        return UART_BITS_PER_BYTE * len(self.payload)
+        return frame_bits(self.bus, len(self.payload))
 
 
 @dataclass(frozen=True)
@@ -105,10 +113,12 @@ class _PeripheralModel:
         entry = self.regs.map.lookup(param)
         self.regs.poke_param(param, int(value) % (1 << (8 * entry.elem_size)))
 
-    def _hold_bus(self, duration_ns: int, direction: str, register, payload: bytes, bitrate: int, address=None):
-        """Occupy the bus for ``duration_ns``, then log and return the transaction."""
+    def _hold_bus(
+        self, bits: int, direction: str, register, payload: bytes, bitrate: int, address=None, stretch_ns: int = 0
+    ):
+        """Occupy the bus for ``bits`` at ``bitrate`` plus any clock stretch, then log and return the transaction."""
         start = self.clock.now
-        self.clock.advance(duration_ns)
+        self.clock.advance(wire_ns(bits, bitrate) + stretch_ns)
         txn = BusTransaction(
             self.module.upper(), direction, address, register, bytes(payload), start, self.clock.now, bitrate
         )
@@ -151,18 +161,25 @@ class I2cSlaveModel(_PeripheralModel):
             return None
         self._bump("i2c.nack_count", 1)
         self._bump("i2c.err_count", 1)
-        return self._frame(status, "write", None, b"", bitrate)
+        return self._frame(address, status, "write", None, b"", bitrate)
 
     def _frame(
-        self, status: str, direction: str, register: int | None, wire: bytes, bitrate: int, data: bytes = b""
+        self,
+        address: int,
+        status: str,
+        direction: str,
+        register: int | None,
+        wire: bytes,
+        bitrate: int,
+        data: bytes = b"",
     ) -> BusResult:
         """Hold the bus for the address byte plus ``wire``, then publish times and per-phase ticks (µs)."""
-        duration = round(I2C_BITS_PER_BYTE * (len(wire) + 1) * 1e9 / bitrate) + self.clock_stretch_ns
-        txn = self._hold_bus(duration, direction, register, wire, bitrate, self.slave_address)
+        bits = frame_bits("I2C", len(wire))
+        txn = self._hold_bus(bits, direction, register, wire, bitrate, address, self.clock_stretch_ns)
         self._publish_times(txn)
         self._poke_wrapped("i2c.addr_ticks", round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
         ticks = "i2c.read_ticks" if direction == "read" else "i2c.write_ticks"
-        self._poke_wrapped(ticks, round(duration / 1_000))
+        self._poke_wrapped(ticks, round(txn.duration_ns / 1_000))
         return BusResult(status, data, txn)
 
     def _pointer(self, register: int) -> bytes:
@@ -177,7 +194,7 @@ class I2cSlaveModel(_PeripheralModel):
         data = self._window_read(register * self.reg_bytes, length)
         self._bump("i2c.w_count", self.reg_bytes)
         self._bump("i2c.r_count", length)
-        return self._frame("ok", "read", register, self._pointer(register) + data, bitrate, data)
+        return self._frame(address, "ok", "read", register, self._pointer(register) + data, bitrate, data)
 
     def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
         nack = self._nacked(address, bitrate)
@@ -186,7 +203,7 @@ class I2cSlaveModel(_PeripheralModel):
         self.reg_index = register
         self._window_write(register * self.reg_bytes, data)
         self._bump("i2c.w_count", self.reg_bytes + len(data))
-        return self._frame("ok", "write", register, self._pointer(register) + bytes(data), bitrate)
+        return self._frame(address, "ok", "write", register, self._pointer(register) + bytes(data), bitrate)
 
     def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
         """Plain read from the current register pointer; the master acks the data, so no data NACK."""
@@ -195,7 +212,7 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         data = self._window_read(self.reg_index * self.reg_bytes, length)
         self._bump("i2c.r_count", length)
-        return self._frame("ok", "read", self.reg_index, data, bitrate, data)
+        return self._frame(address, "ok", "read", self.reg_index, data, bitrate, data)
 
     def write_bytes(self, address: int, data: bytes, bitrate: int) -> BusResult:
         nack = self._nacked(address, bitrate)
@@ -203,7 +220,7 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         self._window_write(self.reg_index * self.reg_bytes, data)
         self._bump("i2c.w_count", len(data))
-        return self._frame("ok", "write", self.reg_index, data, bitrate)
+        return self._frame(address, "ok", "write", self.reg_index, data, bitrate)
 
 
 class SpiSlaveModel(_PeripheralModel):
@@ -239,12 +256,11 @@ class SpiSlaveModel(_PeripheralModel):
             reply, direction = bytes(1) + self._window_read(offset, n), "read"
             self._bump("spi.r_count", n)
         self._bump("spi.transfer_count", len(frame))
-        duration = round(SPI_BITS_PER_BYTE * len(frame) * 1e9 / bitrate)
-        txn = self._hold_bus(duration, direction, register, frame, bitrate)
+        txn = self._hold_bus(frame_bits("SPI", len(frame)), direction, register, frame, bitrate)
         self._publish_times(txn)
         self._poke_wrapped("spi.prev_ticks", self.regs.read_param("spi.frame_ticks"))
-        self._poke_wrapped("spi.frame_ticks", round(duration / 1_000))
-        self._poke_wrapped("spi.byte_ticks", round(duration / 1_000 / len(frame)))
+        self._poke_wrapped("spi.frame_ticks", round(txn.duration_ns / 1_000))
+        self._poke_wrapped("spi.byte_ticks", round(txn.duration_ns / 1_000 / len(frame)))
         return BusResult("ok", reply, txn)
 
 
@@ -274,7 +290,7 @@ class UartModel(_PeripheralModel):
         self._bump("uart.rx_count", len(data))
         self._bump("uart.tx_count", len(reply))
         self._window_write(0, data[: self._window_size])
-        self._hold_bus(round(UART_BITS_PER_BYTE * len(data) * 1e9 / bitrate), "transfer", None, data, bitrate)
+        self._hold_bus(frame_bits("UART", len(data)), "transfer", None, data, bitrate)
         if reply:
-            self.clock.advance(round(UART_BITS_PER_BYTE * len(reply) * 1e9 / bitrate))
+            self.clock.advance(wire_ns(frame_bits("UART", len(reply)), bitrate))
         return reply

@@ -37,13 +37,13 @@ def test_i2c_registers_and_transactions_match_closed_forms():
     regs.poke(regs.map.lookup("user_reg.user_reg").offset + 4, b"\x11\x22\x33")
     want = dict.fromkeys(I2C_FIELDS, 0)
 
-    def frame(call, status, data, direction, register, payload, bitrate, stretch_ns=0):
+    def frame(call, status, data, direction, register, payload, bitrate, stretch_ns=0, address=SLAVE):
         """Run one frame; it holds the bus for the address byte plus the payload, 9 bits a byte."""
         start = clock.now
         duration = wire_ns(9 * (len(payload) + 1), bitrate) + stretch_ns
         result = call()
         assert (result.status, result.data) == (status, data)
-        txn = BusTransaction("I2C", direction, SLAVE, register, payload, start, start + duration, bitrate)
+        txn = BusTransaction("I2C", direction, address, register, payload, start, start + duration, bitrate)
         assert result.txn == i2c.transactions[-1] == txn
         assert clock.now == start + duration
         want.update(start_time=start, stop_time=start + duration, addr_ticks=round(9e6 / bitrate))
@@ -70,8 +70,9 @@ def test_i2c_registers_and_transactions_match_closed_forms():
     assert published(regs, "i2c", I2C_FIELDS) == want
     assert window(regs, 8, 3) == b"\x01\x02\x03"
 
-    # an address NACK is an empty write frame: times and ticks, no speed, no data counts
-    frame(lambda: i2c.read_reg(99, 0, 1, 100_000), "addr-nack", b"", "write", None, b"", 100_000)
+    # an address NACK is an empty write frame that logs the address the master sent:
+    # times and ticks, no speed, no data counts
+    frame(lambda: i2c.read_reg(99, 0, 1, 100_000), "addr-nack", b"", "write", None, b"", 100_000, address=99)
     want.update(nack_count=1, err_count=1)
     assert published(regs, "i2c", I2C_FIELDS) == want
 

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hilsim
 from hilsim.cli import main
 from hilsim.memmap import emit_csv
 from hilsim.pal import NameMap, RefDeviceClient
@@ -33,6 +38,20 @@ def test_serve_stdio_round_trip(bench):
     lines = out.getvalue().splitlines()
     assert json.loads(lines[0]) == {"version": "1.2.3", "result": 0}
     assert json.loads(lines[1]) == {"data": 85, "result": 0}
+
+
+def test_cli_import_and_serve_load_no_numpy():
+    code = (
+        "import sys, hilsim.cli; assert 'numpy' not in sys.modules; "
+        "hilsim.cli.main(['serve', '--stdio'], standalone_mode=False); assert 'numpy' not in sys.modules"
+    )
+    src = str(Path(hilsim.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], input="-v\n", capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"version": "1.2.3", "result": 0}
 
 
 def test_serve_tcp_with_pal_client(bench, map_dir):

@@ -3,8 +3,10 @@
 import pytest
 
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
+from hilsim.harness.runner import _reset_writes
 from hilsim.memmap import emit_csv
 from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.refdev import RangeViolation
 from hilsim.reference import reference_layout
 from hilsim.serve import serve_tcp
 
@@ -43,12 +45,13 @@ def test_bench_reset_gives_the_image_of_a_fresh_bench(bench):
     assert regs.committed == make_bench(seed=7).refdev.regs.committed
 
 
-def test_register_file_reset_shrinks_a_grown_file():
+def test_register_file_poke_past_the_end_raises_and_keeps_the_size():
     regs = make_bench().refdev.regs
-    regs.poke(regs.total_size, b"\x01" * 16)
-    assert regs.total_size == reference_layout().total_size + 16
-    regs.reset()
-    assert bytes(regs.committed) == reference_layout().default_image
+    for offset, size in ((regs.total_size, 16), (regs.total_size - 1, 2)):
+        with pytest.raises(RangeViolation):
+            regs.poke(offset, b"\x01" * size)
+    assert regs.total_size == 2048
+    assert bytes(regs.committed) == make_bench().refdev.regs.committed
 
 
 def test_default_image_matches_every_entry_default():
@@ -77,6 +80,19 @@ def test_wr_takes_every_byte_spelling_and_rejects_bad_ones(bench):
         assert refdev.regs.read(user, 3) == b"\x01\x02\xff", line
     for bad in ("256", "-1", "0x100", "x"):
         assert refdev.handle_line(f"wr {user} 1 {bad}") == '{"result": 1}', bad
+
+
+def test_padding_is_read_only_so_a_served_reset_restores_every_byte(bench):
+    layout = bench.refdev.regs.map
+    in_entries = {o for e in layout.entries for o in range(e.offset, e.offset + e.size)}
+    padding = [o for o in range(layout.total_size) if o not in in_entries]
+    assert 199 in padding and padding[-1] == 2047
+    for offset in padding:
+        assert bench.refdev.handle_line(f"wr {offset} 5") == '{"result": 3}', offset
+    assert bench.refdev.handle_line("ex") == '{"result": 0}'
+    assert bytes(bench.refdev.regs.committed) == bytes(make_bench(seed=7).refdev.regs.committed)
+    assert len(_reset_writes(NameMap.from_csv(emit_csv(layout), version=layout.version))) == 16
+
 
 SEED = 3
 ORDERS = [
