@@ -8,7 +8,10 @@ Run it on two trees and compare the lines it prints:
 suites for seeds 0-7, fault-free and with each seeded fault alone. ``streams``
 hashes the DUT and reference-device replies, the final register image and the
 simulated clock of 20 seeded random command streams of 300 steps over every
-bus command and ``gpio_toggle``, with occasional bus-mode re-inits.
+bus command and ``gpio_toggle``, with occasional bus-mode re-inits. ``served``
+hashes the same reports of the five fault-free suites for seeds 0-7, run over
+TCP: an in-thread ``serve_tcp`` pair on one bench per seed, reached through
+``TcpTransport``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import random
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
+from hilsim.memmap import emit_csv
+from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.serve import serve_tcp
 
 I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
 SPI_RATES = (100_000, 1_000_000, 5_000_000)
@@ -33,9 +39,36 @@ def suites_digest() -> str:
     for seed in range(8):
         for faults in fault_sets:
             for suite in SUITE_NAMES:
-                doc = SuiteRunner.local(RunConfig(seed=seed, faults=faults)).run_suite(suite).to_dict()
-                del doc["wall_time_s"]
-                digest.update(json.dumps(doc, sort_keys=True).encode())
+                report_digest(digest, SuiteRunner.local(RunConfig(seed=seed, faults=faults)).run_suite(suite))
+    return digest.hexdigest()
+
+
+def report_digest(digest, report) -> None:
+    doc = report.to_dict()
+    del doc["wall_time_s"]
+    digest.update(json.dumps(doc, sort_keys=True).encode())
+
+
+def served_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(8):
+        bench = Bench(BenchConfig(seed=seed))
+        layout = bench.refdev.regs.map
+        name_map = NameMap.from_csv(emit_csv(layout), version=layout.version)
+        servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+        for server in servers:
+            server.serve_background()
+        ref, dut = (server.endpoint for server in servers)
+        runner = SuiteRunner(DutClient(dut), RefDeviceClient(ref, name_map), config=RunConfig(seed=seed))
+        try:
+            for suite in SUITE_NAMES:
+                report_digest(digest, runner.run_suite(suite))
+        finally:
+            runner.dut.transport.close()
+            runner.phil.transport.close()
+            for server in servers:
+                server.shutdown()
+                server.server_close()
     return digest.hexdigest()
 
 
@@ -91,3 +124,4 @@ def streams_digest() -> str:
 if __name__ == "__main__":
     print("suites ", suites_digest())
     print("streams", streams_digest())
+    print("served ", served_digest())

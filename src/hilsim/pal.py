@@ -18,6 +18,7 @@ from pathlib import Path
 
 from hilsim.memmap.layout import LayoutEntry
 from hilsim.memmap.schema import SCALAR_TYPES
+from hilsim.serve import LineSocket, LineTooLong
 
 SUCCESS = "Success"
 ERROR = "Error"
@@ -44,40 +45,42 @@ class InProcessTransport:
 
 
 class TcpTransport:
-    """Connects lazily so an unreachable endpoint surfaces as a request error."""
+    """Connects lazily so an unreachable endpoint surfaces as a request error.
+
+    Lines are framed by ``LineSocket``, the server's own framing. A failed
+    request drops the connection, and the next request opens a new one.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
         self._addr = (host, port)
         self._timeout = timeout
-        self._sock = None
-        self._fh = None
+        self._lines: LineSocket | None = None
 
-    def _ensure_connected(self) -> None:
-        if self._sock is not None:
-            return
+    def _connect(self) -> LineSocket:
         try:
-            self._sock = socket.create_connection(self._addr, timeout=self._timeout)
+            sock = socket.create_connection(self._addr, timeout=self._timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {self._addr[0]}:{self._addr[1]}: {exc}") from exc
-        self._fh = self._sock.makefile("rw", encoding="ascii", newline="\n")
+        self._lines = LineSocket(sock)
+        return self._lines
 
     def request(self, line: str) -> str:
-        self._ensure_connected()
+        lines = self._lines or self._connect()
         try:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            reply = self._fh.readline()
-        except OSError as exc:
+            lines.send_line(line)
+            reply = lines.recv_line()
+        except (OSError, LineTooLong) as exc:
+            self.close()
             raise TransportError(str(exc)) from exc
-        if not reply:
+        if reply is None:
+            self.close()
             raise TransportError("connection closed")
-        return reply.rstrip("\n")
+        return reply.decode()
 
     def close(self) -> None:
-        if self._sock is not None:
-            self._fh.close()
-            self._sock.close()
-            self._sock = None
+        if self._lines is not None:
+            self._lines.sock.close()
+            self._lines = None
 
 
 def open_transport(endpoint):

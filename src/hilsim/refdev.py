@@ -109,6 +109,10 @@ def format_response(fields: dict) -> str:
     return json.dumps(fields)
 
 
+# the bare result-code replies, formatted once
+_RESULT_LINES = [format_response({"result": code}) for code in range(RESULT_INTERNAL_ERROR + 1)]
+
+
 class ReferenceDevice:
     """Protocol front-end over a register file and its peripheral models."""
 
@@ -161,12 +165,12 @@ class ReferenceDevice:
         try:
             return self._dispatch(line.strip())
         except Exception:  # protocol totality: never propagate
-            return format_response({"result": RESULT_INTERNAL_ERROR})
+            return _RESULT_LINES[RESULT_INTERNAL_ERROR]
 
     def _dispatch(self, line: str) -> str:
         parts = line.split()
         if not parts:
-            return format_response({"result": RESULT_PARSE_ERROR})
+            return _RESULT_LINES[RESULT_PARSE_ERROR]
         cmd = parts[0]
         if cmd == "rr":
             return self._cmd_read(parts[1:])
@@ -174,41 +178,41 @@ class ReferenceDevice:
             return self._cmd_write(parts[1:])
         if cmd == "ex":
             self.execute()
-            return format_response({"result": RESULT_SUCCESS})
+            return _RESULT_LINES[RESULT_SUCCESS]
         if cmd == "-v":
             return format_response({"version": self.version, "result": RESULT_SUCCESS})
-        return format_response({"result": RESULT_PARSE_ERROR})
+        return _RESULT_LINES[RESULT_PARSE_ERROR]
 
     def _cmd_read(self, args: list[str]) -> str:
         if len(args) != 2:
-            return format_response({"result": RESULT_PARSE_ERROR})
+            return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             offset, size = (_parse_int(a) for a in args)
         except ValueError:
-            return format_response({"result": RESULT_PARSE_ERROR})
+            return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             data = self.read_regs(offset, size)
         except RangeViolation:
-            return format_response({"result": RESULT_OUT_OF_RANGE})
+            return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         # bare integer for single-byte reads, list otherwise
         payload = data[0] if size == 1 else list(data)
         return format_response({"data": payload, "result": RESULT_SUCCESS})
 
     def _cmd_write(self, args: list[str]) -> str:
         if len(args) < 2:
-            return format_response({"result": RESULT_PARSE_ERROR})
+            return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             offset = _parse_int(args[0])
             data = _parse_bytes(args[1:])
         except ValueError:
-            return format_response({"result": RESULT_PARSE_ERROR})
+            return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             self.write_regs(offset, data)
         except RangeViolation:
-            return format_response({"result": RESULT_OUT_OF_RANGE})
+            return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         except AccessViolation:
-            return format_response({"result": RESULT_ACCESS_VIOLATION})
-        return format_response({"result": RESULT_SUCCESS})
+            return _RESULT_LINES[RESULT_ACCESS_VIOLATION]
+        return _RESULT_LINES[RESULT_SUCCESS]
 
 
 def _parse_int(token: str) -> int:

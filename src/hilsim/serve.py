@@ -4,18 +4,59 @@ One request line in, one JSON response line out. The TCP server accepts
 multiple sequential clients; each connection gets its own read loop but
 all of them talk to the same device instance. One lock serialises the
 requests of every server in the process, as its devices may share a bench.
+``LineSocket`` is the framing of both ends of the TCP wire.
 """
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import sys
 import threading
 
-# a ``wr`` of the whole map is about 8 KiB; a longer line closes its connection
+# a ``wr`` of the whole map is about 8 KiB; a longer request line closes its connection
 MAX_LINE = 64 * 1024
+_RECV_BYTES = 8192  # the buffer size of the socket file objects this framing replaced
 
 _LOCK = threading.Lock()
+
+
+class LineTooLong(ValueError):
+    """A line ran past ``MAX_LINE`` bytes before its newline."""
+
+
+class LineSocket:
+    """Newline-framed lines on a connected TCP socket, with Nagle's algorithm off.
+
+    A line ends at its ``\n`` and is at most ``MAX_LINE`` bytes, newline
+    included; it counts only once its newline has arrived. Bytes received
+    past a newline stay buffered for the next line, so lines sent back to
+    back are read in order.
+    """
+
+    def __init__(self, sock: socket.socket):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self._buf = b""
+
+    def send_line(self, line: str) -> None:
+        self.sock.sendall(line.encode() + b"\n")
+
+    def recv_line(self) -> bytes | None:
+        """The next line without its newline, or None once the peer has closed; LineTooLong past the cap."""
+        end = self._buf.find(b"\n")
+        while end < 0:
+            if len(self._buf) >= MAX_LINE:
+                raise LineTooLong(f"no newline in {len(self._buf)} bytes")
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                return None
+            self._buf += chunk
+            end = self._buf.find(b"\n", len(self._buf) - len(chunk))  # only the new bytes can hold it
+        if end >= MAX_LINE:
+            raise LineTooLong(f"line of {end + 1} bytes")
+        line, self._buf = self._buf[:end], self._buf[end + 1 :]
+        return line
 
 
 def serve_stdio(device, infile=None, outfile=None) -> None:
@@ -31,17 +72,20 @@ def serve_stdio(device, infile=None, outfile=None) -> None:
         outfile.flush()
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
+class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        while raw := self.rfile.readline(MAX_LINE + 1):
-            if len(raw) > MAX_LINE:
-                return
-            line = raw.decode("utf-8", errors="replace")
-            if not line.strip():
-                continue
-            with _LOCK:
-                reply = self.server.device.handle_line(line)
-            self.wfile.write(reply.encode("utf-8") + b"\n")
+        lines = LineSocket(self.request)
+        handle_line = self.server.device.handle_line
+        try:
+            while (raw := lines.recv_line()) is not None:
+                line = raw.decode("utf-8", errors="replace")
+                if not line.strip():
+                    continue
+                with _LOCK:
+                    reply = handle_line(line)
+                lines.send_line(reply)
+        except LineTooLong:
+            return
 
 
 class LineServer(socketserver.ThreadingTCPServer):

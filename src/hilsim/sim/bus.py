@@ -182,6 +182,11 @@ class I2cSlaveModel(_PeripheralModel):
         self._poke_wrapped(ticks, round(txn.duration_ns / 1_000))
         return BusResult(status, data, txn)
 
+    def _set_pointer(self, register: int) -> None:
+        """Move the register pointer and publish it in ``i2c.reg_index``."""
+        self.reg_index = register
+        self._poke_wrapped("i2c.reg_index", register)
+
     def _pointer(self, register: int) -> bytes:
         return register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
 
@@ -190,7 +195,7 @@ class I2cSlaveModel(_PeripheralModel):
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        self.reg_index = register
+        self._set_pointer(register)
         data = self._window_read(register * self.reg_bytes, length)
         self._bump("i2c.w_count", self.reg_bytes)
         self._bump("i2c.r_count", length)
@@ -200,7 +205,7 @@ class I2cSlaveModel(_PeripheralModel):
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        self.reg_index = register
+        self._set_pointer(register)
         self._window_write(register * self.reg_bytes, data)
         self._bump("i2c.w_count", self.reg_bytes + len(data))
         return self._frame(address, "ok", "write", register, self._pointer(register) + bytes(data), bitrate)
@@ -246,6 +251,7 @@ class SpiSlaveModel(_PeripheralModel):
         if not frame:
             return BusResult("ok")
         register = frame[0] & ~SPI_WRITE_FLAG
+        self.regs.poke_param("spi.reg_index", register)
         offset = register * self.reg_bytes
         n = len(frame) - 1
         if frame[0] & SPI_WRITE_FLAG:

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from hilsim.bench import Bench, BenchConfig
+
+GOLDEN = Path(__file__).parent / "golden" / "protocol_responses.txt"
 
 
 @pytest.fixture
@@ -10,3 +14,16 @@ def bench():
 
 def make_bench(**kwargs) -> Bench:
     return Bench(BenchConfig(**kwargs))
+
+
+def golden_exchanges(bench: Bench) -> list[tuple[str, str]]:
+    """Run the golden file's scenario (one DUT register read) on ``bench``; return its (request, reply) pairs."""
+    bench.dut.handle_line("i2c_init")
+    bench.dut.handle_line("i2c_read_reg 85 0 1")
+    pairs = []
+    for raw in GOLDEN.read_text("utf-8").splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            request, expected = line.split("\t")
+            pairs.append((request, expected))
+    return pairs

@@ -129,6 +129,33 @@ def test_spi_registers_and_transactions_match_closed_forms():
     assert (bytes(regs.committed), clock.now, len(spi.transactions)) == (before, start, logged)
 
 
+def test_reg_index_registers_follow_the_i2c_pointer_and_the_last_spi_frame():
+    bench = make_bench()
+    regs, i2c, spi = bench.refdev.regs, bench.i2c, bench.spi
+    i2c.write_reg(SLAVE, 8, b"\x01", 100_000)
+    assert regs.read_param("i2c.reg_index") == i2c.reg_index == 8
+    i2c.read_reg(SLAVE, 3, 1, 100_000)
+    assert regs.read_param("i2c.reg_index") == 3
+    # plain reads and writes use the pointer without moving it, and a NACKed frame sets none
+    i2c.read_bytes(SLAVE, 2, 100_000)
+    i2c.write_bytes(SLAVE, b"\x05", 100_000)
+    i2c.read_reg(99, 6, 1, 100_000)
+    assert regs.read_param("i2c.reg_index") == i2c.reg_index == 3
+    i2c.reinit()
+    assert regs.read_param("i2c.reg_index") == i2c.reg_index == 0
+
+    spi.transfer(bytes([5, 0, 0]), 1_000_000)
+    assert regs.read_param("spi.reg_index") == 5
+    spi.transfer(bytes([0x80 | 9, 1]), 1_000_000)
+    assert regs.read_param("spi.reg_index") == 9
+    # an empty frame names no register, and a mode mismatch moves nothing
+    spi.transfer(b"", 1_000_000)
+    spi.transfer(bytes([2, 0]), 1_000_000, mode=1)
+    assert regs.read_param("spi.reg_index") == 9
+    spi.reinit()
+    assert regs.read_param("spi.reg_index") == 0
+
+
 @pytest.mark.parametrize("if_type, reply", [(0, b"\x01\xff\x10"), (1, b"\x02\x00\x11"), (2, b"")])
 def test_uart_registers_and_transactions_match_closed_forms(if_type, reply):
     bench = make_bench()

@@ -3,7 +3,6 @@
 import json
 import random
 import string
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +19,7 @@ from hilsim.refdev import (
 )
 from hilsim.reference import reference_layout
 
-GOLDEN = Path(__file__).parent / "golden" / "protocol_responses.txt"
+from conftest import golden_exchanges
 
 
 @pytest.fixture
@@ -164,12 +163,5 @@ def test_protocol_totality_fuzz(device):
 
 def test_golden_protocol_file(device, bench):
     """Replay the golden request/response file byte-exactly."""
-    # the golden scenario: one DUT register read before the queries
-    bench.dut.handle_line("i2c_init")
-    bench.dut.handle_line("i2c_read_reg 85 0 1")
-    for raw in GOLDEN.read_text("utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        request, expected = line.split("\t")
+    for request, expected in golden_exchanges(bench):
         assert bench.refdev.handle_line(request) == expected, request

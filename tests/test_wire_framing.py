@@ -1,0 +1,178 @@
+"""Line framing on both ends of the TCP wire: ``serve_tcp`` and ``TcpTransport``."""
+
+import socket
+import threading
+import time
+from contextlib import contextmanager
+
+import pytest
+
+from hilsim.pal import TcpTransport, TransportError
+from hilsim.serve import MAX_LINE, serve_tcp
+
+from conftest import golden_exchanges
+
+
+class RecordingDevice:
+    """Answers every line with ``{"result": 0}`` and keeps the lines it was given."""
+
+    def __init__(self):
+        self.lines = []
+
+    def handle_line(self, line):
+        self.lines.append(line)
+        return '{"result": 0}'
+
+
+@contextmanager
+def served(device):
+    """A background ``serve_tcp`` server for ``device``; yields its (host, port)."""
+    server = serve_tcp(device)
+    server.serve_background()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@contextmanager
+def fake_server(script, connections=1):
+    """A loopback listener that runs ``script(conn, index)`` on each of its connections in turn.
+
+    Yields a ``TcpTransport`` pointed at it.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        for index in range(connections):
+            conn, _ = listener.accept()
+            with conn:
+                script(conn, index)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    transport = TcpTransport(*listener.getsockname()[:2], timeout=5)
+    try:
+        yield transport
+    finally:
+        transport.close()
+        thread.join(5)
+        listener.close()
+
+
+def recv_lines(sock, count):
+    """Read until ``count`` newlines have arrived; return every byte read."""
+    data = b""
+    while data.count(b"\n") < count:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def is_closed(sock):
+    """True if the peer has closed ``sock``, by a FIN or a reset."""
+    try:
+        return sock.recv(4096) == b""
+    except ConnectionResetError:
+        return True
+
+
+# -- server side ----------------------------------------------------------
+
+
+def test_two_request_lines_in_one_send_get_two_replies_in_order(bench):
+    with served(bench.refdev) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"-v\nrr 204 2\n")
+        assert recv_lines(sock, 2) == b'{"version": "1.2.3", "result": 0}\n{"data": [85, 0], "result": 0}\n'
+
+
+def test_a_request_split_across_two_sends_is_answered_once():
+    device = RecordingDevice()
+    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"rr 20")
+        time.sleep(0.05)
+        sock.sendall(b"4 2\n")
+        assert recv_lines(sock, 1) == b'{"result": 0}\n'
+        sock.settimeout(0.2)
+        with pytest.raises(TimeoutError):
+            sock.recv(4096)
+    assert device.lines == ["rr 204 2"]
+
+
+def test_a_line_of_max_line_bytes_is_served_and_one_more_closes_only_its_connection():
+    """The cap counts the newline, as ``MAX_LINE`` says."""
+    device = RecordingDevice()
+    with served(device) as addr:
+        with socket.create_connection(addr, timeout=5) as kept, socket.create_connection(addr, timeout=5) as cut:
+            kept.sendall(b"x" * (MAX_LINE - 1) + b"\n")
+            assert recv_lines(kept, 1) == b'{"result": 0}\n'
+            cut.sendall(b"y" * MAX_LINE + b"\n")
+            assert is_closed(cut)
+            kept.sendall(b"-v\n")
+            assert recv_lines(kept, 1) == b'{"result": 0}\n'
+    assert [len(line) for line in device.lines] == [MAX_LINE - 1, 2]
+
+
+def test_the_golden_file_replays_byte_for_byte_over_tcp(bench):
+    exchanges = golden_exchanges(bench)
+    with served(bench.refdev) as addr:
+        transport = TcpTransport(*addr)
+        try:
+            for request, expected in exchanges:
+                assert transport.request(request) == expected, request
+        finally:
+            transport.close()
+        # the same exchanges again, every request in one send: the reply stream is the golden replies in order
+        with socket.create_connection(addr, timeout=5) as sock:
+            sock.sendall("".join(request + "\n" for request, _ in exchanges).encode())
+            expected = "".join(reply + "\n" for _, reply in exchanges).encode()
+            assert recv_lines(sock, len(exchanges)) == expected
+
+
+# -- client side ----------------------------------------------------------
+
+
+def test_a_reply_in_two_chunks_is_put_back_together_and_bytes_past_it_stay_buffered():
+    def script(conn, _):
+        recv_lines(conn, 1)
+        conn.sendall(b'{"resu')
+        time.sleep(0.05)
+        conn.sendall(b'lt": 0}\n{"result": 1}\n')
+        recv_lines(conn, 1)
+
+    with fake_server(script) as transport:
+        assert transport.request("-v") == '{"result": 0}'
+        assert transport.request("ex") == '{"result": 1}'
+
+
+def test_a_peer_that_closes_mid_reply_raises_transport_error():
+    def script(conn, _):
+        recv_lines(conn, 1)
+        conn.sendall(b'{"resu')
+
+    with fake_server(script) as transport:
+        with pytest.raises(TransportError, match="connection closed"):
+            transport.request("-v")
+
+
+def test_close_then_request_reconnects():
+    def script(conn, index):
+        while recv_lines(conn, 1):
+            conn.sendall(b'{"connection": %d}\n' % index)
+
+    with fake_server(script, connections=2) as transport:
+        assert transport.request("-v") == '{"connection": 0}'
+        assert transport.request("-v") == '{"connection": 0}'
+        transport.close()
+        assert transport.request("-v") == '{"connection": 1}'
+
+
+def test_connect_is_lazy_and_a_refused_connect_is_a_transport_error():
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    transport = TcpTransport("127.0.0.1", port, timeout=1)
+    with pytest.raises(TransportError, match="cannot connect"):
+        transport.request("-v")
