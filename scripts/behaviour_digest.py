@@ -11,7 +11,11 @@ simulated clock of 20 seeded random command streams of 300 steps over every
 bus command and ``gpio_toggle``, with occasional bus-mode re-inits. ``served``
 hashes the same reports of the five fault-free suites for seeds 0-7, run over
 TCP: an in-thread ``serve_tcp`` pair on one bench per seed, reached through
-``TcpTransport``.
+``TcpTransport``. ``trace`` hashes the DUT and reference-device replies and
+the whole register image after every command of 12 seeded capture streams:
+``gpio_toggle`` bursts, ``gpio_set``, ``timer_trace`` of up to 300 edges and
+``timer_bench``, mixed with capture-method switches, trace inits and
+``Bench.reset()``, so each capture method overruns its 128 trace slots.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from hilsim.serve import serve_tcp
 I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
 SPI_RATES = (100_000, 1_000_000, 5_000_000)
 UART_RATES = (9_600, 57_600, 115_200)
+CAPTURE_PERIODS = (300, 1_500, 12_000, 40_000)  # ns; the shorter ones overrun a capture method
 REINITS = ("i2c.mode.nack_addr", "i2c.mode.nack_data", "i2c.mode.reg_16_bit", "spi.mode.cpha", "uart.mode.if_type")
 
 
@@ -121,7 +126,48 @@ def streams_digest() -> str:
     return digest.hexdigest()
 
 
+def capture_commands(rng: random.Random, layout) -> list[str]:
+    """One step of a capture stream: the DUT or reference-device lines to send, or ``["reset"]``."""
+    kind = rng.randrange(10)
+    pin = rng.randrange(4) if rng.random() < 0.05 else rng.randrange(3)
+    if kind < 3:
+        return [f"gpio_toggle {pin}"] * rng.randint(1, 150)
+    if kind == 3:
+        return [f"gpio_set {pin} {rng.randrange(2)}"]
+    if kind < 6:
+        return [f"timer_trace {rng.randint(1, 300)} {rng.choice(CAPTURE_PERIODS)} {pin}"]
+    if kind == 6:
+        return [f"timer_bench {rng.randint(1, 40)} {rng.choice(CAPTURE_PERIODS)} {pin}"]
+    if kind == 7:
+        method = layout.lookup("timer.mode.capture_method").offset
+        return [f"wr {method} {rng.randrange(4)}", f"wr {layout.lookup('timer.mode.init').offset} 1", "ex"]
+    if kind == 8:
+        return [f"wr {layout.lookup('trace.mode.init').offset} 1", "ex"]
+    return ["reset"]
+
+
+def trace_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(12):
+        rng = random.Random(seed)
+        bench = Bench(BenchConfig(seed=seed))
+        layout = bench.refdev.regs.map
+        for _ in range(40):
+            for line in capture_commands(rng, layout):
+                if line == "reset":
+                    bench.reset()
+                    reply = ""
+                elif line.split()[0] in ("wr", "ex"):
+                    reply = bench.refdev.handle_line(line)
+                else:
+                    reply = bench.dut.handle_line(line)
+                digest.update(reply.encode())
+                digest.update(bytes(bench.refdev.regs.committed))
+    return digest.hexdigest()
+
+
 if __name__ == "__main__":
     print("suites ", suites_digest())
     print("streams", streams_digest())
     print("served ", served_digest())
+    print("trace  ", trace_digest())

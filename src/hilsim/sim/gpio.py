@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 TIMER_BUFFER_LEN = 128
 
@@ -45,6 +46,7 @@ class GpioTrace:
     method: CaptureMethod
     seed: int = 0
     overrun_count: int = 0
+    kept: int = field(default=0, init=False)  # events kept since construction, dropped ones included
     _events: deque = field(default_factory=deque)
     _rng: random.Random = field(init=False)  # seeded in __post_init__
     _last_accept_ns: dict = field(default_factory=dict)
@@ -73,11 +75,21 @@ class GpioTrace:
         self._events.append(GpioEvent(pin=pin, level=level, timestamp_ns=max(perturbed, 0)))
         self._last_accept_ns[pin] = t_ns
         self._last_level[pin] = level
+        self.kept += 1
         return True
 
     @property
     def events(self) -> list[GpioEvent]:
         return list(self._events)
+
+    @property
+    def held(self) -> int:
+        """Events held now; a timer buffer holds its newest ``buffer_len``."""
+        return len(self._events)
+
+    def held_slice(self, start: int, stop: int) -> list[GpioEvent]:
+        """Held events ``start`` to ``stop``, without copying the others."""
+        return list(islice(self._events, start, stop))
 
     def events_for_pin(self, pin: int) -> list[GpioEvent]:
         return [e for e in self._events if e.pin == pin]

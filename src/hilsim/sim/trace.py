@@ -14,6 +14,7 @@ _METHOD_BY_CODE = {
 }
 
 GPIO_MODULES = ("gpio0", "gpio1", "gpio2")
+TRACE_ARRAYS = ("trace.source", "trace.value", "trace.tick")
 
 
 class TraceUnit:
@@ -22,6 +23,7 @@ class TraceUnit:
         self.clock = clock
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
+        self._arrays = [regs.map.lookup(name) for name in TRACE_ARRAYS]
         self.reinit()
 
     @property
@@ -33,6 +35,9 @@ class TraceUnit:
         code = self.regs.read_param("timer.mode.capture_method")
         method = CAPTURE_METHODS[_METHOD_BY_CODE.get(code, "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
+        # the arrays show events _shown_first.._shown_first+_shown-1, numbered as the capture kept
+        # them; restore zeroes the arrays, and a register-file reset is always followed by this
+        self._shown_first = self._shown = 0
         self.regs.restore("timer", "trace", *GPIO_MODULES)
         self.regs.poke_param("timer.min_tick", method.t_min_ns)
         self.regs.poke_param("timer.min_holdoff", method.t_jitter_ns)
@@ -50,14 +55,31 @@ class TraceUnit:
         return kept
 
     def publish(self) -> None:
-        """Mirror the first ``slots`` captured events into the trace arrays; the rest count as overruns."""
-        captured = self.trace.events
-        events = captured[: self.slots]
-        overruns = self.trace.overrun_count + len(captured) - len(events)
-        self.regs.poke_param("trace.index", len(events))
-        self.regs.poke_param("trace.overrun_count", overruns)
-        self.regs.poke_param("timer.event_count", len(events))
-        self.regs.poke_param("timer.overrun_count", overruns)
-        self.regs.poke_param("trace.source", [e.pin for e in events])
-        self.regs.poke_param("trace.value", [e.level for e in events])
-        self.regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in events])
+        """Mirror the first ``slots`` held events into the trace arrays; the rest count as overruns.
+
+        Only what changed since the last publish is written: the four counters, then, if a
+        bounded buffer dropped its oldest events, each array shifted left by that many, then
+        the newly visible events.
+        """
+        trace = self.trace
+        held = trace.held
+        first = trace.kept - held
+        count = min(held, self.slots)
+        overruns = trace.overrun_count + held - count
+        regs = self.regs
+        regs.poke_param("trace.index", count)
+        regs.poke_param("trace.overrun_count", overruns)
+        regs.poke_param("timer.event_count", count)
+        regs.poke_param("timer.overrun_count", overruns)
+        dropped = first - self._shown_first
+        still = max(self._shown - dropped, 0)  # shown events that stay visible
+        if dropped and still:
+            for entry in self._arrays:
+                moved = regs.read(entry.element_offset(dropped, still), still * entry.elem_size)
+                regs.poke(entry.offset, moved)
+        if count > still:
+            new = trace.held_slice(still, count)
+            regs.poke_param("trace.source", [e.pin for e in new], still)
+            regs.poke_param("trace.value", [e.level for e in new], still)
+            regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in new], still)
+        self._shown_first, self._shown = first, count

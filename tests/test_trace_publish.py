@@ -1,0 +1,127 @@
+"""Trace publish: the arrays and counters always mirror the capture, and a publish writes only new slots."""
+
+import random
+
+import pytest
+
+from conftest import make_bench
+
+ARRAYS = ("trace.source", "trace.value", "trace.tick")
+COUNTERS = ("trace.index", "trace.overrun_count", "timer.event_count", "timer.overrun_count")
+GPIO_IRQ = 2  # timer.mode.capture_method code of the unbounded capture method
+PERIODS = (300, 1_500, 12_000, 40_000)  # ns; the shorter ones overrun a capture method
+
+
+def mirror(bench) -> dict:
+    """The registers a from-scratch publish of ``trace.events[:slots]`` gives."""
+    events = bench.trace.trace.events
+    slots = bench.trace.slots
+    shown = events[:slots]
+    pad = [0] * (slots - len(shown))
+    overruns = bench.trace.trace.overrun_count + len(events) - len(shown)
+    return {
+        "trace.source": [e.pin for e in shown] + pad,
+        "trace.value": [e.level for e in shown] + pad,
+        "trace.tick": [e.timestamp_ns & 0xFFFFFFFF for e in shown] + pad,
+        "trace.index": len(shown),
+        "trace.overrun_count": overruns,
+        "timer.event_count": len(shown),
+        "timer.overrun_count": overruns,
+    }
+
+
+def published(bench) -> dict:
+    regs = bench.refdev.regs
+    out = {name: regs.read_param(name, 0, bench.trace.slots) for name in ARRAYS}
+    out.update((name, regs.read_param(name)) for name in COUNTERS)
+    return out
+
+
+def random_step(rng: random.Random, layout) -> list[str]:
+    """DUT or reference-device lines for one step, or ``["reset"]`` for ``Bench.reset()``."""
+    kind = rng.randrange(10)
+    pin = rng.randrange(3)
+    if kind < 3:
+        return [f"gpio_toggle {pin}"] * rng.randint(1, 150)
+    if kind == 3:
+        return [f"gpio_set {pin} {rng.randrange(2)}"]
+    if kind < 6:
+        return [f"timer_trace {rng.randint(1, 300)} {rng.choice(PERIODS)} {pin}"]
+    if kind == 6:
+        return [f"timer_bench {rng.randint(1, 40)} {rng.choice(PERIODS)} {pin}"]
+    if kind == 7:
+        method = layout.lookup("timer.mode.capture_method").offset
+        return [f"wr {method} {rng.randrange(3)}", f"wr {layout.lookup('timer.mode.init').offset} 1", "ex"]
+    if kind == 8:
+        return [f"wr {layout.lookup('trace.mode.init').offset} 1", "ex"]
+    return ["reset"]
+
+
+def run_line(bench, line: str) -> None:
+    if line == "reset":
+        bench.reset()
+    elif line.split()[0] in ("wr", "ex"):
+        assert '"result": 0' in bench.refdev.handle_line(line)
+    else:
+        bench.dut.handle_line(line)
+
+
+def test_published_trace_equals_a_from_scratch_mirror_after_every_command():
+    most_held = {}
+    for seed in range(4):
+        rng = random.Random(seed)
+        bench = make_bench(seed=seed)
+        for _ in range(60):
+            for line in random_step(rng, bench.refdev.regs.map):
+                run_line(bench, line)
+                assert published(bench) == mirror(bench), (seed, line)
+                kind = bench.trace.method.kind
+                most_held[kind] = max(most_held.get(kind, 0), len(bench.trace.trace.events))
+    # every capture method filled its 128 slots, and gpio-irq held more than the arrays show
+    assert set(most_held) == {"timer-capture-dma", "timer-capture-irq", "gpio-irq"}
+    assert min(most_held.values()) >= 128 and most_held["gpio-irq"] > 128
+
+
+def array_bytes_poked(bench, line: str) -> dict:
+    """Bytes written inside each trace array while ``line`` runs."""
+    regs = bench.refdev.regs
+    entries = {name: regs.map.lookup(name) for name in ARRAYS}
+    spans = {name: range(e.offset, e.offset + e.size) for name, e in entries.items()}
+    written = dict.fromkeys(ARRAYS, 0)
+    poke = regs.poke
+
+    def recording_poke(offset, data):
+        for name, span in spans.items():
+            written[name] += len(range(max(offset, span.start), min(offset + len(data), span.stop)))
+        poke(offset, data)
+
+    regs.poke = recording_poke
+    try:
+        bench.dut.handle_line(line)
+    finally:
+        del regs.poke
+    return written
+
+
+def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes():
+    bench = make_bench(seed=3)
+    bench.refdev.regs.poke_param("timer.mode.capture_method", GPIO_IRQ)
+    bench.trace.reinit()
+    bench.dut.handle_line("timer_trace 200 20000 0")
+    assert len(bench.trace.trace.events) == 200
+    assert array_bytes_poked(bench, "gpio_toggle 1") == dict.fromkeys(ARRAYS, 0)
+    assert len(bench.trace.trace.events) == 201
+    assert published(bench) == mirror(bench)
+
+
+@pytest.mark.parametrize("method", [1, GPIO_IRQ])
+def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(method):
+    bench = make_bench(seed=3)
+    bench.refdev.regs.poke_param("timer.mode.capture_method", method)
+    bench.trace.reinit()
+    bench.dut.handle_line("timer_trace 50 20000 0")
+    assert len(bench.trace.trace.events) == 50
+    elem = {name: bench.refdev.regs.map.lookup(name).elem_size for name in ARRAYS}
+    assert array_bytes_poked(bench, "gpio_toggle 1") == elem
+    assert len(bench.trace.trace.events) == 51
+    assert published(bench) == mirror(bench)
