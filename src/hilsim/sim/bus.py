@@ -188,10 +188,14 @@ class I2cSlaveModel(_PeripheralModel):
         self._poke_wrapped("i2c.reg_index", register)
 
     def _pointer(self, register: int) -> bytes:
+        """The pointer bytes a register frame sends; a register wider than the pointer is rejected."""
+        if not 0 <= register < 1 << (8 * self.reg_bytes):
+            raise ValueError(f"I2C register {register} does not fit a {self.reg_bytes}-byte pointer")
         return register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
 
     def read_reg(self, address: int, register: int, length: int, bitrate: int) -> BusResult:
         """Register-pointer write followed by a data read."""
+        pointer = self._pointer(register)
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
@@ -199,16 +203,17 @@ class I2cSlaveModel(_PeripheralModel):
         data = self._window_read(register * self.reg_bytes, length)
         self._bump("i2c.w_count", self.reg_bytes)
         self._bump("i2c.r_count", length)
-        return self._frame(address, "ok", "read", register, self._pointer(register) + data, bitrate, data)
+        return self._frame(address, "ok", "read", register, pointer + data, bitrate, data)
 
     def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
+        pointer = self._pointer(register)
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
         self._set_pointer(register)
         self._window_write(register * self.reg_bytes, data)
         self._bump("i2c.w_count", self.reg_bytes + len(data))
-        return self._frame(address, "ok", "write", register, self._pointer(register) + bytes(data), bitrate)
+        return self._frame(address, "ok", "write", register, pointer + bytes(data), bitrate)
 
     def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
         """Plain read from the current register pointer; the master acks the data, so no data NACK."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hilsim.dut import COMMAND_OVERHEAD_NS
 from hilsim.sim.bus import BusTransaction
 
 from conftest import make_bench
@@ -197,3 +198,22 @@ def test_every_i2c_write_maps_a_data_nack_to_eio():
 def test_spi_transfer_maps_a_mode_mismatch_to_einval():
     bench = make_bench()
     assert dut_errors(bench, "spi_init 1", "spi_transfer 4 0") == [None, -22]
+
+
+@pytest.mark.parametrize(
+    "reg_16_bit, address, register",
+    [(0, SLAVE, 256), (0, SLAVE, 300), (0, SLAVE, -1), (1, SLAVE, 70_000), (0, 99, 300)],
+)
+def test_an_i2c_register_past_the_pointer_width_is_einval_before_any_bus_activity(reg_16_bit, address, register):
+    bench = make_bench()
+    regs = bench.refdev.regs
+    regs.poke_param("i2c.mode.reg_16_bit", reg_16_bit)
+    bench.i2c.reinit()
+    bench.dut.handle_line("i2c_init")
+    image, now = bytes(regs.committed), bench.clock.now
+    lines = (f"i2c_read_reg {address} {register} 1", f"i2c_write_reg {address} {register} 1")
+    assert dut_errors(bench, *lines) == [-22, -22]
+    # no pointer move, count, NACK, transaction or bus time: only the two commands' own overhead
+    assert bytes(regs.committed) == image
+    assert (bench.i2c.reg_index, bench.i2c.transactions) == (0, [])
+    assert bench.clock.now == now + 2 * COMMAND_OVERHEAD_NS
