@@ -129,6 +129,7 @@ def _client(endpoint: str, maps: str) -> RefDeviceClient:
     client = RefDeviceClient(endpoint, MapStore(maps))
     result = client.connect()
     if not result.ok:
+        client.transport.close()
         raise click.ClickException(result.error)
     return client
 
@@ -179,7 +180,11 @@ def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, see
 @click.option("--out", default="-", show_default=True, help="output CSV path, '-' for stdout")
 def dump_trace(endpoint: str, maps: str, out: str) -> None:
     """Dump the capture trace buffer as CSV."""
-    events = read_trace(_client(endpoint, maps))
+    client = _client(endpoint, maps)
+    try:
+        events = read_trace(client)
+    finally:
+        client.transport.close()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["index", "pin", "level", "tick_ns"])

@@ -59,12 +59,16 @@ def test_serve_tcp_with_pal_client(bench, map_dir):
     server.serve_background()
     try:
         client = RefDeviceClient(server.endpoint, str(map_dir))
-        assert client.connect().ok
-        assert client.read_reg("i2c.slave_addr_1").data == [85]
-        assert client.write_and_execute("i2c.mode.nack_data", 1).ok
-        assert client.read_reg("i2c.mode.nack_data").data == [1]
+        try:
+            assert client.connect().ok
+            assert client.read_reg("i2c.slave_addr_1").data == [85]
+            assert client.write_and_execute("i2c.mode.nack_data", 1).ok
+            assert client.read_reg("i2c.mode.nack_data").data == [1]
+        finally:
+            client.transport.close()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_serve_tcp_sequential_clients(bench, map_dir):
@@ -73,12 +77,17 @@ def test_serve_tcp_sequential_clients(bench, map_dir):
     try:
         first = RefDeviceClient(server.endpoint, str(map_dir))
         second = RefDeviceClient(server.endpoint, str(map_dir))
-        assert first.connect().ok and second.connect().ok
-        first.write_reg("user_reg.user_reg", 42)
-        second.execute()  # same device: staged write commits
-        assert first.read_reg("user_reg.user_reg").data == [42]
+        try:
+            assert first.connect().ok and second.connect().ok
+            first.write_reg("user_reg.user_reg", 42)
+            second.execute()  # same device: staged write commits
+            assert first.read_reg("user_reg.user_reg").data == [42]
+        finally:
+            first.transport.close()
+            second.transport.close()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # -- shell --------------------------------------------------------------
@@ -182,6 +191,7 @@ def test_cli_dump_trace(map_dir):
         )
     finally:
         server.shutdown()
+        server.server_close()
     assert result.exit_code == 0, result.output
     lines = result.output.strip().splitlines()
     assert lines[0] == "index,pin,level,tick_ns"
