@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 TIMER_BUFFER_LEN = 128
 
@@ -47,14 +46,14 @@ class GpioTrace:
     seed: int = 0
     overrun_count: int = 0
     kept: int = field(default=0, init=False)  # events kept since construction, dropped ones included
-    _events: deque = field(default_factory=deque)
+    buffer: deque = field(default_factory=deque)  # a timer buffer keeps its newest buffer_len events
     _rng: random.Random = field(init=False)  # seeded in __post_init__
     _last_accept_ns: dict = field(default_factory=dict)
     _last_level: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method.buffer_len is not None:
-            self._events = deque(maxlen=self.method.buffer_len)
+            self.buffer = deque(maxlen=self.method.buffer_len)
         self._rng = random.Random(self.seed)
 
     def record(self, pin: int, level: int, t_ns: int) -> bool:
@@ -72,7 +71,7 @@ class GpioTrace:
             return False
         jitter = self.method.t_jitter_ns
         perturbed = t_ns + self._rng.randint(-jitter, jitter)
-        self._events.append(GpioEvent(pin=pin, level=level, timestamp_ns=max(perturbed, 0)))
+        self.buffer.append(GpioEvent(pin=pin, level=level, timestamp_ns=max(perturbed, 0)))
         self._last_accept_ns[pin] = t_ns
         self._last_level[pin] = level
         self.kept += 1
@@ -80,16 +79,7 @@ class GpioTrace:
 
     @property
     def events(self) -> list[GpioEvent]:
-        return list(self._events)
-
-    @property
-    def held(self) -> int:
-        """Events held now; a timer buffer holds its newest ``buffer_len``."""
-        return len(self._events)
-
-    def held_slice(self, start: int, stop: int) -> list[GpioEvent]:
-        """Held events ``start`` to ``stop``, without copying the others."""
-        return list(islice(self._events, start, stop))
+        return list(self.buffer)
 
     def events_for_pin(self, pin: int) -> list[GpioEvent]:
-        return [e for e in self._events if e.pin == pin]
+        return [e for e in self.buffer if e.pin == pin]

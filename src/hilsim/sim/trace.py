@@ -3,6 +3,8 @@ captured events and per-pin accounting into the reference device registers."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 from hilsim.refdev import RegisterFile
 from hilsim.sim.clock import SimClock
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
@@ -62,7 +64,7 @@ class TraceUnit:
         the newly visible events.
         """
         trace = self.trace
-        held = trace.held
+        held = len(trace.buffer)
         first = trace.kept - held
         count = min(held, self.slots)
         overruns = trace.overrun_count + held - count
@@ -72,14 +74,17 @@ class TraceUnit:
         regs.poke_param("timer.event_count", count)
         regs.poke_param("timer.overrun_count", overruns)
         dropped = first - self._shown_first
-        still = max(self._shown - dropped, 0)  # shown events that stay visible
+        still = self._shown - dropped  # shown events that stay visible
+        if still < 0:
+            still = 0
         if dropped and still:
             for entry in self._arrays:
                 moved = regs.read(entry.element_offset(dropped, still), still * entry.elem_size)
                 regs.poke(entry.offset, moved)
         if count > still:
-            new = trace.held_slice(still, count)
+            new = list(islice(trace.buffer, still, count))
             regs.poke_param("trace.source", [e.pin for e in new], still)
             regs.poke_param("trace.value", [e.level for e in new], still)
             regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in new], still)
-        self._shown_first, self._shown = first, count
+        self._shown_first = first
+        self._shown = count
