@@ -16,7 +16,6 @@ _METHOD_BY_CODE = {
 }
 
 GPIO_MODULES = ("gpio0", "gpio1", "gpio2")
-TRACE_ARRAYS = ("trace.source", "trace.value", "trace.tick")
 
 
 class TraceUnit:
@@ -25,7 +24,7 @@ class TraceUnit:
         self.clock = clock
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
-        self._arrays = [regs.map.lookup(name) for name in TRACE_ARRAYS]
+        self._arrays = [regs.map.lookup(name) for name in ("trace.source", "trace.value", "trace.tick")]
         self.reinit()
 
     @property
