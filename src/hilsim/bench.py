@@ -17,7 +17,6 @@ class BenchConfig:
     seed: int = 0
     faults: FaultConfig | None = None
     dut_clock_ppm_error: float = 0.0
-    handler_overhead_ns: int = 30_000
     pin_map: dict | None = None
 
 
@@ -48,7 +47,6 @@ class Bench:
             self.trace,
             faults=self.config.faults,
             clock_ppm_error=self.config.dut_clock_ppm_error,
-            handler_overhead_ns=self.config.handler_overhead_ns,
             pin_map=self.config.pin_map,
         )
 

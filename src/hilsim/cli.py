@@ -31,10 +31,19 @@ def main() -> None:
     """Register-map tooling, device simulators, and the test harness."""
 
 
+class BadInput(click.ClickException):
+    """Input a command cannot use: exit 2, as for a usage error, since 1 means failed tests."""
+
+    exit_code = 2
+
+
 def _load_faults(path: str | None) -> FaultConfig | None:
     if path is None:
         return None
-    return FaultConfig.from_json(Path(path).read_text("utf-8"))
+    try:
+        return FaultConfig.from_json(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise BadInput(f"{path}: {exc}") from None
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
@@ -161,7 +170,10 @@ def shell(endpoint: str, maps: str) -> None:
 def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, seed, faults, ppm) -> None:
     """Run a test suite and emit a verdict report. Exits 0/1/2."""
     config = RunConfig(seed=seed, faults=_load_faults(faults), dut_clock_ppm_error=ppm)
-    report = run_suite(suite, dut_endpoint, ref_endpoint, maps, config)
+    try:
+        report = run_suite(suite, dut_endpoint, ref_endpoint, maps, config)
+    except ValueError as exc:
+        raise BadInput(str(exc)) from None
     text = emit_report(report, fmt)
     if report_path:
         Path(report_path).write_text(text + "\n", "utf-8")

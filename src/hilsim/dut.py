@@ -34,6 +34,9 @@ BUS_ERRNO = {"addr-nack": ENXIO, "data-nack": EIO, "bad-mode": EINVAL}
 COMMAND_DEADLINE_NS = 1_000_000_000
 # fixed per-command transport/parse overhead on the simulated clock
 COMMAND_OVERHEAD_NS = 1_000_000
+# time one timer handler takes: a handler fires this long after its target, and
+# handlers sharing a target queue one behind the other
+HANDLER_OVERHEAD_NS = 30_000
 
 DEFAULT_I2C_BITRATE = 100_000
 DEFAULT_SPI_BITRATE = 1_000_000
@@ -59,6 +62,8 @@ class FaultConfig:
     @classmethod
     def from_json(cls, text: str) -> "FaultConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"fault flags must be a JSON object, not {type(doc).__name__}")
         known = set(cls.flag_names())
         unknown = set(doc) - known
         if unknown:
@@ -93,7 +98,6 @@ class DutDevice:
         trace: TraceUnit,
         faults: FaultConfig | None = None,
         clock_ppm_error: float = 0.0,
-        handler_overhead_ns: int = 30_000,
         pin_map: dict[int, int] | None = None,
     ):
         self.scheduler = scheduler
@@ -104,7 +108,6 @@ class DutDevice:
         self.trace = trace
         self.faults = faults or FaultConfig()
         self.clock_ppm_error = clock_ppm_error
-        self.handler_overhead_ns = handler_overhead_ns
         # DUT pin index -> reference-device trace pin; identity for pins 0-2
         self.pin_map = {0: 0, 1: 1, 2: 2} if pin_map is None else dict(pin_map)
         self.reset()
@@ -292,7 +295,7 @@ class DutDevice:
         ref_pin = self._ref_pin(pin)
         target = self.clock.now + self._dut_interval(period_ns)
         for i in range(n_timers):
-            fire_at = target + (i + 1) * self.handler_overhead_ns
+            fire_at = target + (i + 1) * HANDLER_OVERHEAD_NS
             self.scheduler.schedule_at(fire_at, lambda p=pin: self._toggle_now(p))
         self.scheduler.run_until_idle()
         self.trace.publish()
@@ -306,7 +309,7 @@ class DutDevice:
         self._ref_pin(pin)
         base = self.clock.now
         for k in range(1, n_edges + 1):
-            fire_at = base + self._dut_interval(k * period_ns) + self.handler_overhead_ns
+            fire_at = base + self._dut_interval(k * period_ns) + HANDLER_OVERHEAD_NS
             self.scheduler.schedule_at(fire_at, lambda p=pin: self._toggle_now(p))
         self.scheduler.run_until_idle()
         self.trace.publish()

@@ -16,11 +16,11 @@ from importlib import resources
 from pathlib import Path
 
 from hilsim.bench import Bench, BenchConfig
-from hilsim.dut import FaultConfig
+from hilsim.dut import HANDLER_OVERHEAD_NS
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult, TestReport
 from hilsim.harness.stats import TimingStats, compute_timing_stats, fit_slope
 from hilsim.memmap import emit_csv
-from hilsim.pal import DutClient, NameMap, RefDeviceClient, SUCCESS
+from hilsim.pal import DutClient, NameMap, RefDeviceClient, SUCCESS, TransportError
 from hilsim.reference import reference_layout
 from hilsim.sim.gpio import GpioEvent
 
@@ -35,20 +35,20 @@ FAULT_CATEGORY = {
     "stop_while_busy_hang": "usage",
 }
 
+# defaults of the measurement step keys period_ns, n_events, ppm_threshold and n_max
+ACCURACY_PERIOD_NS = 1_000_000
+ACCURACY_EVENTS = 128
+PPM_THRESHOLD = 170
+OVERLAP_N_MAX = 10
+# the overlap-delay slope must lie within this fraction of the DUT's handler overhead
+SLOPE_TOLERANCE = 0.10
+
 
 @dataclass
-class RunConfig:
-    seed: int = 0
-    faults: FaultConfig | None = None
-    dut_clock_ppm_error: float = 0.0
-    handler_overhead_ns: int = 30_000
-    ppm_threshold: float = 170.0
-    slope_tolerance: float = 0.10
-    accuracy_period_ns: int = 1_000_000
-    accuracy_events: int = 128
-    overlap_n_max: int = 10
+class RunConfig(BenchConfig):
+    """The bench a local run builds, and the case modes the DUT does not support."""
+
     unsupported_modes: tuple = ()
-    pin_map: dict | None = None
 
 
 class StepFailure(Exception):
@@ -119,15 +119,7 @@ class SuiteRunner:
     def local(cls, config: RunConfig | None = None) -> "SuiteRunner":
         """Build a self-contained runner around an in-process bench."""
         config = config or RunConfig()
-        bench = Bench(
-            BenchConfig(
-                seed=config.seed,
-                faults=config.faults,
-                dut_clock_ppm_error=config.dut_clock_ppm_error,
-                handler_overhead_ns=config.handler_overhead_ns,
-                pin_map=config.pin_map,
-            )
-        )
+        bench = Bench(config)
         layout = reference_layout()
         name_map = NameMap.from_csv(emit_csv(layout), version=layout.version)
         return cls(
@@ -171,6 +163,9 @@ class SuiteRunner:
             result.verdict = FAIL
             result.reason = str(exc)
             result.measured.update(exc.measured)
+        except TransportError as exc:
+            result.verdict = FAIL
+            result.reason = f"reference device lost: {exc}"
         return result
 
     def _setup(self) -> None:
@@ -271,11 +266,11 @@ class SuiteRunner:
 
     def _step_timer_accuracy(self, step: dict) -> dict:
         stats = self.timer_accuracy(
-            step.get("period_ns", self.config.accuracy_period_ns),
-            step.get("n_events", self.config.accuracy_events),
+            step.get("period_ns", ACCURACY_PERIOD_NS),
+            step.get("n_events", ACCURACY_EVENTS),
             step.get("pin", 0),
         )
-        threshold = step.get("ppm_threshold", self.config.ppm_threshold)
+        threshold = step.get("ppm_threshold", PPM_THRESHOLD)
         measured = {"timing": asdict(stats), "ppm_threshold": threshold}
         if abs(stats.ppm_error) > threshold:
             raise StepFailure(
@@ -285,17 +280,16 @@ class SuiteRunner:
         return measured
 
     def _step_overlap_delay(self, step: dict) -> dict:
-        n_max = step.get("n_max", self.config.overlap_n_max)
-        period_ns = step.get("period_ns", self.config.accuracy_period_ns)
+        n_max = step.get("n_max", OVERLAP_N_MAX)
+        period_ns = step.get("period_ns", ACCURACY_PERIOD_NS)
         delays, slope = self.overlap_delay_test(n_max, period_ns, step.get("pin", 0))
-        overhead = self.config.handler_overhead_ns
         measured = {"delays_ns": delays, "slope_ns_per_timer": slope}
         if any(b < a for a, b in zip(delays, delays[1:])):
             raise StepFailure(f"overlap delay not monotone: {delays}", measured)
-        if abs(slope - overhead) > self.config.slope_tolerance * overhead:
+        if abs(slope - HANDLER_OVERHEAD_NS) > SLOPE_TOLERANCE * HANDLER_OVERHEAD_NS:
             raise StepFailure(
                 f"overlap-delay slope {slope:.0f} ns/timer outside "
-                f"{self.config.slope_tolerance:.0%} of {overhead} ns",
+                f"{SLOPE_TOLERANCE:.0%} of {HANDLER_OVERHEAD_NS} ns",
                 measured,
             )
         return measured
@@ -335,8 +329,11 @@ class SuiteRunner:
         response = self.dut.timer_trace(n_events, period_ns, pin)
         self._check_response("timer_trace", response, {"result": SUCCESS})
         events = [e for e in self.read_trace() if e.pin == pin]
-        # same-direction edges are two toggles apart
-        return compute_timing_stats(events, 2 * period_ns)
+        try:
+            # same-direction edges are two toggles apart
+            return compute_timing_stats(events, 2 * period_ns)
+        except ValueError as exc:  # too few edges on the pin to time
+            raise StepFailure(f"timer_trace on pin {pin}: {exc}") from None
 
     def overlap_delay_test(self, n_max: int, period_ns: int, pin: int) -> tuple[list[float], float]:
         """Max handler delay for n overlapping timers, n = 1..n_max, plus fit slope."""
@@ -364,14 +361,18 @@ def run_suite(
     map_dir: str | None = None,
     config: RunConfig | None = None,
 ) -> TestReport:
-    """Run one suite against a local bench or remote endpoints."""
+    """Run one suite against a local bench or remote endpoints.
+
+    Raises ``ValueError`` for an unknown suite, an endpoint that is not host:port,
+    or remote endpoints without ``map_dir``; an unreachable endpoint is an infrastructure error.
+    """
     config = config or RunConfig()
     try:
         if dut_endpoint == "local" and ref_endpoint == "local":
             runner = SuiteRunner.local(config)
         else:
             if map_dir is None:
-                raise ValueError("map_dir is required with remote endpoints")
+                raise ValueError("remote endpoints need a map directory")
             runner = SuiteRunner(
                 DutClient(dut_endpoint),
                 RefDeviceClient(ref_endpoint, map_dir),

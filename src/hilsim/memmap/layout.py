@@ -78,10 +78,10 @@ class LayoutedMap:
     spec: MemoryMapSpec
     entries: tuple[LayoutEntry, ...]
     total_size: int
-    by_name: dict[str, LayoutEntry] = field(default_factory=dict)
-    # the whole map at its defaults, which every reset restores, and one
-    # ACCESS_CODES byte per map byte; set here rather than as cached
-    # properties, which would slow every attribute lookup on the map
+    # the entries by name, the whole map at its defaults, which every reset
+    # restores, and one ACCESS_CODES byte per map byte; set here rather than
+    # as cached properties, which would slow every attribute lookup on the map
+    by_name: dict[str, LayoutEntry] = field(init=False, repr=False, compare=False)
     default_image: bytes = field(init=False, repr=False, compare=False)
     access_mask: bytes = field(init=False, repr=False, compare=False)
     # per module, the merged byte ranges of its read-only entries, which the
@@ -89,8 +89,7 @@ class LayoutedMap:
     read_only_spans: dict[str, tuple[slice, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.by_name:
-            self.by_name = {e.name: e for e in self.entries}
+        self.by_name = {e.name: e for e in self.entries}
         image = bytearray(self.total_size)
         mask = bytearray([ACCESS_CODES["read-only"]]) * self.total_size
         spans: dict[str, list[list[int]]] = {}

@@ -182,9 +182,6 @@ class PalResult:
     result: str = SUCCESS
     error: str | None = None
 
-    def __getitem__(self, key):
-        return getattr(self, key)
-
     @property
     def ok(self) -> bool:
         return self.result == SUCCESS
@@ -207,10 +204,9 @@ class RefDeviceClient:
         version = reply.get("version")
         if self.map is not None and self.map.version in ("", version):
             return PalResult(cmd=["-v"], data=version)
-        try:
-            self.map = self.store.get(version)
-        except KeyError:
+        if not isinstance(self.store, MapStore) or version not in self.store.versions():
             return PalResult(cmd=["-v"], result=ERROR, error=f"no map for reported version {version!r}")
+        self.map = self.store.get(version)
         return PalResult(cmd=["-v"], data=version)
 
     def _require_map(self) -> NameMap:
@@ -218,11 +214,8 @@ class RefDeviceClient:
             raise RuntimeError("client is not connected; call connect() first")
         return self.map
 
-    def _issue(self, line: str) -> dict:
-        return json.loads(self.transport.request(line))
-
     def raw(self, line: str) -> dict:
-        return self._issue(line)
+        return json.loads(self.transport.request(line))
 
     def read_reg(self, name: str, index: int = 0, count: int | None = None) -> PalResult:
         count = 1 if count is None else count
@@ -232,7 +225,7 @@ class RefDeviceClient:
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
         line = f"rr {offset} {count * entry.elem_size}"
-        reply = self._issue(line)
+        reply = self.raw(line)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
         raw = reply["data"]
@@ -251,13 +244,13 @@ class RefDeviceClient:
         except ValueError as exc:
             return PalResult(result=ERROR, error=str(exc))
         line = "wr {} {}".format(offset, " ".join(map(str, data)))
-        reply = self._issue(line)
+        reply = self.raw(line)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
         return PalResult(cmd=[line])
 
     def execute(self) -> PalResult:
-        reply = self._issue("ex")
+        reply = self.raw("ex")
         ok = reply.get("result") == 0
         return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
 

@@ -139,12 +139,6 @@ class ReferenceDevice:
         self.regs.reset()
         self._reinit(self._init_hooks)
 
-    def read_regs(self, offset: int, size: int) -> bytes:
-        return self.regs.read(offset, size)
-
-    def write_regs(self, offset: int, data: bytes) -> None:
-        self.regs.stage_write(offset, data)
-
     def execute(self) -> None:
         """Commit staged writes, then lower each init flag at 1 and re-init its module."""
         self.regs.commit()
@@ -191,7 +185,7 @@ class ReferenceDevice:
         except ValueError:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
-            data = self.read_regs(offset, size)
+            data = self.regs.read(offset, size)
         except RangeViolation:
             return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         # bare integer for single-byte reads, list otherwise
@@ -207,7 +201,7 @@ class ReferenceDevice:
         except ValueError:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
-            self.write_regs(offset, data)
+            self.regs.stage_write(offset, data)
         except RangeViolation:
             return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         except AccessViolation:

@@ -33,8 +33,8 @@ class EventScheduler:
     Events scheduled at equal times fire in submission order.
     """
 
-    def __init__(self, clock: SimClock | None = None):
-        self.clock = clock or SimClock()
+    def __init__(self):
+        self.clock = SimClock()
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
 

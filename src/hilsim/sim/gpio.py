@@ -44,16 +44,15 @@ class GpioTrace:
 
     method: CaptureMethod
     seed: int = 0
-    overrun_count: int = 0
+    overrun_count: int = field(default=0, init=False)
     kept: int = field(default=0, init=False)  # events kept since construction, dropped ones included
-    buffer: deque = field(default_factory=deque)  # a timer buffer keeps its newest buffer_len events
+    buffer: deque = field(init=False)  # a timer buffer keeps its newest buffer_len events
     _rng: random.Random = field(init=False)  # seeded in __post_init__
-    _last_accept_ns: dict = field(default_factory=dict)
-    _last_level: dict = field(default_factory=dict)
+    _last_accept_ns: dict = field(default_factory=dict, init=False)
+    _last_level: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        if self.method.buffer_len is not None:
-            self.buffer = deque(maxlen=self.method.buffer_len)
+        self.buffer = deque(maxlen=self.method.buffer_len)
         self._rng = random.Random(self.seed)
 
     def record(self, pin: int, level: int, t_ns: int) -> bool:

@@ -14,6 +14,7 @@ import pytest
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import FAULT_CATEGORY, RunConfig, SUITE_NAMES, SuiteRunner, run_suite
+from hilsim.harness.runner import PPM_THRESHOLD
 from hilsim.memmap import SCALAR_TYPES, compute_layout, parse_config
 from hilsim.pal import NameMap, RefDeviceClient
 from hilsim.memmap import emit_csv
@@ -163,7 +164,7 @@ def test_criterion_7_timer_ppm():
         stats = runner.timer_accuracy(1_000_000, 128, 0)
         jitter_bound = 2 * runner.bench.trace.method.t_jitter_ns / 1_000_000 * 1e6 + 1
         assert abs(stats.ppm_error - configured) <= jitter_bound, stats
-        verdict = "pass" if abs(stats.ppm_error) <= config.ppm_threshold else "fail"
+        verdict = "pass" if abs(stats.ppm_error) <= PPM_THRESHOLD else "fail"
         assert verdict == expected_verdict, (configured, stats.ppm_error)
 
 

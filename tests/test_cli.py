@@ -179,6 +179,41 @@ def test_cli_run_suite_detects_faults(tmp_path):
     assert doc["totals"]["fail"] >= 1
 
 
+def assert_bad_input(result, needle):
+    """Exit 2, which is not the exit 1 of failed tests, with one line that says why."""
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [result.output.strip()]
+    assert needle in result.output
+
+
+def test_cli_run_suite_rejects_a_fault_file_that_is_not_an_object(tmp_path):
+    faults = tmp_path / "faults.json"
+    faults.write_text("[]", "utf-8")
+    result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", "--faults", str(faults)])
+    assert_bad_input(result, "JSON object")
+
+
+def test_cli_run_suite_rejects_an_unknown_fault_flag(tmp_path):
+    faults = tmp_path / "faults.json"
+    faults.write_text('{"no_such_flag": true}', "utf-8")
+    result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", "--faults", str(faults)])
+    assert_bad_input(result, "no_such_flag")
+
+
+def test_cli_run_suite_rejects_an_endpoint_without_a_port(map_dir):
+    result = CliRunner().invoke(
+        main, ["run-suite", "--suite", "i2c", "--dut", "nohost", "--ref", "nohost", "--maps", str(map_dir)]
+    )
+    assert_bad_input(result, "bad endpoint 'nohost'")
+
+
+def test_cli_run_suite_rejects_remote_endpoints_without_maps():
+    result = CliRunner().invoke(
+        main, ["run-suite", "--suite", "i2c", "--dut", "127.0.0.1:1", "--ref", "127.0.0.1:1"]
+    )
+    assert_bad_input(result, "remote endpoints need a map directory")
+
+
 def test_cli_dump_trace(map_dir):
     bench = make_bench()
     bench.dut.handle_line("gpio_toggle 0")

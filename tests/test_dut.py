@@ -8,6 +8,7 @@ from hilsim.dut import (
     COMMAND_DEADLINE_NS,
     COMMAND_OVERHEAD_NS,
     FaultConfig,
+    HANDLER_OVERHEAD_NS,
     METADATA,
 )
 
@@ -125,7 +126,7 @@ def test_clock_ppm_error_stretches_intervals():
     events = slow.trace.trace.events_for_pin(0)
     # second edge scheduled at 2 ms on the DUT clock -> 2 ms * (1 + 500e-6)
     nominal = 2_000_000
-    expected = base + COMMAND_OVERHEAD_NS + round(nominal * 1.0005) + slow.dut.handler_overhead_ns
+    expected = base + COMMAND_OVERHEAD_NS + round(nominal * 1.0005) + HANDLER_OVERHEAD_NS
     assert events[-1].timestamp_ns == pytest.approx(expected, abs=250)
 
 
@@ -135,9 +136,8 @@ def test_timer_bench_reports_target_time(bench):
     assert len(events) == 3
     target = reply["data"]
     delays = [e.timestamp_ns - target for e in events]
-    overhead = bench.dut.handler_overhead_ns
     for i, delay in enumerate(sorted(delays)):
-        assert delay == pytest.approx((i + 1) * overhead, abs=250)
+        assert delay == pytest.approx((i + 1) * HANDLER_OVERHEAD_NS, abs=250)
 
 
 # -- seeded faults ------------------------------------------------------

@@ -17,6 +17,7 @@ from hilsim.harness import (
     run_suite,
 )
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult
+from hilsim.pal import TransportError
 from hilsim.sim.gpio import GpioEvent
 
 
@@ -117,6 +118,71 @@ def test_unsupported_mode_skips():
     assert [c.id for c in skipped] == ["i2c.mode.reg16"]
     assert report.totals[FAIL] == 0
     assert report.exit_code() == 0
+
+
+def test_local_runner_builds_its_bench_from_the_run_config():
+    config = RunConfig(seed=9, faults=FaultConfig(extra_read_byte=True), dut_clock_ppm_error=250.0,
+                       pin_map={0: 1, 1: 0, 2: 2})
+    runner = SuiteRunner.local(config)
+    assert runner.bench.config is config
+    assert runner.bench.trace.seed == 9
+    assert runner.bench.dut.faults is config.faults
+    assert runner.bench.dut.clock_ppm_error == 250.0
+    assert runner.bench.dut.pin_map == {0: 1, 1: 0, 2: 2}
+
+
+@pytest.mark.parametrize("ppm", [0.0, 500.0])
+def test_measurement_steps_without_their_keys_take_the_packaged_limits(tmp_path, ppm):
+    manifest = load_manifest("gpio_timer")
+    steps = [step for case in manifest["cases"] for step in case["steps"]]
+    measuring = [step for step in steps if step["op"] in ("timer_accuracy", "overlap_delay")]
+    assert len(measuring) == 2
+    for step in measuring:
+        for key in [k for k in step if k != "op"]:
+            del step[key]
+    path = tmp_path / "gpio_timer_defaults.json"
+    path.write_text(json.dumps(manifest), "utf-8")
+    packaged = SuiteRunner.local(RunConfig(seed=6, dut_clock_ppm_error=ppm)).run_suite("gpio_timer")
+    defaulted = SuiteRunner.local(RunConfig(seed=6, dut_clock_ppm_error=ppm)).run_suite(str(path))
+    verdicts = [(c.id, c.verdict, c.reason, c.measured) for c in packaged.cases]
+    assert [(c.id, c.verdict, c.reason, c.measured) for c in defaulted.cases] == verdicts
+    assert packaged.cases[2].verdict == (FAIL if ppm else PASS)
+
+
+class DroppingTransport:
+    """Serves a device in process, but the first request of one command word raises ``TransportError``."""
+
+    def __init__(self, device, word):
+        self.device = device
+        self.word = word
+        self.dropped = False
+
+    def request(self, line):
+        if not self.dropped and line.split()[0] == self.word:
+            self.dropped = True
+            raise TransportError("connection reset by peer")
+        return self.device.handle_line(line)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("word", ["rr", "wr", "ex"])
+def test_a_lost_reference_device_fails_its_case_and_the_later_cases_run(word):
+    runner = SuiteRunner.local(RunConfig(seed=5))
+    runner.phil.transport = DroppingTransport(runner.bench.refdev, word)
+    report = runner.run_suite("gpio_timer")
+    first, *later = report.cases
+    assert first.verdict == FAIL
+    assert "connection reset by peer" in first.reason
+    assert [c.verdict for c in later] == [PASS] * len(later)
+
+
+def test_a_timer_trace_on_a_miswired_pin_fails_its_case():
+    report = run_suite("gpio_timer", config=RunConfig(seed=3, pin_map={0: 1, 1: 0, 2: 2}))
+    accuracy = {c.id: c for c in report.cases}["timer.accuracy"]
+    assert accuracy.verdict == FAIL
+    assert "need at least 2 events" in accuracy.reason
 
 
 # -- fault detection ----------------------------------------------------

@@ -94,6 +94,12 @@ def test_connect_reports_missing_map_version(bench, tmp_path):
     assert "1.2.3" in result.error
 
 
+def test_connect_with_a_name_map_of_another_version_is_an_error(bench, name_map):
+    client = RefDeviceClient(bench.refdev, NameMap(name_map.entries, version="9.9.9"))
+    result = client.connect()
+    assert (result.result, result.error) == ("Error", "no map for reported version '1.2.3'")
+
+
 def test_unreachable_endpoint_is_timeout():
     client = RefDeviceClient("127.0.0.1:1", NameMap({}))
     result = client.connect()
