@@ -195,6 +195,8 @@ class DutDevice:
         addr, reg = args[0], args[1]
         length = args[2] if len(args) > 2 else 1
         self._i2c_guard()
+        if length < 0:
+            raise _DutError(EINVAL)
         self._write_streak = 0
         wire_length = length + 1 if self.faults.extra_read_byte else length
         result = self.i2c.read_reg(addr, reg, wire_length, self._i2c_bitrate)
@@ -220,6 +222,8 @@ class DutDevice:
     def _cmd_i2c_read_bytes(self, args) -> dict:
         addr, length = args[0], args[1]
         self._i2c_guard()
+        if length < 0:
+            raise _DutError(EINVAL)
         self._write_streak = 0
         data = _bus_data(self.i2c.read_bytes(addr, length, self._i2c_bitrate))
         return {"data": list(data), "result": RESULT_SUCCESS}
@@ -243,7 +247,7 @@ class DutDevice:
     def _cmd_spi_transfer(self, args) -> dict:
         if not self._spi_ready:
             raise _DutError(ENODEV)
-        data = _bus_data(self.spi.transfer(bytes(args), self._spi_bitrate, mode=self._spi_mode))
+        data = _bus_data(self.spi.transfer(bytes(args), self._spi_bitrate, self._spi_mode))
         return {"data": list(data), "result": RESULT_SUCCESS}
 
     # -- UART -----------------------------------------------------------
@@ -256,8 +260,8 @@ class DutDevice:
     def _cmd_uart_write(self, args) -> dict:
         if not self._uart_ready:
             raise _DutError(ENODEV)
-        reply = self.uart.process(bytes(args), self._uart_bitrate)
-        return {"data": list(reply), "result": RESULT_SUCCESS}
+        data = _bus_data(self.uart.process(bytes(args), self._uart_bitrate))
+        return {"data": list(data), "result": RESULT_SUCCESS}
 
     # -- GPIO / timers --------------------------------------------------
 
@@ -272,6 +276,8 @@ class DutDevice:
 
     def _cmd_gpio_set(self, args) -> dict:
         pin, level = args[0], args[1]
+        if level not in (0, 1):
+            raise _DutError(EINVAL)
         self._drive_pin(pin, level)
         self.trace.publish()
         return {"result": RESULT_SUCCESS}
@@ -290,7 +296,7 @@ class DutDevice:
         k-th handler runs about k handler-overheads past the target.
         """
         n_timers, period_ns, pin = args[0], args[1], args[2]
-        if n_timers < 1:
+        if n_timers < 1 or period_ns < 0:
             raise _DutError(EINVAL)
         ref_pin = self._ref_pin(pin)
         target = self.clock.now + self._dut_interval(period_ns)
@@ -304,7 +310,7 @@ class DutDevice:
     def _cmd_timer_trace(self, args) -> dict:
         """Toggle a pin every period for n edges, timed by the DUT clock."""
         n_edges, period_ns, pin = args[0], args[1], args[2]
-        if n_edges < 1:
+        if n_edges < 1 or period_ns < 0:
             raise _DutError(EINVAL)
         self._ref_pin(pin)
         base = self.clock.now

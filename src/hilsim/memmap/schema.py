@@ -67,10 +67,6 @@ class MemoryMapSpec:
     modules: tuple[ModuleSpec, ...] = ()
     padded_total_size: int | None = None
 
-    def version_tuple(self) -> tuple[int, int, int]:
-        major, minor, patch = self.version.split(".")
-        return int(major), int(minor), int(patch)
-
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:

@@ -101,12 +101,12 @@ def open_transport(endpoint):
 class NameMap:
     """Qualified name -> layout entry lookup loaded from a CSV map."""
 
-    def __init__(self, entries: dict[str, LayoutEntry], version: str = ""):
+    def __init__(self, entries: dict[str, LayoutEntry], version: str):
         self.entries = entries
         self.version = version
 
     @classmethod
-    def from_csv(cls, text: str, version: str = "") -> "NameMap":
+    def from_csv(cls, text: str, version: str) -> "NameMap":
         """Parse ``emit_csv`` rows back into layout entries (a one-element list default becomes a scalar)."""
         entries = {}
         for row in csv.DictReader(io.StringIO(text)):
@@ -125,7 +125,7 @@ class NameMap:
                 description=row["description"],
             )
             entries[entry.name] = entry
-        return cls(entries, version=version)
+        return cls(entries, version)
 
     def lookup(self, name: str) -> LayoutEntry:
         try:
@@ -170,7 +170,7 @@ class MapStore:
     def get(self, version: str) -> NameMap:
         if version not in self._index:
             raise KeyError(f"no installed map for version {version!r}")
-        return NameMap.from_csv(self._index[version].read_text("utf-8"), version=version)
+        return NameMap.from_csv(self._index[version].read_text("utf-8"), version)
 
 
 @dataclass
@@ -202,7 +202,7 @@ class RefDeviceClient:
         except (TransportError, json.JSONDecodeError):
             return PalResult(cmd=["-v"], result=TIMEOUT, error="endpoint unreachable")
         version = reply.get("version")
-        if self.map is not None and self.map.version in ("", version):
+        if self.map is not None and self.map.version == version:
             return PalResult(cmd=["-v"], data=version)
         if not isinstance(self.store, MapStore) or version not in self.store.versions():
             return PalResult(cmd=["-v"], result=ERROR, error=f"no map for reported version {version!r}")
@@ -291,39 +291,6 @@ class DutClient:
 
     def get_metadata(self) -> dict:
         return self.command("get_metadata")
-
-    def i2c_init(self, bitrate: int | None = None) -> dict:
-        return self.command("i2c_init" + (f" {bitrate}" if bitrate else ""))
-
-    def i2c_read_reg(self, addr: int, reg: int, length: int = 1) -> dict:
-        return self.command(f"i2c_read_reg {addr} {reg} {length}")
-
-    def i2c_write_reg(self, addr: int, reg: int, data) -> dict:
-        payload = " ".join(str(b) for b in data)
-        return self.command(f"i2c_write_reg {addr} {reg} {payload}")
-
-    def i2c_read_bytes(self, addr: int, length: int) -> dict:
-        return self.command(f"i2c_read_bytes {addr} {length}")
-
-    def i2c_write_bytes(self, addr: int, data) -> dict:
-        payload = " ".join(str(b) for b in data)
-        return self.command(f"i2c_write_bytes {addr} {payload}")
-
-    def spi_init(self, mode: int = 0, bitrate: int | None = None) -> dict:
-        suffix = f" {bitrate}" if bitrate else ""
-        return self.command(f"spi_init {mode}{suffix}")
-
-    def spi_transfer(self, data) -> dict:
-        return self.command("spi_transfer " + " ".join(str(b) for b in data))
-
-    def uart_init(self, baud: int | None = None) -> dict:
-        return self.command("uart_init" + (f" {baud}" if baud else ""))
-
-    def uart_write(self, data) -> dict:
-        return self.command("uart_write " + " ".join(str(b) for b in data))
-
-    def gpio_set(self, pin: int, level: int) -> dict:
-        return self.command(f"gpio_set {pin} {level}")
 
     def gpio_toggle(self, pin: int) -> dict:
         return self.command(f"gpio_toggle {pin}")

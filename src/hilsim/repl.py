@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmd
 import json
 
-from hilsim.pal import RefDeviceClient
+from hilsim.pal import RefDeviceClient, TransportError
 
 
 class DeviceShell(cmd.Cmd):
@@ -28,6 +28,14 @@ class DeviceShell(cmd.Cmd):
             self.stdout.write(f"{result.data}\n")
         else:
             self.stdout.write(f"error: {result.error}\n")
+
+    def onecmd(self, line: str) -> bool:
+        """Run one command; a dropped device connection is reported, not raised."""
+        try:
+            return super().onecmd(line)
+        except TransportError as exc:
+            self.stdout.write(f"error: {exc}\n")
+            return False
 
     # -- commands --------------------------------------------------------
 

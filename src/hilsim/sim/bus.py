@@ -80,14 +80,13 @@ def _check_bitrate(bitrate: int, lo_hi: tuple[int, int], bus: str) -> None:
 
 
 class _PeripheralModel:
-    """Shared plumbing: a register file, a clock, a transaction log and the bus telemetry."""
+    """Shared plumbing: a register file, a clock and the bus telemetry."""
 
     module = ""
 
     def __init__(self, regs: RegisterFile, clock: SimClock):
         self.regs = regs
         self.clock = clock
-        self.transactions: list[BusTransaction] = []
         window = regs.map.lookup("user_reg.user_reg")
         self._window_offset = window.offset
         self._window_size = window.size
@@ -116,14 +115,12 @@ class _PeripheralModel:
     def _hold_bus(
         self, bits: int, direction: str, register, payload: bytes, bitrate: int, address=None, stretch_ns: int = 0
     ):
-        """Occupy the bus for ``bits`` at ``bitrate`` plus any clock stretch, then log and return the transaction."""
+        """Occupy the bus for ``bits`` at ``bitrate`` plus any clock stretch, then return the transaction."""
         start = self.clock.now
         self.clock.advance(wire_ns(bits, bitrate) + stretch_ns)
-        txn = BusTransaction(
+        return BusTransaction(
             self.module.upper(), direction, address, register, bytes(payload), start, self.clock.now, bitrate
         )
-        self.transactions.append(txn)
-        return txn
 
     def _publish_times(self, txn: BusTransaction) -> None:
         """Publish the transaction's start and stop times and, if it carried bytes, its speed."""
@@ -147,7 +144,6 @@ class I2cSlaveModel(_PeripheralModel):
         self.nack_data = bool(rp("i2c.mode.nack_data"))
         self.nack_addr = bool(rp("i2c.mode.nack_addr"))
         self.reg_index = 0
-        self.transactions.clear()
         self.regs.restore(self.module)
 
     def _nacked(self, address: int, bitrate: int, data_phase: bool = True) -> BusResult | None:
@@ -246,12 +242,11 @@ class SpiSlaveModel(_PeripheralModel):
         rp = self.regs.read_param
         self.mode = (rp("spi.mode.cpol") << 1) | rp("spi.mode.cpha")
         self.reg_bytes = 2 if rp("spi.mode.reg_16_bit") else 1
-        self.transactions.clear()
         self.regs.restore(self.module)
 
-    def transfer(self, frame: bytes, bitrate: int, mode: int | None = None) -> BusResult:
+    def transfer(self, frame: bytes, bitrate: int, mode: int) -> BusResult:
         _check_bitrate(bitrate, SPI_BITRATE_RANGE, "SPI")
-        if mode is not None and mode != self.mode:
+        if mode != self.mode:
             return BusResult("bad-mode")
         if not frame:
             return BusResult("ok")
@@ -287,10 +282,9 @@ class UartModel(_PeripheralModel):
 
     def reinit(self) -> None:
         self.mode = self.regs.read_param("uart.mode.if_type")
-        self.transactions.clear()
         self.regs.restore(self.module)
 
-    def process(self, data: bytes, bitrate: int) -> bytes:
+    def process(self, data: bytes, bitrate: int) -> BusResult:
         _check_bitrate(bitrate, UART_BITRATE_RANGE, "UART")
         if self.mode == UART_MODE_ECHO:
             reply = bytes(data)
@@ -301,7 +295,7 @@ class UartModel(_PeripheralModel):
         self._bump("uart.rx_count", len(data))
         self._bump("uart.tx_count", len(reply))
         self._window_write(0, data[: self._window_size])
-        self._hold_bus(frame_bits("UART", len(data)), "transfer", None, data, bitrate)
+        txn = self._hold_bus(frame_bits("UART", len(data)), "transfer", None, data, bitrate)
         if reply:
             self.clock.advance(wire_ns(frame_bits("UART", len(reply)), bitrate))
-        return reply
+        return BusResult("ok", reply, txn)

@@ -79,6 +79,3 @@ class GpioTrace:
     @property
     def events(self) -> list[GpioEvent]:
         return list(self.buffer)
-
-    def events_for_pin(self, pin: int) -> list[GpioEvent]:
-        return [e for e in self.buffer if e.pin == pin]

@@ -122,7 +122,7 @@ def test_criterion_5_bus_speed():
             txn = bench.i2c.read_reg(85, rng.randrange(32), rng.randint(1, 8), rate).txn
         else:
             rate = rng.choice(spi_rates)
-            txn = bench.spi.transfer(bytes(rng.randint(2, 9)), rate).txn
+            txn = bench.spi.transfer(bytes(rng.randint(2, 9)), rate, 0).txn
         estimate = estimate_bus_speed(txn)
         assert abs(estimate - rate) / rate <= 0.05, (rate, estimate)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hilsim.dut import COMMAND_OVERHEAD_NS
-from hilsim.sim.bus import BusTransaction
+from hilsim.sim.bus import BusResult, BusTransaction
 
 from conftest import make_bench
 
@@ -45,7 +45,7 @@ def test_i2c_registers_and_transactions_match_closed_forms():
         result = call()
         assert (result.status, result.data) == (status, data)
         txn = BusTransaction("I2C", direction, address, register, payload, start, start + duration, bitrate)
-        assert result.txn == i2c.transactions[-1] == txn
+        assert result.txn == txn
         assert clock.now == start + duration
         want.update(start_time=start, stop_time=start + duration, addr_ticks=round(9e6 / bitrate))
         want["read_ticks" if direction == "read" else "write_ticks"] = round(duration / 1_000)
@@ -81,7 +81,6 @@ def test_i2c_registers_and_transactions_match_closed_forms():
     regs.poke_param("i2c.mode.nack_data", 1)
     regs.poke_param("i2c.clk_stretch_delay", 5_000)
     i2c.reinit()
-    assert i2c.transactions == []
     want = dict.fromkeys(I2C_FIELDS, 0)
     frame(lambda: i2c.write_reg(SLAVE, 0, b"\x05", 100_000), "data-nack", b"", "write", None, b"", 100_000, 5_000)
     want.update(nack_count=1, err_count=1)
@@ -99,10 +98,10 @@ def test_spi_registers_and_transactions_match_closed_forms():
         """Run one frame; it holds the bus for 8 bits a byte of the whole frame."""
         start = clock.now
         duration = wire_ns(8 * len(frame_bytes), bitrate)
-        result = spi.transfer(frame_bytes, bitrate)
+        result = spi.transfer(frame_bytes, bitrate, 0)
         assert (result.status, result.data) == ("ok", reply)
         txn = BusTransaction("SPI", direction, None, frame_bytes[0] & 0x7F, frame_bytes, start, start + duration, bitrate)
-        assert result.txn == spi.transactions[-1] == txn
+        assert result.txn == txn
         assert clock.now == start + duration
         want.update(
             start_time=start,
@@ -124,10 +123,10 @@ def test_spi_registers_and_transactions_match_closed_forms():
     assert window(regs, 6, 2) == b"\xca\xfe"
 
     # a mode mismatch moves nothing: no data, no transaction, no time, no register
-    before, start, logged = bytes(regs.committed), clock.now, len(spi.transactions)
-    result = spi.transfer(bytes([4, 0]), 1_000_000, mode=1)
+    before, start = bytes(regs.committed), clock.now
+    result = spi.transfer(bytes([4, 0]), 1_000_000, 1)
     assert (result.status, result.data, result.txn) == ("bad-mode", b"", None)
-    assert (bytes(regs.committed), clock.now, len(spi.transactions)) == (before, start, logged)
+    assert (bytes(regs.committed), clock.now) == (before, start)
 
 
 def test_reg_index_registers_follow_the_i2c_pointer_and_the_last_spi_frame():
@@ -145,13 +144,13 @@ def test_reg_index_registers_follow_the_i2c_pointer_and_the_last_spi_frame():
     i2c.reinit()
     assert regs.read_param("i2c.reg_index") == i2c.reg_index == 0
 
-    spi.transfer(bytes([5, 0, 0]), 1_000_000)
+    spi.transfer(bytes([5, 0, 0]), 1_000_000, 0)
     assert regs.read_param("spi.reg_index") == 5
-    spi.transfer(bytes([0x80 | 9, 1]), 1_000_000)
+    spi.transfer(bytes([0x80 | 9, 1]), 1_000_000, 0)
     assert regs.read_param("spi.reg_index") == 9
     # an empty frame names no register, and a mode mismatch moves nothing
-    spi.transfer(b"", 1_000_000)
-    spi.transfer(bytes([2, 0]), 1_000_000, mode=1)
+    spi.transfer(b"", 1_000_000, 0)
+    spi.transfer(bytes([2, 0]), 1_000_000, 1)
     assert regs.read_param("spi.reg_index") == 9
     spi.reinit()
     assert regs.read_param("spi.reg_index") == 0
@@ -165,9 +164,11 @@ def test_uart_registers_and_transactions_match_closed_forms(if_type, reply):
     uart.reinit()
     data, bitrate = b"\x01\xff\x10", 115_200
     start = clock.now
-    assert uart.process(data, bitrate) == reply
+    result = uart.process(data, bitrate)
     rx_ns = wire_ns(10 * len(data), bitrate)
-    assert uart.transactions[-1] == BusTransaction("UART", "transfer", None, None, data, start, start + rx_ns, bitrate)
+    assert result == BusResult(
+        "ok", reply, BusTransaction("UART", "transfer", None, None, data, start, start + rx_ns, bitrate)
+    )
     # the reply goes out after the received bytes, 10 bits a byte
     assert clock.now == start + rx_ns + (wire_ns(10 * len(reply), bitrate) if reply else 0)
     assert published(regs, "uart", ("rx_count", "tx_count")) == {"rx_count": 3, "tx_count": len(reply)}
@@ -213,7 +214,19 @@ def test_an_i2c_register_past_the_pointer_width_is_einval_before_any_bus_activit
     image, now = bytes(regs.committed), bench.clock.now
     lines = (f"i2c_read_reg {address} {register} 1", f"i2c_write_reg {address} {register} 1")
     assert dut_errors(bench, *lines) == [-22, -22]
-    # no pointer move, count, NACK, transaction or bus time: only the two commands' own overhead
+    # no pointer move, count, NACK or bus time: only the two commands' own overhead
     assert bytes(regs.committed) == image
-    assert (bench.i2c.reg_index, bench.i2c.transactions) == (0, [])
+    assert bench.i2c.reg_index == 0
     assert bench.clock.now == now + 2 * COMMAND_OVERHEAD_NS
+
+
+@pytest.mark.parametrize("line", ["i2c_read_reg 85 0 -3", "i2c_read_bytes 85 -2"])
+def test_a_negative_i2c_read_length_is_einval_before_any_bus_activity(line):
+    bench = make_bench()
+    regs = bench.refdev.regs
+    bench.dut.handle_line("i2c_init")
+    image, now = bytes(regs.committed), bench.clock.now
+    assert dut_errors(bench, line) == [-22]
+    # no count, pointer move or bus time: only the command's own overhead
+    assert bytes(regs.committed) == image
+    assert bench.clock.now == now + COMMAND_OVERHEAD_NS

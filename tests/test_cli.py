@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +15,15 @@ from click.testing import CliRunner
 import hilsim
 from hilsim.cli import main
 from hilsim.memmap import emit_csv
-from hilsim.pal import NameMap, RefDeviceClient
+from hilsim.dut import METADATA
+from hilsim.pal import NameMap, RefDeviceClient, TransportError
 from hilsim.reference import reference_config_text, reference_layout
 from hilsim.repl import DeviceShell
 from hilsim.serve import serve_stdio, serve_tcp
 
 from conftest import make_bench
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,31 @@ def test_shell_survives_bad_input(shell):
     assert "error" in text and "usage" in text
 
 
+class DroppedTransport:
+    """A device connection that is gone: every request raises."""
+
+    def request(self, line):
+        raise TransportError("connection closed")
+
+    def close(self):
+        pass
+
+
+def test_shell_reports_a_dropped_connection_and_goes_on():
+    layout = reference_layout()
+    client = RefDeviceClient(DroppedTransport(), NameMap.from_csv(emit_csv(layout), layout.version))
+    commands = ["read i2c.slave_addr_1", "write i2c.mode.nack_data 1", "execute",
+                "write_execute i2c.mode.nack_data 1", "raw rr 0 1", "describe i2c.r_count"]
+    out = io.StringIO()
+    sh = DeviceShell(client, stdin=io.StringIO("\n".join(commands) + "\n"), stdout=out)
+    sh.use_rawinput = False
+    sh.prompt = ""
+    sh.cmdloop(intro="")
+    lines = out.getvalue().splitlines()
+    assert lines[:5] == ["error: connection closed"] * 5
+    assert lines[5].startswith("i2c.r_count: offset 334")
+
+
 # -- cli ----------------------------------------------------------------
 
 
@@ -158,6 +188,24 @@ def test_cli_generate_rejects_bad_config(tmp_path):
     config.write_text('{"name": "m"}', "utf-8")
     result = CliRunner().invoke(main, ["generate", str(config), "--out-dir", str(tmp_path)])
     assert result.exit_code != 0
+
+
+def test_readme_dut_serve_example_serves_one_request_on_stdio(tmp_path):
+    """The README's ``dut serve`` line runs as written, with ``--stdio`` in place of ``--listen``
+    and its fault file holding the flags the comment above the line shows."""
+    lines = README.read_text("utf-8").splitlines()
+    at = next(i for i, s in enumerate(lines) if s.startswith("hilsim dut serve"))
+    flags = re.search(r"\{.*\}", lines[at - 1])
+    assert flags, "the comment above the example shows the fault file's JSON"
+    args = shlex.split(lines[at])[1:]
+    listen = args.index("--listen")
+    args[listen : listen + 2] = ["--stdio"]
+    faults = args.index("--faults") + 1
+    (tmp_path / args[faults]).write_text(flags.group(), "utf-8")
+    args[faults] = str(tmp_path / args[faults])
+    result = CliRunner().invoke(main, args, input="get_metadata\n")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"cmd": ["get_metadata"], "data": METADATA, "result": "Success"}
 
 
 def test_cli_run_suite_local_json():

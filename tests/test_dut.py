@@ -77,6 +77,20 @@ def test_bad_pin_is_einval(bench):
     assert reply["error_code"] == -22
 
 
+@pytest.mark.parametrize("bad", ["gpio_set 0 5", "gpio_set 1 -1", "timer_trace 40 -1000 0", "timer_bench 4 -1000 0"])
+def test_a_bad_level_or_period_is_einval_before_any_edge_and_leaves_the_scheduler_idle(bad):
+    bench = make_bench()
+    regs = bench.refdev.regs
+    for _ in range(2):
+        image = bytes(regs.committed)
+        assert cmd(bench, bad)["error_code"] == -22
+        assert bytes(regs.committed) == image
+        assert bench.scheduler.pending == 0
+        assert cmd(bench, "timer_trace 4 1000000 0")["result"] == "Success"
+        assert bench.scheduler.pending == 0
+    assert cmd(bench, "gpio_set 0 0")["result"] == "Success"
+
+
 # -- healthy behavior ---------------------------------------------------
 
 
@@ -123,7 +137,7 @@ def test_clock_ppm_error_stretches_intervals():
     cmd(slow, "i2c_init")
     base = slow.clock.now
     cmd(slow, "timer_trace 2 1000000 0")
-    events = slow.trace.trace.events_for_pin(0)
+    events = [e for e in slow.trace.trace.events if e.pin == 0]
     # second edge scheduled at 2 ms on the DUT clock -> 2 ms * (1 + 500e-6)
     nominal = 2_000_000
     expected = base + COMMAND_OVERHEAD_NS + round(nominal * 1.0005) + HANDLER_OVERHEAD_NS
@@ -132,7 +146,7 @@ def test_clock_ppm_error_stretches_intervals():
 
 def test_timer_bench_reports_target_time(bench):
     reply = cmd(bench, "timer_bench 3 1000000 0")
-    events = bench.trace.trace.events_for_pin(0)
+    events = [e for e in bench.trace.trace.events if e.pin == 0]
     assert len(events) == 3
     target = reply["data"]
     delays = [e.timestamp_ns - target for e in events]

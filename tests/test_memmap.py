@@ -37,7 +37,7 @@ def param(name, type="u8", **kw):
 def test_parse_minimal():
     spec = parse_config(make_config([{"name": "a", "parameters": [param("x")]}]))
     assert spec.name == "m"
-    assert spec.version_tuple() == (1, 0, 0)
+    assert spec.version == "1.0.0"
     assert spec.modules[0].parameters[0].name == "x"
 
 
@@ -213,7 +213,7 @@ def ref_layout():
 
 def test_emit_csv_roundtrip(ref_layout):
     text = emit_csv(ref_layout)
-    name_map = NameMap.from_csv(text)
+    name_map = NameMap.from_csv(text, ref_layout.version)
     assert len(name_map.entries) == len(ref_layout.entries)
     for entry in ref_layout.entries:
         loaded = name_map.lookup(entry.name)

@@ -101,7 +101,7 @@ def test_connect_with_a_name_map_of_another_version_is_an_error(bench, name_map)
 
 
 def test_unreachable_endpoint_is_timeout():
-    client = RefDeviceClient("127.0.0.1:1", NameMap({}))
+    client = RefDeviceClient("127.0.0.1:1", NameMap({}, "1.2.3"))
     result = client.connect()
     assert result.result == "Timeout"
 
@@ -192,9 +192,9 @@ def test_name_address_parity_random_states(bench, name_map, layout):
 def test_dut_client_methods(bench):
     dut = DutClient(bench.dut)
     assert dut.sync()["result"] == SUCCESS
-    assert dut.i2c_init()["result"] == SUCCESS
-    assert dut.i2c_write_reg(85, 4, [1, 2])["result"] == SUCCESS
-    assert dut.i2c_read_reg(85, 4, 2)["data"] == [1, 2]
+    assert dut.command("i2c_init")["result"] == SUCCESS
+    assert dut.command("i2c_write_reg 85 4 1 2")["result"] == SUCCESS
+    assert dut.command("i2c_read_reg 85 4 2")["data"] == [1, 2]
     assert dut.gpio_toggle(0)["result"] == SUCCESS
     reply = dut.command("i2c_read_reg 99 0 1")
     assert reply["result"] == "Error" and reply["error_code"] == -6

@@ -64,7 +64,7 @@ def test_default_image_matches_every_entry_default():
 
 def test_csv_map_round_trips_to_the_layout_entries():
     layout = reference_layout()
-    assert NameMap.from_csv(emit_csv(layout)).entries == layout.by_name
+    assert NameMap.from_csv(emit_csv(layout), layout.version).entries == layout.by_name
 
 
 # -- served resets --------------------------------------------------------

@@ -69,14 +69,13 @@ def test_i2c_clock_stretch_adds_to_duration():
 
 def test_spi_duration_closed_form():
     bench = make_bench()
-    result = bench.spi.transfer(bytes([5, 0, 0, 0]), 1_000_000)
+    result = bench.spi.transfer(bytes([5, 0, 0, 0]), 1_000_000, 0)
     assert result.txn.duration_ns == round(SPI_BITS_PER_BYTE * 4 * 1e9 / 1_000_000)
 
 
 def test_uart_100_bytes_at_115200_takes_8_68_ms():
     bench = make_bench()
-    bench.uart.process(bytes(100), 115_200)
-    txn = bench.uart.transactions[-1]
+    txn = bench.uart.process(bytes(100), 115_200).txn
     # 100 bytes x 10 bits on the wire
     assert txn.duration_ns == round(UART_BITS_PER_BYTE * 100 * 1e9 / 115_200)
     assert txn.duration_ns == pytest.approx(8_680_000, rel=1e-3)
@@ -103,11 +102,10 @@ def test_speed_estimation_exact_without_injection():
             txn = bench.i2c.read_reg(85, rng.randrange(32), rng.randint(1, 8), rate).txn
         elif kind == "spi":
             rate = rng.choice((100_000, 1_000_000, 5_000_000))
-            txn = bench.spi.transfer(bytes(rng.randint(2, 9)), rate).txn
+            txn = bench.spi.transfer(bytes(rng.randint(2, 9)), rate, 0).txn
         else:
             rate = rng.choice((9_600, 57_600, 115_200))
-            bench.uart.process(bytes(rng.randint(1, 32)), rate)
-            txn = bench.uart.transactions[-1]
+            txn = bench.uart.process(bytes(rng.randint(1, 32)), rate).txn
         assert estimate_bus_speed(txn) == pytest.approx(rate, rel=0.05)
 
 
