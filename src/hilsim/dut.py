@@ -113,7 +113,8 @@ class DutDevice:
         self.reset()
 
     def reset(self) -> None:
-        """Session reset: bus state and hang latches, faults stay configured."""
+        """Session reset: bus state, hang latches and pending timer events; faults stay configured."""
+        self.scheduler.clear()
         self._i2c_ready = False
         self._spi_ready = False
         self._spi_mode = 0

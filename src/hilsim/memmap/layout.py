@@ -21,7 +21,8 @@ ACCESS_CODES = {"writable": 0, "privileged": 1, "read-only": 2}
 
 # struct format character of each scalar type; register values are little-endian
 STRUCT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i8": "b", "i16": "h", "i32": "i", "i64": "q"}
-_ELEMENT = {t: struct.Struct("<" + code) for t, code in STRUCT_CODES.items()}  # pack's hot case, one element
+# one element of each type: pack's hot case, and the codec a bound register field writes through
+ELEMENT = {t: struct.Struct("<" + code) for t, code in STRUCT_CODES.items()}
 
 
 class LayoutError(ValueError):
@@ -57,7 +58,7 @@ class LayoutEntry:
         try:
             if isinstance(value, (list, tuple)):
                 return struct.pack(f"<{len(value)}{STRUCT_CODES[self.type]}", *value)
-            return _ELEMENT[self.type].pack(value)
+            return ELEMENT[self.type].pack(value)
         except struct.error:
             raise ValueError(f"{self.name}: value {value!r} out of range for {self.type}") from None
 

@@ -9,9 +9,10 @@ line-oriented protocol: ``rr <index> <size>``, ``wr <index> [data]``,
 from __future__ import annotations
 
 import json
+import struct
 from typing import Callable
 
-from hilsim.memmap.layout import ACCESS_CODES, LayoutedMap
+from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
 
 # Result codes for the register protocol.
 RESULT_SUCCESS = 0
@@ -33,8 +34,38 @@ class RangeViolation(ValueError):
     pass
 
 
+class Field:
+    """One element of a map entry bound to its offset in a register file, read and written with no name lookup.
+
+    A value out of the entry's range raises the same ``ValueError`` as ``LayoutEntry.pack``.
+    """
+
+    __slots__ = ("entry", "offset", "modulus", "_codec", "_view")
+
+    def __init__(self, view: memoryview, entry: LayoutEntry, index: int = 0):
+        self.entry = entry
+        self.offset = entry.element_offset(index)
+        self.modulus = 1 << 8 * entry.elem_size  # where a counter of this width wraps
+        self._codec = ELEMENT[entry.type]
+        self._view = view
+
+    def get(self) -> int:
+        return self._codec.unpack_from(self._view, self.offset)[0]
+
+    def set(self, value: int) -> None:
+        try:
+            self._codec.pack_into(self._view, self.offset, value)
+        except struct.error:
+            self.entry.pack(value)  # raises the entry's ValueError
+            raise
+
+
 class RegisterFile:
-    """Committed byte array plus staged writes and a per-byte access mask."""
+    """Committed byte array plus staged writes and a per-byte access mask.
+
+    Models ``bind`` the registers they publish once, when they are built; a binding stays
+    valid for the file's life, because ``reset`` restores it in place and its size is fixed.
+    """
 
     def __init__(self, layout: LayoutedMap):
         self.map = layout
@@ -82,8 +113,13 @@ class RegisterFile:
             self.committed[offset : offset + len(data)] = data
         self.staged.clear()
 
-    # Internal accessors for peripheral models; bypass access control and
-    # staging so models can publish telemetry between commands.
+    # Internal accessors for peripheral models; bypass access control and staging so models
+    # can publish telemetry between commands. Hot paths write through bound fields;
+    # poke_param and read_param, which look the name up per call, are the cold-path and test API.
+
+    def bind(self, name: str, index: int = 0) -> Field:
+        """Resolve element ``index`` of entry ``name`` once, for repeated reads and writes."""
+        return Field(self._view, self.map.lookup(name), index)
 
     def poke(self, offset: int, data: bytes) -> None:
         end = offset + len(data)

@@ -10,8 +10,9 @@ estimation from transaction timestamps is exact absent injected delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from hilsim.refdev import RegisterFile
+from hilsim.refdev import Field, RegisterFile
 from hilsim.sim.clock import SimClock
 
 I2C_BITS_PER_BYTE = 9  # 8 data + ACK
@@ -83,10 +84,13 @@ class _PeripheralModel:
     """Shared plumbing: a register file, a clock and the bus telemetry."""
 
     module = ""
+    telemetry: tuple[str, ...] = ()  # the registers a transaction publishes, named inside the module
 
     def __init__(self, regs: RegisterFile, clock: SimClock):
         self.regs = regs
         self.clock = clock
+        # bound once, so a transaction writes its telemetry at known offsets
+        self.fields = SimpleNamespace(**{name: regs.bind(f"{self.module}.{name}") for name in self.telemetry})
         window = regs.map.lookup("user_reg.user_reg")
         self._window_offset = window.offset
         self._window_size = window.size
@@ -104,13 +108,12 @@ class _PeripheralModel:
         for i, b in enumerate(data):
             committed[base + (offset + i) % n] = b
 
-    def _bump(self, param: str, delta: int) -> None:
-        self._poke_wrapped(param, self.regs.read_param(param) + delta)
+    def _bump(self, field: Field, delta: int) -> None:
+        self._poke_wrapped(field, field.get() + delta)
 
-    def _poke_wrapped(self, param: str, value: int) -> None:
+    def _poke_wrapped(self, field: Field, value: int) -> None:
         """Publish a value, wrapping at the register width like a real counter."""
-        entry = self.regs.map.lookup(param)
-        self.regs.poke_param(param, int(value) % (1 << (8 * entry.elem_size)))
+        field.set(value % field.modulus)
 
     def _hold_bus(
         self, bits: int, direction: str, register, payload: bytes, bitrate: int, address=None, stretch_ns: int = 0
@@ -124,16 +127,18 @@ class _PeripheralModel:
 
     def _publish_times(self, txn: BusTransaction) -> None:
         """Publish the transaction's start and stop times and, if it carried bytes, its speed."""
-        self.regs.poke_param(f"{self.module}.start_time", txn.start_ns)
-        self.regs.poke_param(f"{self.module}.stop_time", txn.end_ns)
+        self.fields.start_time.set(txn.start_ns)
+        self.fields.stop_time.set(txn.end_ns)
         if txn.payload:
-            self._poke_wrapped(f"{self.module}.speed_hz", round(estimate_bus_speed(txn)))
+            self._poke_wrapped(self.fields.speed_hz, round(estimate_bus_speed(txn)))
 
 
 class I2cSlaveModel(_PeripheralModel):
     """I2C slave with injectable address/data NACKs and clock stretching."""
 
     module = "i2c"
+    telemetry = ("start_time", "stop_time", "speed_hz", "reg_index", "addr_ticks", "read_ticks", "write_ticks",
+                 "r_count", "w_count", "err_count", "nack_count")
 
     def reinit(self) -> None:
         rp = self.regs.read_param
@@ -155,8 +160,8 @@ class I2cSlaveModel(_PeripheralModel):
             status = "data-nack"
         else:
             return None
-        self._bump("i2c.nack_count", 1)
-        self._bump("i2c.err_count", 1)
+        self._bump(self.fields.nack_count, 1)
+        self._bump(self.fields.err_count, 1)
         return self._frame(address, status, "write", None, b"", bitrate)
 
     def _frame(
@@ -173,15 +178,15 @@ class I2cSlaveModel(_PeripheralModel):
         bits = frame_bits("I2C", len(wire))
         txn = self._hold_bus(bits, direction, register, wire, bitrate, address, self.clock_stretch_ns)
         self._publish_times(txn)
-        self._poke_wrapped("i2c.addr_ticks", round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
-        ticks = "i2c.read_ticks" if direction == "read" else "i2c.write_ticks"
+        self._poke_wrapped(self.fields.addr_ticks, round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
+        ticks = self.fields.read_ticks if direction == "read" else self.fields.write_ticks
         self._poke_wrapped(ticks, round(txn.duration_ns / 1_000))
         return BusResult(status, data, txn)
 
     def _set_pointer(self, register: int) -> None:
         """Move the register pointer and publish it in ``i2c.reg_index``."""
         self.reg_index = register
-        self._poke_wrapped("i2c.reg_index", register)
+        self._poke_wrapped(self.fields.reg_index, register)
 
     def _pointer(self, register: int) -> bytes:
         """The pointer bytes a register frame sends; a register wider than the pointer is rejected."""
@@ -197,8 +202,8 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         self._set_pointer(register)
         data = self._window_read(register * self.reg_bytes, length)
-        self._bump("i2c.w_count", self.reg_bytes)
-        self._bump("i2c.r_count", length)
+        self._bump(self.fields.w_count, self.reg_bytes)
+        self._bump(self.fields.r_count, length)
         return self._frame(address, "ok", "read", register, pointer + data, bitrate, data)
 
     def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
@@ -208,7 +213,7 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         self._set_pointer(register)
         self._window_write(register * self.reg_bytes, data)
-        self._bump("i2c.w_count", self.reg_bytes + len(data))
+        self._bump(self.fields.w_count, self.reg_bytes + len(data))
         return self._frame(address, "ok", "write", register, pointer + bytes(data), bitrate)
 
     def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
@@ -217,7 +222,7 @@ class I2cSlaveModel(_PeripheralModel):
         if nack is not None:
             return nack
         data = self._window_read(self.reg_index * self.reg_bytes, length)
-        self._bump("i2c.r_count", length)
+        self._bump(self.fields.r_count, length)
         return self._frame(address, "ok", "read", self.reg_index, data, bitrate, data)
 
     def write_bytes(self, address: int, data: bytes, bitrate: int) -> BusResult:
@@ -225,7 +230,7 @@ class I2cSlaveModel(_PeripheralModel):
         if nack is not None:
             return nack
         self._window_write(self.reg_index * self.reg_bytes, data)
-        self._bump("i2c.w_count", len(data))
+        self._bump(self.fields.w_count, len(data))
         return self._frame(address, "ok", "write", self.reg_index, data, bitrate)
 
 
@@ -237,6 +242,8 @@ class SpiSlaveModel(_PeripheralModel):
     """
 
     module = "spi"
+    telemetry = ("start_time", "stop_time", "speed_hz", "reg_index", "transfer_count", "frame_ticks", "byte_ticks",
+                 "prev_ticks", "r_count", "w_count")
 
     def reinit(self) -> None:
         rp = self.regs.read_param
@@ -251,22 +258,23 @@ class SpiSlaveModel(_PeripheralModel):
         if not frame:
             return BusResult("ok")
         register = frame[0] & ~SPI_WRITE_FLAG
-        self.regs.poke_param("spi.reg_index", register)
+        fields = self.fields
+        fields.reg_index.set(register)
         offset = register * self.reg_bytes
         n = len(frame) - 1
         if frame[0] & SPI_WRITE_FLAG:
             self._window_write(offset, frame[1:])
-            self._bump("spi.w_count", n)
+            self._bump(fields.w_count, n)
             reply, direction = bytes(len(frame)), "write"
         else:
             reply, direction = bytes(1) + self._window_read(offset, n), "read"
-            self._bump("spi.r_count", n)
-        self._bump("spi.transfer_count", len(frame))
+            self._bump(fields.r_count, n)
+        self._bump(fields.transfer_count, len(frame))
         txn = self._hold_bus(frame_bits("SPI", len(frame)), direction, register, frame, bitrate)
         self._publish_times(txn)
-        self._poke_wrapped("spi.prev_ticks", self.regs.read_param("spi.frame_ticks"))
-        self._poke_wrapped("spi.frame_ticks", round(txn.duration_ns / 1_000))
-        self._poke_wrapped("spi.byte_ticks", round(txn.duration_ns / 1_000 / len(frame)))
+        self._poke_wrapped(fields.prev_ticks, fields.frame_ticks.get())
+        self._poke_wrapped(fields.frame_ticks, round(txn.duration_ns / 1_000))
+        self._poke_wrapped(fields.byte_ticks, round(txn.duration_ns / 1_000 / len(frame)))
         return BusResult("ok", reply, txn)
 
 
@@ -279,6 +287,7 @@ class UartModel(_PeripheralModel):
     """UART endpoint with echo, echo-with-increment, and silent-count modes."""
 
     module = "uart"
+    telemetry = ("rx_count", "tx_count")
 
     def reinit(self) -> None:
         self.mode = self.regs.read_param("uart.mode.if_type")
@@ -292,8 +301,8 @@ class UartModel(_PeripheralModel):
             reply = bytes((b + 1) % 256 for b in data)
         else:
             reply = b""
-        self._bump("uart.rx_count", len(data))
-        self._bump("uart.tx_count", len(reply))
+        self._bump(self.fields.rx_count, len(data))
+        self._bump(self.fields.tx_count, len(reply))
         self._window_write(0, data[: self._window_size])
         txn = self._hold_bus(frame_bits("UART", len(data)), "transfer", None, data, bitrate)
         if reply:

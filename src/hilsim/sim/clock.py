@@ -45,11 +45,19 @@ class EventScheduler:
         self._seq += 1
 
     def run_until_idle(self) -> None:
-        """Pop and run events in time order, advancing the clock."""
-        while self._queue:
-            t, _, callback = heapq.heappop(self._queue)
-            self.clock.advance_to(t)
-            callback()
+        """Pop and run events in time order, advancing the clock; a callback that raises drops the rest."""
+        try:
+            while self._queue:
+                t, _, callback = heapq.heappop(self._queue)
+                self.clock.advance_to(t)
+                callback()
+        except BaseException:
+            self.clear()
+            raise
+
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._queue.clear()
 
     @property
     def pending(self) -> int:

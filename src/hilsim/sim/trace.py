@@ -25,6 +25,11 @@ class TraceUnit:
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
         self._arrays = [regs.map.lookup(name) for name in ("trace.source", "trace.value", "trace.tick")]
+        # bound once: each pin's level, edge count and last rise and fall ticks, and the four counters
+        pin_fields = ("status.level", "edge_count", "rise_ticks", "fall_ticks")
+        self._pins = [[regs.bind(f"{mod}.{name}") for name in pin_fields] for mod in GPIO_MODULES]
+        counters = ("trace.index", "trace.overrun_count", "timer.event_count", "timer.overrun_count")
+        self._counters = [regs.bind(name) for name in counters]
         self.reinit()
 
     @property
@@ -46,13 +51,12 @@ class TraceUnit:
     def record_edge(self, pin: int, level: int) -> bool:
         t = self.clock.now
         kept = self.trace.record(pin, level, t)
-        if pin < len(GPIO_MODULES):
-            mod = GPIO_MODULES[pin]
-            self.regs.poke_param(f"{mod}.status.level", level)
+        if pin < len(self._pins):
+            status, edges, rise, fall = self._pins[pin]
+            status.set(level)
             if kept:
-                self.regs.poke_param(f"{mod}.edge_count", self.regs.read_param(f"{mod}.edge_count") + 1)
-                which = "rise_ticks" if level else "fall_ticks"
-                self.regs.poke_param(f"{mod}.{which}", t & 0xFFFFFFFF)
+                edges.set(edges.get() + 1)
+                (rise if level else fall).set(t & 0xFFFFFFFF)
         return kept
 
     def publish(self) -> None:
@@ -67,11 +71,12 @@ class TraceUnit:
         first = trace.kept - held
         count = min(held, self.slots)
         overruns = trace.overrun_count + held - count
+        index, trace_overruns, event_count, timer_overruns = self._counters
+        index.set(count)
+        trace_overruns.set(overruns)
+        event_count.set(count)
+        timer_overruns.set(overruns)
         regs = self.regs
-        regs.poke_param("trace.index", count)
-        regs.poke_param("trace.overrun_count", overruns)
-        regs.poke_param("timer.event_count", count)
-        regs.poke_param("timer.overrun_count", overruns)
         dropped = first - self._shown_first
         still = self._shown - dropped  # shown events that stay visible
         if still < 0:
@@ -82,8 +87,8 @@ class TraceUnit:
                 regs.poke(entry.offset, moved)
         if count > still:
             new = list(islice(trace.buffer, still, count))
-            regs.poke_param("trace.source", [e.pin for e in new], still)
-            regs.poke_param("trace.value", [e.level for e in new], still)
-            regs.poke_param("trace.tick", [e.timestamp_ns & 0xFFFFFFFF for e in new], still)
+            columns = ([e.pin for e in new], [e.level for e in new], [e.timestamp_ns & 0xFFFFFFFF for e in new])
+            for entry, column in zip(self._arrays, columns):
+                regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
         self._shown_first = first
         self._shown = count

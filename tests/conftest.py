@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hilsim.bench import Bench, BenchConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "protocol_responses.txt"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture
@@ -27,3 +29,11 @@ def golden_exchanges(bench: Bench) -> list[tuple[str, str]]:
             request, expected = line.split("\t")
             pairs.append((request, expected))
     return pairs
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module, without running its main block."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

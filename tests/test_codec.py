@@ -90,3 +90,29 @@ def test_list_poke_param_past_its_entry_raises_and_writes_nothing(bench):
     with pytest.raises(ValueError, match="trace.source"):
         regs.poke_param("trace.source", [0] * 129)
     assert bytes(regs.committed) == before
+
+
+def test_a_bound_field_reads_and_writes_its_element_and_outlives_a_reset(bench):
+    regs = bench.refdev.regs
+    tick = regs.bind("trace.tick", 5)
+    tick.set(0xFFFFFFFF)
+    assert tick.get() == regs.read_param("trace.tick", 5) == 0xFFFFFFFF
+    assert regs.read_param("trace.tick", 4, 3) == [0, 0xFFFFFFFF, 0]
+    bench.reset()
+    assert tick.get() == 0
+    tick.set(7)
+    assert regs.read_param("trace.tick", 5) == 7
+
+
+def test_a_bound_field_out_of_range_raises_the_value_error_of_poke_param_and_writes_nothing(bench):
+    regs = bench.refdev.regs
+    before = bytes(regs.committed)
+    for name, value in (("i2c.r_count", 256), ("i2c.r_count", -1), ("trace.tick", 1 << 32), ("i2c.start_time", 1.5)):
+        with pytest.raises(ValueError, match=name) as bound:
+            regs.bind(name).set(value)
+        with pytest.raises(ValueError) as named:
+            regs.poke_param(name, value)
+        assert str(bound.value) == str(named.value)
+    with pytest.raises(ValueError, match="trace.tick"):
+        regs.bind("trace.tick", 128)
+    assert bytes(regs.committed) == before

@@ -91,6 +91,30 @@ def test_a_bad_level_or_period_is_einval_before_any_edge_and_leaves_the_schedule
     assert cmd(bench, "gpio_set 0 0")["result"] == "Success"
 
 
+def test_a_raising_callback_drops_its_run_and_a_reset_leaves_no_event_queued():
+    bench = make_bench()
+    fired = []
+
+    def boom():
+        raise RuntimeError("synthetic handler failure")
+
+    now = bench.clock.now
+    bench.scheduler.schedule_at(now + 10, boom)
+    bench.scheduler.schedule_at(now + 20, lambda: fired.append(1))
+    bench.scheduler.schedule_at(now + 30, lambda: fired.append(2))
+    with pytest.raises(RuntimeError, match="synthetic"):
+        bench.scheduler.run_until_idle()
+    assert bench.scheduler.pending == 0 and fired == []
+    assert cmd(bench, "timer_trace 4 1000000 0")["result"] == "Success"
+    # events queued but never run survive neither a bench reset nor the DUT reset command
+    for reset in (bench.reset, lambda: cmd(bench, "reset")):
+        bench.scheduler.schedule_at(bench.clock.now + 10, boom)
+        reset()
+        assert bench.scheduler.pending == 0
+        assert cmd(bench, "timer_trace 4 1000000 0")["result"] == "Success"
+    assert fired == []
+
+
 # -- healthy behavior ---------------------------------------------------
 
 

@@ -19,6 +19,8 @@ from hilsim.memmap import (
 from hilsim.pal import NameMap
 from hilsim.reference import reference_layout
 
+from conftest import load_script
+
 
 def make_config(modules, name="m", version="1.0.0", padded=None):
     doc = {"name": name, "version": version, "modules": modules}
@@ -253,3 +255,9 @@ def test_reference_map_figures(ref_layout):
     # the protocol examples depend on this address being stable
     assert ref_layout.lookup("i2c.r_count").offset == 334
     assert ref_layout.lookup("i2c.r_count").size == 1
+
+
+def test_the_bundled_map_is_what_its_generator_writes():
+    build = load_script("build_reference_config")
+    expected = json.dumps(build.solve(), indent=2) + "\n"
+    assert build.OUT.read_bytes() == expected.encode("utf-8")

@@ -1,6 +1,8 @@
-"""Trace publish: the arrays and counters always mirror the capture, and a publish writes only new slots."""
+"""Trace publish: the arrays, counters and per-pin registers always mirror the capture, and a
+publish writes only new slots."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,10 +12,48 @@ ARRAYS = ("trace.source", "trace.value", "trace.tick")
 COUNTERS = ("trace.index", "trace.overrun_count", "timer.event_count", "timer.overrun_count")
 GPIO_IRQ = 2  # timer.mode.capture_method code of the unbounded capture method
 PERIODS = (300, 1_500, 12_000, 40_000)  # ns; the shorter ones overrun a capture method
+PIN_REGISTERS = tuple(
+    f"gpio{pin}.{name}" for pin in range(3) for name in ("status.level", "edge_count", "rise_ticks", "fall_ticks")
+)
 
 
-def mirror(bench) -> dict:
-    """The registers a from-scratch publish of ``trace.events[:slots]`` gives."""
+class PinWatch:
+    """The per-pin registers the edges recorded since the capture began should give.
+
+    ``status.level`` follows every edge, ``edge_count`` counts kept edges only, and a kept
+    rise or fall stores its unperturbed time mod 2^32. A capture re-init restores the defaults.
+    """
+
+    def __init__(self, bench):
+        self.unit = bench.trace
+        layout = bench.refdev.regs.map
+        self.defaults = {name: layout.lookup(name).default for name in PIN_REGISTERS}
+        self.capture = self.expected = None
+        self.dropped = Counter()  # edges the capture did not keep, by capture method
+        record = self.unit.record_edge
+
+        def recording(pin, level):
+            expected = self.registers()
+            t = bench.clock.now
+            kept = record(pin, level)
+            expected[f"gpio{pin}.status.level"] = level
+            if kept:
+                expected[f"gpio{pin}.edge_count"] += 1
+                expected[f"gpio{pin}.{'rise' if level else 'fall'}_ticks"] = t & 0xFFFFFFFF
+            else:
+                self.dropped[self.unit.method.kind] += 1
+            return kept
+
+        self.unit.record_edge = recording
+
+    def registers(self) -> dict:
+        if self.unit.trace is not self.capture:
+            self.capture, self.expected = self.unit.trace, dict(self.defaults)
+        return self.expected
+
+
+def mirror(bench, pins: PinWatch) -> dict:
+    """The registers a from-scratch publish of ``trace.events[:slots]`` and the pins' edges give."""
     events = bench.trace.trace.events
     slots = bench.trace.slots
     shown = events[:slots]
@@ -27,13 +67,14 @@ def mirror(bench) -> dict:
         "trace.overrun_count": overruns,
         "timer.event_count": len(shown),
         "timer.overrun_count": overruns,
+        **pins.registers(),
     }
 
 
 def published(bench) -> dict:
     regs = bench.refdev.regs
     out = {name: regs.read_param(name, 0, bench.trace.slots) for name in ARRAYS}
-    out.update((name, regs.read_param(name)) for name in COUNTERS)
+    out.update((name, regs.read_param(name)) for name in COUNTERS + PIN_REGISTERS)
     return out
 
 
@@ -68,17 +109,20 @@ def run_line(bench, line: str) -> None:
 
 def test_published_trace_equals_a_from_scratch_mirror_after_every_command():
     most_held = {}
+    dropped = Counter()
     for seed in range(4):
         rng = random.Random(seed)
         bench = make_bench(seed=seed)
+        pins = PinWatch(bench)
         for _ in range(60):
             for line in random_step(rng, bench.refdev.regs.map):
                 run_line(bench, line)
-                assert published(bench) == mirror(bench), (seed, line)
+                assert published(bench) == mirror(bench, pins), (seed, line)
                 kind = bench.trace.method.kind
                 most_held[kind] = max(most_held.get(kind, 0), len(bench.trace.trace.events))
-    # every capture method filled its 128 slots, and gpio-irq held more than the arrays show
-    assert set(most_held) == {"timer-capture-dma", "timer-capture-irq", "gpio-irq"}
+        dropped += pins.dropped
+    # every capture method filled its 128 slots and dropped edges, and gpio-irq held more than the arrays show
+    assert set(most_held) == set(dropped) == {"timer-capture-dma", "timer-capture-irq", "gpio-irq"}
     assert min(most_held.values()) >= 128 and most_held["gpio-irq"] > 128
 
 
@@ -105,18 +149,20 @@ def array_bytes_poked(bench, line: str) -> dict:
 
 def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes():
     bench = make_bench(seed=3)
+    pins = PinWatch(bench)
     bench.refdev.regs.poke_param("timer.mode.capture_method", GPIO_IRQ)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 200 20000 0")
     assert len(bench.trace.trace.events) == 200
     assert array_bytes_poked(bench, "gpio_toggle 1") == dict.fromkeys(ARRAYS, 0)
     assert len(bench.trace.trace.events) == 201
-    assert published(bench) == mirror(bench)
+    assert published(bench) == mirror(bench, pins)
 
 
 @pytest.mark.parametrize("method", [1, GPIO_IRQ])
 def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(method):
     bench = make_bench(seed=3)
+    pins = PinWatch(bench)
     bench.refdev.regs.poke_param("timer.mode.capture_method", method)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 50 20000 0")
@@ -124,4 +170,4 @@ def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(metho
     elem = {name: bench.refdev.regs.map.lookup(name).elem_size for name in ARRAYS}
     assert array_bytes_poked(bench, "gpio_toggle 1") == elem
     assert len(bench.trace.trace.events) == 51
-    assert published(bench) == mirror(bench)
+    assert published(bench) == mirror(bench, pins)
