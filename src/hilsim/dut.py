@@ -37,6 +37,9 @@ COMMAND_OVERHEAD_NS = 1_000_000
 # time one timer handler takes: a handler fires this long after its target, and
 # handlers sharing a target queue one behind the other
 HANDLER_OVERHEAD_NS = 30_000
+# the most edges, timers or read bytes one command may ask for: a larger count is EINVAL,
+# so one line cannot stall or exhaust a long-lived server
+MAX_COMMAND_COUNT = 4096
 
 DEFAULT_I2C_BITRATE = 100_000
 DEFAULT_SPI_BITRATE = 1_000_000
@@ -196,7 +199,7 @@ class DutDevice:
         addr, reg = args[0], args[1]
         length = args[2] if len(args) > 2 else 1
         self._i2c_guard()
-        if length < 0:
+        if not 0 <= length <= MAX_COMMAND_COUNT:
             raise _DutError(EINVAL)
         self._write_streak = 0
         wire_length = length + 1 if self.faults.extra_read_byte else length
@@ -223,7 +226,7 @@ class DutDevice:
     def _cmd_i2c_read_bytes(self, args) -> dict:
         addr, length = args[0], args[1]
         self._i2c_guard()
-        if length < 0:
+        if not 0 <= length <= MAX_COMMAND_COUNT:
             raise _DutError(EINVAL)
         self._write_streak = 0
         data = _bus_data(self.i2c.read_bytes(addr, length, self._i2c_bitrate))
@@ -297,7 +300,7 @@ class DutDevice:
         k-th handler runs about k handler-overheads past the target.
         """
         n_timers, period_ns, pin = args[0], args[1], args[2]
-        if n_timers < 1 or period_ns < 0:
+        if not 1 <= n_timers <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
         ref_pin = self._ref_pin(pin)
         target = self.clock.now + self._dut_interval(period_ns)
@@ -311,7 +314,7 @@ class DutDevice:
     def _cmd_timer_trace(self, args) -> dict:
         """Toggle a pin every period for n edges, timed by the DUT clock."""
         n_edges, period_ns, pin = args[0], args[1], args[2]
-        if n_edges < 1 or period_ns < 0:
+        if not 1 <= n_edges <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
         self._ref_pin(pin)
         base = self.clock.now

@@ -255,12 +255,14 @@ class RefDeviceClient:
         return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
 
     def write_and_execute(self, name: str, value, index: int = 0) -> PalResult:
-        """Write a parameter, raise its module's init flag unless that was the write, and execute."""
+        """Write a parameter, raise its module's init flag if it has one and that was not the write, and execute."""
+        # resolved before the first write, so a module with no init flag never leaves a write staged
+        init_flag = name.split(".")[0] + ".mode.init"
+        raise_flag = name != init_flag and init_flag in self._require_map().entries
         first = self.write_reg(name, value, index=index)
         if not first.ok:
             return first
-        init_flag = name.split(".")[0] + ".mode.init"
-        if name != init_flag:
+        if raise_flag:
             flag = self.write_reg(init_flag, 1)
             flag.cmd = first.cmd + flag.cmd
             if not flag.ok:

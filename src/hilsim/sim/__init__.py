@@ -2,14 +2,7 @@
 
 from hilsim.sim.clock import SimClock, EventScheduler
 from hilsim.sim.gpio import CaptureMethod, GpioEvent, GpioTrace, CAPTURE_METHODS
-from hilsim.sim.bus import (
-    BusResult,
-    BusTransaction,
-    I2cSlaveModel,
-    SpiSlaveModel,
-    UartModel,
-    estimate_bus_speed,
-)
+from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 
 __all__ = [
     "SimClock",
@@ -19,9 +12,7 @@ __all__ = [
     "GpioTrace",
     "CAPTURE_METHODS",
     "BusResult",
-    "BusTransaction",
     "I2cSlaveModel",
     "SpiSlaveModel",
     "UartModel",
-    "estimate_bus_speed",
 ]

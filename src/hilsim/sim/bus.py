@@ -2,9 +2,10 @@
 
 All three operate against a reference-device register file: register access
 targets the shared user data window, and interaction metadata (byte counts,
-durations) is published back into the device's own registers. Wire timing
-is modeled as bits-on-wire over the configured bitrate, so bus-speed
-estimation from transaction timestamps is exact absent injected delays.
+start and stop times, ticks, bus speed) is published back into the device's
+own registers, which are a transaction's only report. Wire timing is
+modeled as bits-on-wire over the configured bitrate, so the published bus
+speed is exact absent injected delays.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ UART_BITRATE_RANGE = (9_600, 115_200)
 SPI_WRITE_FLAG = 0x80
 
 
-def frame_bits(bus: str, n_bytes: int) -> int:
+def frame_bits(module: str, n_bytes: int) -> int:
     """Bits on the wire for a frame of ``n_bytes`` bytes; an I2C frame also carries its address byte."""
-    if bus == "I2C":
+    if module == "i2c":
         return I2C_BITS_PER_BYTE * (n_bytes + 1)
-    return (SPI_BITS_PER_BYTE if bus == "SPI" else UART_BITS_PER_BYTE) * n_bytes
+    return (SPI_BITS_PER_BYTE if module == "spi" else UART_BITS_PER_BYTE) * n_bytes
 
 
 def wire_ns(bits: int, bitrate: int) -> int:
@@ -39,39 +40,9 @@ def wire_ns(bits: int, bitrate: int) -> int:
 
 
 @dataclass(frozen=True)
-class BusTransaction:
-    bus: str  # I2C, SPI, UART
-    direction: str  # read, write, transfer
-    address: int | None
-    register: int | None
-    payload: bytes
-    start_ns: int
-    end_ns: int
-    bitrate: int
-
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
-    @property
-    def bits_on_wire(self) -> int:
-        return frame_bits(self.bus, len(self.payload))
-
-
-@dataclass(frozen=True)
 class BusResult:
     status: str  # ok, addr-nack, data-nack, bad-mode
     data: bytes = b""
-    txn: BusTransaction | None = None
-
-
-def estimate_bus_speed(txn: BusTransaction) -> float:
-    """Estimate the bus bitrate in hertz from transaction timing."""
-    if txn.duration_ns <= 0:
-        raise ValueError("zero-duration transaction")
-    if len(txn.payload) < 1:
-        raise ValueError("transaction carries no payload")
-    return txn.bits_on_wire * 1e9 / txn.duration_ns
 
 
 def _check_bitrate(bitrate: int, lo_hi: tuple[int, int], bus: str) -> None:
@@ -115,22 +86,19 @@ class _PeripheralModel:
         """Publish a value, wrapping at the register width like a real counter."""
         field.set(value % field.modulus)
 
-    def _hold_bus(
-        self, bits: int, direction: str, register, payload: bytes, bitrate: int, address=None, stretch_ns: int = 0
-    ):
-        """Occupy the bus for ``bits`` at ``bitrate`` plus any clock stretch, then return the transaction."""
-        start = self.clock.now
-        self.clock.advance(wire_ns(bits, bitrate) + stretch_ns)
-        return BusTransaction(
-            self.module.upper(), direction, address, register, bytes(payload), start, self.clock.now, bitrate
-        )
+    def _hold_bus(self, n_bytes: int, bitrate: int, stretch_ns: int = 0) -> int:
+        """Occupy the bus for a frame of ``n_bytes`` at ``bitrate`` plus any clock stretch; return how long."""
+        duration = wire_ns(frame_bits(self.module, n_bytes), bitrate) + stretch_ns
+        self.clock.advance(duration)
+        return duration
 
-    def _publish_times(self, txn: BusTransaction) -> None:
-        """Publish the transaction's start and stop times and, if it carried bytes, its speed."""
-        self.fields.start_time.set(txn.start_ns)
-        self.fields.stop_time.set(txn.end_ns)
-        if txn.payload:
-            self._poke_wrapped(self.fields.speed_hz, round(estimate_bus_speed(txn)))
+    def _publish_times(self, n_bytes: int, duration: int) -> None:
+        """Publish the frame's start and stop times and, if it carried bytes, the bus speed they give."""
+        stop = self.clock.now
+        self.fields.start_time.set(stop - duration)
+        self.fields.stop_time.set(stop)
+        if n_bytes:
+            self._poke_wrapped(self.fields.speed_hz, round(frame_bits(self.module, n_bytes) * 1e9 / duration))
 
 
 class I2cSlaveModel(_PeripheralModel):
@@ -144,11 +112,9 @@ class I2cSlaveModel(_PeripheralModel):
         rp = self.regs.read_param
         self.slave_address = rp("i2c.slave_addr_1")
         self.reg_bytes = 2 if rp("i2c.mode.reg_16_bit") else 1
-        self.big_endian = bool(rp("i2c.mode.reg_16_big_endian"))
         self.clock_stretch_ns = rp("i2c.clk_stretch_delay")
         self.nack_data = bool(rp("i2c.mode.nack_data"))
         self.nack_addr = bool(rp("i2c.mode.nack_addr"))
-        self.reg_index = 0
         self.regs.restore(self.module)
 
     def _nacked(self, address: int, bitrate: int, data_phase: bool = True) -> BusResult | None:
@@ -162,76 +128,60 @@ class I2cSlaveModel(_PeripheralModel):
             return None
         self._bump(self.fields.nack_count, 1)
         self._bump(self.fields.err_count, 1)
-        return self._frame(address, status, "write", None, b"", bitrate)
+        return self._frame(status, "write", 0, bitrate)
 
-    def _frame(
-        self,
-        address: int,
-        status: str,
-        direction: str,
-        register: int | None,
-        wire: bytes,
-        bitrate: int,
-        data: bytes = b"",
-    ) -> BusResult:
-        """Hold the bus for the address byte plus ``wire``, then publish times and per-phase ticks (µs)."""
-        bits = frame_bits("I2C", len(wire))
-        txn = self._hold_bus(bits, direction, register, wire, bitrate, address, self.clock_stretch_ns)
-        self._publish_times(txn)
+    def _frame(self, status: str, direction: str, n_bytes: int, bitrate: int, data: bytes = b"") -> BusResult:
+        """Hold the bus for the address byte plus ``n_bytes``, then publish times and per-phase ticks (µs)."""
+        duration = self._hold_bus(n_bytes, bitrate, self.clock_stretch_ns)
+        self._publish_times(n_bytes, duration)
         self._poke_wrapped(self.fields.addr_ticks, round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
         ticks = self.fields.read_ticks if direction == "read" else self.fields.write_ticks
-        self._poke_wrapped(ticks, round(txn.duration_ns / 1_000))
-        return BusResult(status, data, txn)
+        self._poke_wrapped(ticks, round(duration / 1_000))
+        return BusResult(status, data)
 
-    def _set_pointer(self, register: int) -> None:
-        """Move the register pointer and publish it in ``i2c.reg_index``."""
-        self.reg_index = register
-        self._poke_wrapped(self.fields.reg_index, register)
-
-    def _pointer(self, register: int) -> bytes:
-        """The pointer bytes a register frame sends; a register wider than the pointer is rejected."""
+    def _check_pointer(self, register: int) -> None:
+        """Reject a register wider than the pointer a register frame sends."""
         if not 0 <= register < 1 << (8 * self.reg_bytes):
             raise ValueError(f"I2C register {register} does not fit a {self.reg_bytes}-byte pointer")
-        return register.to_bytes(self.reg_bytes, "big" if self.big_endian else "little")
 
     def read_reg(self, address: int, register: int, length: int, bitrate: int) -> BusResult:
         """Register-pointer write followed by a data read."""
-        pointer = self._pointer(register)
+        self._check_pointer(register)
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        self._set_pointer(register)
+        self.fields.reg_index.set(register)
         data = self._window_read(register * self.reg_bytes, length)
         self._bump(self.fields.w_count, self.reg_bytes)
         self._bump(self.fields.r_count, length)
-        return self._frame(address, "ok", "read", register, pointer + data, bitrate, data)
+        return self._frame("ok", "read", self.reg_bytes + length, bitrate, data)
 
     def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
-        pointer = self._pointer(register)
+        self._check_pointer(register)
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        self._set_pointer(register)
+        self.fields.reg_index.set(register)
         self._window_write(register * self.reg_bytes, data)
         self._bump(self.fields.w_count, self.reg_bytes + len(data))
-        return self._frame(address, "ok", "write", register, pointer + bytes(data), bitrate)
+        return self._frame("ok", "write", self.reg_bytes + len(data), bitrate)
 
     def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
         """Plain read from the current register pointer; the master acks the data, so no data NACK."""
         nack = self._nacked(address, bitrate, data_phase=False)
         if nack is not None:
             return nack
-        data = self._window_read(self.reg_index * self.reg_bytes, length)
+        data = self._window_read(self.fields.reg_index.get() * self.reg_bytes, length)
         self._bump(self.fields.r_count, length)
-        return self._frame(address, "ok", "read", self.reg_index, data, bitrate, data)
+        return self._frame("ok", "read", length, bitrate, data)
 
     def write_bytes(self, address: int, data: bytes, bitrate: int) -> BusResult:
         nack = self._nacked(address, bitrate)
         if nack is not None:
             return nack
-        self._window_write(self.reg_index * self.reg_bytes, data)
+        self._window_write(self.fields.reg_index.get() * self.reg_bytes, data)
         self._bump(self.fields.w_count, len(data))
-        return self._frame(address, "ok", "write", self.reg_index, data, bitrate)
+        return self._frame("ok", "write", len(data), bitrate)
 
 
 class SpiSlaveModel(_PeripheralModel):
@@ -265,17 +215,17 @@ class SpiSlaveModel(_PeripheralModel):
         if frame[0] & SPI_WRITE_FLAG:
             self._window_write(offset, frame[1:])
             self._bump(fields.w_count, n)
-            reply, direction = bytes(len(frame)), "write"
+            reply = bytes(len(frame))
         else:
-            reply, direction = bytes(1) + self._window_read(offset, n), "read"
+            reply = bytes(1) + self._window_read(offset, n)
             self._bump(fields.r_count, n)
         self._bump(fields.transfer_count, len(frame))
-        txn = self._hold_bus(frame_bits("SPI", len(frame)), direction, register, frame, bitrate)
-        self._publish_times(txn)
+        duration = self._hold_bus(len(frame), bitrate)
+        self._publish_times(len(frame), duration)
         self._poke_wrapped(fields.prev_ticks, fields.frame_ticks.get())
-        self._poke_wrapped(fields.frame_ticks, round(txn.duration_ns / 1_000))
-        self._poke_wrapped(fields.byte_ticks, round(txn.duration_ns / 1_000 / len(frame)))
-        return BusResult("ok", reply, txn)
+        self._poke_wrapped(fields.frame_ticks, round(duration / 1_000))
+        self._poke_wrapped(fields.byte_ticks, round(duration / 1_000 / len(frame)))
+        return BusResult("ok", reply)
 
 
 UART_MODE_ECHO = 0
@@ -304,7 +254,7 @@ class UartModel(_PeripheralModel):
         self._bump(self.fields.rx_count, len(data))
         self._bump(self.fields.tx_count, len(reply))
         self._window_write(0, data[: self._window_size])
-        txn = self._hold_bus(frame_bits("UART", len(data)), "transfer", None, data, bitrate)
-        if reply:
-            self.clock.advance(wire_ns(frame_bits("UART", len(reply)), bitrate))
-        return BusResult("ok", reply, txn)
+        # the reply goes out after the received bytes
+        self._hold_bus(len(data), bitrate)
+        self._hold_bus(len(reply), bitrate)
+        return BusResult("ok", reply)

@@ -9,6 +9,7 @@ from hilsim.dut import (
     COMMAND_OVERHEAD_NS,
     FaultConfig,
     HANDLER_OVERHEAD_NS,
+    MAX_COMMAND_COUNT,
     METADATA,
 )
 
@@ -89,6 +90,22 @@ def test_a_bad_level_or_period_is_einval_before_any_edge_and_leaves_the_schedule
         assert cmd(bench, "timer_trace 4 1000000 0")["result"] == "Success"
         assert bench.scheduler.pending == 0
     assert cmd(bench, "gpio_set 0 0")["result"] == "Success"
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["timer_trace {} 1000 0", "timer_bench {} 1000 0", "i2c_read_reg 85 0 {}", "i2c_read_bytes 85 {}"],
+)
+def test_a_count_past_the_bound_is_einval_before_any_schedule_or_bus_activity(template):
+    bench = make_bench()
+    regs = bench.refdev.regs
+    assert cmd(bench, "i2c_init")["result"] == "Success"
+    image, now = bytes(regs.committed), bench.clock.now
+    assert cmd(bench, template.format(MAX_COMMAND_COUNT + 1))["error_code"] == -22
+    # no event queued, no edge, count or bus time: only the command's own overhead
+    assert bench.scheduler.pending == 0
+    assert bytes(regs.committed) == image
+    assert bench.clock.now == now + COMMAND_OVERHEAD_NS
 
 
 def test_a_raising_callback_drops_its_run_and_a_reset_leaves_no_event_queued():

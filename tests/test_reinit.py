@@ -47,6 +47,18 @@ def test_write_and_execute_of_an_init_flag_sends_it_once(bench):
     assert wire.lines == result.cmd == [f"wr {offset} 1", "ex"]
 
 
+def test_write_and_execute_of_a_module_with_no_init_flag_commits_the_write_alone(bench):
+    client, wire = connected_client(bench)
+    regs = bench.refdev.regs
+    offset = regs.map.lookup("user_reg.user_reg").offset
+    result = client.write_and_execute("user_reg.user_reg", 7)
+    assert result.ok
+    assert wire.lines == result.cmd == [f"wr {offset} 7", "ex"]
+    # committed by this execute: nothing is left staged for the next one
+    assert regs.staged == []
+    assert regs.read(offset, 1) == b"\x07"
+
+
 def test_a_trace_init_equals_a_timer_init(bench):
     client, _ = connected_client(bench)
     assert client.write_reg("timer.mode.capture_method", GPIO_IRQ).ok

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from hilsim.sim.bus import (
-    I2C_BITS_PER_BYTE,
-    SPI_BITS_PER_BYTE,
-    UART_BITS_PER_BYTE,
-    estimate_bus_speed,
-)
+from hilsim.sim.bus import I2C_BITS_PER_BYTE, SPI_BITS_PER_BYTE, UART_BITS_PER_BYTE
 from hilsim.sim.clock import EventScheduler, SimClock
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
 
@@ -50,12 +45,18 @@ def test_scheduler_rejects_past():
 # -- bus timing closed forms --------------------------------------------
 
 
+def published_duration(bench, module: str) -> int:
+    """The last frame's duration, from the start and stop times the module publishes."""
+    regs = bench.refdev.regs
+    return regs.read_param(f"{module}.stop_time") - regs.read_param(f"{module}.start_time")
+
+
 def test_i2c_duration_closed_form():
     bench = make_bench()
-    result = bench.i2c.read_reg(85, 0, 1, 100_000)
+    bench.i2c.read_reg(85, 0, 1, 100_000)
     # wire bytes: 1 pointer + 1 data, plus the address byte, 9 bits each
     expected = round(I2C_BITS_PER_BYTE * 3 * 1e9 / 100_000)
-    assert result.txn.duration_ns == expected
+    assert published_duration(bench, "i2c") == expected
 
 
 def test_i2c_clock_stretch_adds_to_duration():
@@ -63,22 +64,25 @@ def test_i2c_clock_stretch_adds_to_duration():
     bench.refdev.regs.poke_param("i2c.clk_stretch_delay", 5_000)
     bench.i2c.reinit()
     base = round(I2C_BITS_PER_BYTE * 3 * 1e9 / 100_000)
-    result = bench.i2c.read_reg(85, 0, 1, 100_000)
-    assert result.txn.duration_ns == base + 5_000
+    bench.i2c.read_reg(85, 0, 1, 100_000)
+    assert published_duration(bench, "i2c") == base + 5_000
 
 
 def test_spi_duration_closed_form():
     bench = make_bench()
-    result = bench.spi.transfer(bytes([5, 0, 0, 0]), 1_000_000, 0)
-    assert result.txn.duration_ns == round(SPI_BITS_PER_BYTE * 4 * 1e9 / 1_000_000)
+    bench.spi.transfer(bytes([5, 0, 0, 0]), 1_000_000, 0)
+    assert published_duration(bench, "spi") == round(SPI_BITS_PER_BYTE * 4 * 1e9 / 1_000_000)
 
 
 def test_uart_100_bytes_at_115200_takes_8_68_ms():
     bench = make_bench()
-    txn = bench.uart.process(bytes(100), 115_200).txn
+    start = bench.clock.now
+    reply = bench.uart.process(bytes(100), 115_200).data
+    # UART publishes no times: the clock advances by the received frame, then the echoed reply
+    rx_ns = bench.clock.now - start - round(UART_BITS_PER_BYTE * len(reply) * 1e9 / 115_200)
     # 100 bytes x 10 bits on the wire
-    assert txn.duration_ns == round(UART_BITS_PER_BYTE * 100 * 1e9 / 115_200)
-    assert txn.duration_ns == pytest.approx(8_680_000, rel=1e-3)
+    assert rx_ns == round(UART_BITS_PER_BYTE * 100 * 1e9 / 115_200)
+    assert rx_ns == pytest.approx(8_680_000, rel=1e-3)
 
 
 def test_bitrate_range_enforced():
@@ -95,18 +99,25 @@ def test_bitrate_range_enforced():
 def test_speed_estimation_exact_without_injection():
     rng = random.Random(13)
     bench = make_bench()
+    regs = bench.refdev.regs
     for _ in range(300):
         kind = rng.choice(("i2c", "spi", "uart"))
         if kind == "i2c":
             rate = rng.choice((10_000, 100_000, 400_000))
-            txn = bench.i2c.read_reg(85, rng.randrange(32), rng.randint(1, 8), rate).txn
+            bench.i2c.read_reg(85, rng.randrange(32), rng.randint(1, 8), rate)
+            estimate = regs.read_param("i2c.speed_hz")
         elif kind == "spi":
             rate = rng.choice((100_000, 1_000_000, 5_000_000))
-            txn = bench.spi.transfer(bytes(rng.randint(2, 9)), rate, 0).txn
+            bench.spi.transfer(bytes(rng.randint(2, 9)), rate, 0)
+            estimate = regs.read_param("spi.speed_hz")
         else:
+            # UART publishes no speed: estimate it from the clock's advance over both frames
             rate = rng.choice((9_600, 57_600, 115_200))
-            txn = bench.uart.process(bytes(rng.randint(1, 32)), rate).txn
-        assert estimate_bus_speed(txn) == pytest.approx(rate, rel=0.05)
+            start = bench.clock.now
+            data = bytes(rng.randint(1, 32))
+            reply = bench.uart.process(data, rate).data
+            estimate = UART_BITS_PER_BYTE * (len(data) + len(reply)) * 1e9 / (bench.clock.now - start)
+        assert estimate == pytest.approx(rate, rel=0.05)
 
 
 def test_speed_published_to_registers():
