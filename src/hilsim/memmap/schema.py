@@ -23,6 +23,12 @@ SCALAR_TYPES = {
 ACCESS_LEVELS = ("read-only", "writable", "privileged")
 KNOWN_FLAGS = ("init-trigger", "volatile", "user-shared")
 
+# the keys the schema allows on the document, a module, a record and a scalar parameter
+DOCUMENT_KEYS = frozenset({"name", "version", "padded_total_size", "modules"})
+MODULE_KEYS = frozenset({"name", "description", "parameters"})
+RECORD_KEYS = frozenset({"name", "type", "description", "members"})
+SCALAR_KEYS = frozenset({"name", "type", "description", "array_len", "default", "access", "flags"})
+
 
 class ConfigError(ValueError):
     """Schema violation in a register-map configuration."""
@@ -73,58 +79,58 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _require_keys(obj: dict, allowed: frozenset, where: str) -> None:
+    if not allowed.issuperset(obj):
+        raise ConfigError(f"{where} takes no key {min(obj.keys() - allowed)!r}")
+
+
+def _is_int(value) -> bool:
+    """An integer as the schema means it: JSON true and false are not integers."""
+    return type(value) is int
+
+
 def _check_default(param: ParameterSpec, qualname: str) -> None:
     lo, hi = SCALAR_TYPES[param.type][1:]
     values = param.default if isinstance(param.default, list) else [param.default]
-    if isinstance(param.default, list):
-        _require(
-            len(values) <= param.array_len,
-            f"{qualname}: default list longer than array_len",
-        )
+    _require(len(values) <= param.array_len, f"{qualname}: default list longer than array_len")
     for v in values:
-        _require(isinstance(v, int), f"{qualname}: default must be an integer")
+        _require(_is_int(v), f"{qualname}: default must be an integer")
         _require(lo <= v <= hi, f"{qualname}: default {v} out of range for {param.type}")
 
 
-def _parse_parameter(obj: dict, qualname: str, allow_record: bool = True) -> ParameterSpec:
+def _parse_parameter(obj: dict, qualname: str) -> ParameterSpec:
     _require(isinstance(obj, dict), f"{qualname}: parameter must be an object")
     name = obj.get("name")
     _require(isinstance(name, str) and name.isidentifier(), f"{qualname}: bad parameter name {name!r}")
     ptype = obj.get("type", "u8")
-    access = obj.get("access", "writable")
-    _require(access in ACCESS_LEVELS, f"{qualname}: unknown access level {access!r}")
-    flags = tuple(obj.get("flags", []))
-    for f in flags:
-        _require(f in KNOWN_FLAGS, f"{qualname}: unknown flag {f!r}")
+    record = ptype == "record"
+    _require_keys(obj, RECORD_KEYS if record else SCALAR_KEYS, f"{qualname}: a {'record' if record else 'scalar'}")
     description = obj.get("description", "")
     _require(
         isinstance(description, str) and description.strip() != "",
         f"{qualname}: description must be non-empty",
     )
 
-    if ptype == "record":
-        _require(allow_record, f"{qualname}: nested records beyond one level not supported")
+    if record:
         raw_members = obj.get("members", [])
         _require(len(raw_members) >= 1, f"{qualname}: record needs at least one member")
         members = []
         seen = set()
         for m in raw_members:
-            sub = _parse_parameter(m, f"{qualname}.{m.get('name', '?')}", allow_record=True)
+            sub = _parse_parameter(m, f"{qualname}.{m.get('name', '?')}")
             _require(sub.name not in seen, f"{qualname}.{sub.name}: duplicate member name")
             seen.add(sub.name)
             members.append(sub)
-        return ParameterSpec(
-            name=name,
-            type="record",
-            access=access,
-            flags=flags,
-            description=description,
-            members=tuple(members),
-        )
+        return ParameterSpec(name=name, type="record", description=description, members=tuple(members))
 
+    access = obj.get("access", "writable")
+    _require(access in ACCESS_LEVELS, f"{qualname}: unknown access level {access!r}")
+    flags = tuple(obj.get("flags", []))
+    for f in flags:
+        _require(f in KNOWN_FLAGS, f"{qualname}: unknown flag {f!r}")
     _require(ptype in SCALAR_TYPES, f"{qualname}: unknown type {ptype!r}")
     array_len = obj.get("array_len", 1)
-    _require(isinstance(array_len, int) and array_len >= 1, f"{qualname}: array_len must be >= 1")
+    _require(_is_int(array_len) and array_len >= 1, f"{qualname}: array_len must be >= 1")
     param = ParameterSpec(
         name=name,
         type=ptype,
@@ -148,6 +154,7 @@ def parse_config(text: str) -> MemoryMapSpec:
         ) from exc
 
     _require(isinstance(doc, dict), "top-level document must be an object")
+    _require_keys(doc, DOCUMENT_KEYS, "the map document")
     name = doc.get("name")
     _require(isinstance(name, str) and name.isidentifier(), f"bad map name {name!r}")
     version = doc.get("version")
@@ -159,7 +166,7 @@ def parse_config(text: str) -> MemoryMapSpec:
     )
     padded = doc.get("padded_total_size")
     if padded is not None:
-        _require(isinstance(padded, int) and padded >= 1, "padded_total_size must be a positive integer")
+        _require(_is_int(padded) and padded >= 1, "padded_total_size must be a positive integer")
 
     modules = []
     qualnames: set[str] = set()
@@ -169,6 +176,7 @@ def parse_config(text: str) -> MemoryMapSpec:
         mod_name = mod.get("name")
         _require(isinstance(mod_name, str) and mod_name.isidentifier(), f"bad module name {mod_name!r}")
         _require(mod_name not in module_names, f"duplicate module name {mod_name!r}")
+        _require_keys(mod, MODULE_KEYS, f"module {mod_name!r}")
         module_names.add(mod_name)
         params = []
         for p in mod.get("parameters", []):
@@ -176,10 +184,6 @@ def parse_config(text: str) -> MemoryMapSpec:
             param = _parse_parameter(p, qual)
             _require(qual not in qualnames, f"duplicate parameter name {qual}")
             qualnames.add(qual)
-            for sub in param.members:
-                subqual = f"{qual}.{sub.name}"
-                _require(subqual not in qualnames, f"duplicate parameter name {subqual}")
-                qualnames.add(subqual)
             params.append(param)
         modules.append(
             ModuleSpec(name=mod_name, description=mod.get("description", ""), parameters=tuple(params))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import partial
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
@@ -157,15 +158,18 @@ class ReferenceDevice:
         self.version = layout.version
         # module name -> re-init callback, invoked on execute when the
         # module's init flag byte transitioned to 1; one callback may serve
-        # several modules and runs once per reset or execute
+        # several modules and runs once per reset or execute. Until a model
+        # registers its own, a module's re-init restores its read-only registers.
         self._init_hooks: dict[str, Callable[[], None]] = {}
         self._init_flags: dict[str, int] = {}
         for entry in layout.entries:
             if "init-trigger" in entry.flags:
                 module = entry.name.split(".")[0]
                 self._init_flags[module] = entry.offset
+                self._init_hooks[module] = partial(self.regs.restore, module)
 
     def register_init_hook(self, module: str, hook: Callable[[], None]) -> None:
+        """Replace ``module``'s default re-init, which restores its read-only registers; ``hook`` restores them itself."""
         if module not in self._init_flags:
             raise KeyError(f"module {module!r} has no init-trigger parameter")
         self._init_hooks[module] = hook
@@ -186,8 +190,7 @@ class ReferenceDevice:
 
     def _reinit(self, modules) -> None:
         """Run the distinct hooks of ``modules``, each once."""
-        hooks = self._init_hooks
-        for hook in dict.fromkeys(hooks[m] for m in modules if m in hooks):
+        for hook in dict.fromkeys(self._init_hooks[m] for m in modules):
             hook()
 
     def handle_line(self, line: str) -> str:

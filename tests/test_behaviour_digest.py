@@ -10,7 +10,7 @@ digests = load_script("behaviour_digest")
 
 
 def test_suite_reports_give_the_pinned_suites_digest():
-    assert digests.suites_digest() == "d89dde019f788e7644c1b87a1787a886a745cc2135f6a66de02904cd03a22b72"
+    assert digests.suites_digest() == "5690df97a6e2a998822d656cc78ae7e93ed96b2c514433c25e8c4b1c5e281f9b"
 
 
 def test_command_streams_give_the_pinned_streams_digest():
@@ -18,7 +18,7 @@ def test_command_streams_give_the_pinned_streams_digest():
 
 
 def test_served_suite_reports_give_the_pinned_served_digest():
-    assert digests.served_digest() == "511b1e84441144197f6ffc826fae55d71f6652f415b2c3e640a62c3cdc0e9d6c"
+    assert digests.served_digest() == "f6bc7ce9a8acf6f730115a5e69a3c0c04899ef05dd1080ba6bd440a9c4e41b7c"
 
 
 def test_capture_streams_give_the_pinned_trace_digest():

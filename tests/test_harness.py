@@ -111,6 +111,17 @@ def test_determinism_same_seed_same_report():
     assert strip(first.to_dict()) == strip(second.to_dict())
 
 
+def test_gpio_timer_measures_the_same_after_other_suites_on_one_runner():
+    # the clock of a runner that ran other suites first is far ahead; the timing figures must not see it
+    runner = SuiteRunner.local(RunConfig(seed=0))
+    for suite in SUITE_NAMES:
+        if suite != "gpio_timer":
+            runner.run_suite(suite)
+    late = runner.run_suite("gpio_timer")
+    fresh = SuiteRunner.local(RunConfig(seed=0)).run_suite("gpio_timer")
+    assert [(c.id, c.verdict, c.measured) for c in late.cases] == [(c.id, c.verdict, c.measured) for c in fresh.cases]
+
+
 def test_unsupported_mode_skips():
     config = RunConfig(seed=1, unsupported_modes=("i2c-16bit-registers",))
     report = run_suite("i2c", config=config)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -88,6 +89,52 @@ def test_unknown_flag_rejected():
     cfg = make_config([{"name": "a", "parameters": [param("x", flags=["magic"])]}])
     with pytest.raises(ConfigError, match="unknown flag"):
         parse_config(cfg)
+
+
+def record(name, *members, **kw):
+    return {"name": name, "type": "record", "description": f"{name} test record", "members": list(members), **kw}
+
+
+def one_module(*params, **module_keys):
+    return {"name": "m", "version": "1.0.0", "modules": [{"name": "a", "parameters": list(params), **module_keys}]}
+
+
+@pytest.mark.parametrize(
+    "doc,msg",
+    [
+        (one_module(param("x", acess="read-only")), "a.x: a scalar takes no key 'acess'"),
+        (one_module(param("x", members=[param("y")])), "a.x: a scalar takes no key 'members'"),
+        (one_module(record("r", param("y"), access="read-only")), "a.r: a record takes no key 'access'"),
+        (one_module(record("r", param("y"), flags=["init-trigger"])), "a.r: a record takes no key 'flags'"),
+        (one_module(record("r", param("y"), default=3)), "a.r: a record takes no key 'default'"),
+        (one_module(record("r", param("y"), array_len=2)), "a.r: a record takes no key 'array_len'"),
+        (one_module(record("r", param("y", acess="read-only"))), "a.r.y: a scalar takes no key 'acess'"),
+        ({**one_module(param("x")), "padded_size": 64}, "the map document takes no key 'padded_size'"),
+        (one_module(param("x"), params=[]), "module 'a' takes no key 'params'"),
+        ({**one_module(param("x")), "padded_total_size": True}, "padded_total_size must be a positive integer"),
+        (one_module(param("x", array_len=True)), "a.x: array_len must be >= 1"),
+        (one_module(param("x", default=True)), "a.x: default must be an integer"),
+        (one_module(param("x", array_len=2, default=[1, False])), "a.x: default must be an integer"),
+    ],
+    ids=[
+        "misspelt-key",
+        "members-on-a-scalar",
+        "access-on-a-record",
+        "flags-on-a-record",
+        "default-on-a-record",
+        "array_len-on-a-record",
+        "misspelt-key-in-a-member",
+        "unknown-document-key",
+        "unknown-module-key",
+        "bool-padded_total_size",
+        "bool-array_len",
+        "bool-default",
+        "bool-in-a-default-list",
+    ],
+)
+def test_a_key_the_schema_forbids_or_a_bool_for_an_integer_is_rejected(doc, msg):
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        parse_config(json.dumps(doc))
 
 
 # -- layout -------------------------------------------------------------

@@ -1,5 +1,8 @@
 """One module re-init: an init flag returns its module's read-only registers to the default image."""
 
+import pytest
+
+from hilsim.pal import SUCCESS, DutClient
 from hilsim.sim.gpio import CAPTURE_METHODS
 from hilsim.sim.trace import TraceUnit
 
@@ -22,7 +25,12 @@ def test_read_only_spans_cover_exactly_each_modules_read_only_entries(bench):
         assert covered == expected, module
 
 
-def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench):
+# sys and gpio0-2 have no model: their default re-init restores their registers alone
+@pytest.mark.parametrize(
+    "module,write",
+    [("spi", "spi.mode.cpha"), ("sys", "sys.mode.init")] + [(f"gpio{i}", f"gpio{i}.mode.init") for i in range(3)],
+)
+def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench, module, write):
     regs = bench.refdev.regs
     layout = regs.map
     for entry in layout.entries:
@@ -30,13 +38,27 @@ def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench)
             regs.poke(entry.offset, b"\x5a" * entry.size)
     dirty = bytes(regs.committed)
     client, _ = connected_client(bench)
-    assert client.write_and_execute("spi.mode.cpha", 1).ok
+    assert client.write_and_execute(write, 1).ok
     for entry in layout.entries:
         if entry.access != "read-only":
             continue
         span = slice(entry.offset, entry.offset + entry.size)
-        expected = layout.default_image[span] if entry.name.startswith("spi.") else dirty[span]
+        expected = layout.default_image[span] if entry.name.startswith(module + ".") else dirty[span]
         assert regs.committed[span] == expected, entry.name
+
+
+def test_a_gpio_init_forgets_the_edges_the_pin_counted(bench):
+    client, _ = connected_client(bench)
+    dut = DutClient(bench.dut)
+    for _ in range(3):
+        assert dut.gpio_toggle(0)["result"] == SUCCESS
+    assert client.read_reg("gpio0.edge_count").data == [3]
+    assert client.write_and_execute("gpio0.mode.init", 1).ok
+    for name in ("edge_count", "status.level", "rise_ticks", "fall_ticks"):
+        assert client.read_reg(f"gpio0.{name}").data == [0], name
+    # counting starts again from the restored count
+    assert dut.gpio_toggle(0)["result"] == SUCCESS
+    assert client.read_reg("gpio0.edge_count").data == [1]
 
 
 def test_write_and_execute_of_an_init_flag_sends_it_once(bench):
