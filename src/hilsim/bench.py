@@ -1,4 +1,4 @@
-"""One simulated test-node pair: reference device + DUT on a shared scheduler."""
+"""One simulated test-node pair: reference device + DUT on one simulated clock."""
 
 from __future__ import annotations
 

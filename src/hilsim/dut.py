@@ -302,13 +302,8 @@ class DutDevice:
         n_timers, period_ns, pin = args[0], args[1], args[2]
         if not 1 <= n_timers <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
-        ref_pin = self._ref_pin(pin)
         target = self.clock.now + self._dut_interval(period_ns)
-        for i in range(n_timers):
-            fire_at = target + (i + 1) * HANDLER_OVERHEAD_NS
-            self.scheduler.schedule_at(fire_at, lambda p=pin: self._toggle_now(p))
-        self.scheduler.run_until_idle()
-        self.trace.publish()
+        self._toggle_train(pin, [target + (i + 1) * HANDLER_OVERHEAD_NS for i in range(n_timers)])
         return {"result": RESULT_SUCCESS, "data": target}
 
     def _cmd_timer_trace(self, args) -> dict:
@@ -316,18 +311,25 @@ class DutDevice:
         n_edges, period_ns, pin = args[0], args[1], args[2]
         if not 1 <= n_edges <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
-        self._ref_pin(pin)
-        base = self.clock.now
-        for k in range(1, n_edges + 1):
-            fire_at = base + self._dut_interval(k * period_ns) + HANDLER_OVERHEAD_NS
-            self.scheduler.schedule_at(fire_at, lambda p=pin: self._toggle_now(p))
-        self.scheduler.run_until_idle()
-        self.trace.publish()
+        base = self.clock.now + HANDLER_OVERHEAD_NS
+        self._toggle_train(pin, [base + self._dut_interval(k * period_ns) for k in range(1, n_edges + 1)])
         return {"result": RESULT_SUCCESS, "data": n_edges}
 
-    def _toggle_now(self, pin: int) -> None:
+    def _toggle_train(self, pin: int, times: list[int]) -> None:
+        """Toggle ``pin`` once at each of ``times``, as timer handlers firing at those times would.
+
+        Handlers fire in time order, equal times in the order given; a handler due before now
+        makes the whole train EINVAL, with no edge recorded.
+        """
+        ref_pin = self._ref_pin(pin)
+        times.sort()
+        if times[0] < self.clock.now:
+            raise _DutError(EINVAL)
         level = 1 - self._pin_levels.get(pin, 0)
-        self._drive_pin(pin, level)
+        self.trace.record_edges(ref_pin, level, times)
+        self.clock.advance_to(times[-1])
+        self._pin_levels[pin] = level if len(times) % 2 else 1 - level
+        self.trace.publish()
 
 
 def _bus_data(result: BusResult) -> bytes:

@@ -125,7 +125,11 @@ def _parse_parameter(obj: dict, qualname: str) -> ParameterSpec:
 
     access = obj.get("access", "writable")
     _require(access in ACCESS_LEVELS, f"{qualname}: unknown access level {access!r}")
-    flags = tuple(obj.get("flags", []))
+    flags = obj.get("flags", [])
+    _require(
+        isinstance(flags, list) and all(isinstance(f, str) for f in flags) and len(set(flags)) == len(flags),
+        f"{qualname}: flags must be a list of unique strings",
+    )
     for f in flags:
         _require(f in KNOWN_FLAGS, f"{qualname}: unknown flag {f!r}")
     _require(ptype in SCALAR_TYPES, f"{qualname}: unknown type {ptype!r}")
@@ -137,7 +141,7 @@ def _parse_parameter(obj: dict, qualname: str) -> ParameterSpec:
         array_len=array_len,
         default=obj.get("default", 0),
         access=access,
-        flags=flags,
+        flags=tuple(flags),
         description=description,
     )
     _check_default(param, qualname)
@@ -177,6 +181,8 @@ def parse_config(text: str) -> MemoryMapSpec:
         _require(isinstance(mod_name, str) and mod_name.isidentifier(), f"bad module name {mod_name!r}")
         _require(mod_name not in module_names, f"duplicate module name {mod_name!r}")
         _require_keys(mod, MODULE_KEYS, f"module {mod_name!r}")
+        description = mod.get("description", "")
+        _require(isinstance(description, str), f"module {mod_name!r}: description must be a string")
         module_names.add(mod_name)
         params = []
         for p in mod.get("parameters", []):
@@ -186,7 +192,7 @@ def parse_config(text: str) -> MemoryMapSpec:
             qualnames.add(qual)
             params.append(param)
         modules.append(
-            ModuleSpec(name=mod_name, description=mod.get("description", ""), parameters=tuple(params))
+            ModuleSpec(name=mod_name, description=description, parameters=tuple(params))
         )
 
     return MemoryMapSpec(

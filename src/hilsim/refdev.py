@@ -38,15 +38,17 @@ class RangeViolation(ValueError):
 class Field:
     """One element of a map entry bound to its offset in a register file, read and written with no name lookup.
 
-    A value out of the entry's range raises the same ``ValueError`` as ``LayoutEntry.pack``.
+    A value out of the entry's range raises the same ``ValueError`` as ``LayoutEntry.pack`` and
+    leaves the register as it was.
     """
 
-    __slots__ = ("entry", "offset", "modulus", "_codec", "_view")
+    __slots__ = ("entry", "offset", "modulus", "_span", "_codec", "_view")
 
     def __init__(self, view: memoryview, entry: LayoutEntry, index: int = 0):
         self.entry = entry
         self.offset = entry.element_offset(index)
         self.modulus = 1 << 8 * entry.elem_size  # where a counter of this width wraps
+        self._span = slice(self.offset, self.offset + entry.elem_size)
         self._codec = ELEMENT[entry.type]
         self._view = view
 
@@ -54,8 +56,9 @@ class Field:
         return self._codec.unpack_from(self._view, self.offset)[0]
 
     def set(self, value: int) -> None:
+        # packed before the view is touched: Struct.pack_into zeroes the element before it raises
         try:
-            self._codec.pack_into(self._view, self.offset, value)
+            self._view[self._span] = self._codec.pack(value)
         except struct.error:
             self.entry.pack(value)  # raises the entry's ValueError
             raise

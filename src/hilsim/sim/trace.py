@@ -49,14 +49,38 @@ class TraceUnit:
         self.regs.poke_param("timer.min_holdoff", method.t_jitter_ns)
 
     def record_edge(self, pin: int, level: int) -> bool:
-        t = self.clock.now
-        kept = self.trace.record(pin, level, t)
+        """Record one edge at the clock's time; returns True if the capture kept it."""
+        return self.record_edges(pin, level, (self.clock.now,)) == 1
+
+    def record_edges(self, pin: int, level: int, times) -> int:
+        """Record a train of edges on ``pin`` at ``times`` (ascending, at least one), alternating
+        from ``level``; returns how many the capture kept.
+
+        The pin's registers are written once, with what per-edge writes would have left:
+        ``status.level`` follows the last edge, kept or not, ``edge_count`` counts kept edges
+        and wraps at its width, and ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall
+        time mod 2^32.
+        """
+        record = self.trace.record
+        kept = 0
+        rise_t = fall_t = None  # times of the last kept rise and fall
+        for t in times:
+            if record(pin, level, t):
+                kept += 1
+                if level:
+                    rise_t = t
+                else:
+                    fall_t = t
+            level ^= 1
         if pin < len(self._pins):
             status, edges, rise, fall = self._pins[pin]
-            status.set(level)
+            status.set(level ^ 1)  # the last edge's level: the loop flipped past it
             if kept:
-                edges.set(edges.get() + 1)
-                (rise if level else fall).set(t & 0xFFFFFFFF)
+                edges.set((edges.get() + kept) % edges.modulus)
+                if rise_t is not None:
+                    rise.set(rise_t & 0xFFFFFFFF)
+                if fall_t is not None:
+                    fall.set(fall_t & 0xFFFFFFFF)
         return kept
 
     def publish(self) -> None:

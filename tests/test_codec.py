@@ -116,3 +116,18 @@ def test_a_bound_field_out_of_range_raises_the_value_error_of_poke_param_and_wri
     with pytest.raises(ValueError, match="trace.tick"):
         regs.bind("trace.tick", 128)
     assert bytes(regs.committed) == before
+
+
+@pytest.mark.parametrize(
+    "name,index,bad",
+    [("i2c.r_count", 0, 256), ("i2c.r_count", 0, -1), ("trace.tick", 3, 1 << 32), ("trace.tick", 3, 1.5)],
+)
+def test_a_rejected_bound_field_write_leaves_a_non_zero_register_unchanged(bench, name, index, bad):
+    regs = bench.refdev.regs
+    field = regs.bind(name, index)
+    field.set(5)
+    before = bytes(regs.committed)
+    with pytest.raises(ValueError, match=name):
+        field.set(bad)
+    assert field.get() == 5
+    assert bytes(regs.committed) == before

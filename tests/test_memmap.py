@@ -137,6 +137,23 @@ def test_a_key_the_schema_forbids_or_a_bool_for_an_integer_is_rejected(doc, msg)
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "doc,msg",
+    [
+        (one_module(param("x", flags={"init-trigger": 1})), "a.x: flags must be a list of unique strings"),
+        (one_module(param("x", flags="volatile")), "a.x: flags must be a list of unique strings"),
+        (one_module(param("x", flags=["volatile", "volatile"])), "a.x: flags must be a list of unique strings"),
+        (one_module(param("x", flags=[["volatile"]])), "a.x: flags must be a list of unique strings"),
+        (one_module(param("x"), description=7), "module 'a': description must be a string"),
+        (one_module(param("x"), description=None), "module 'a': description must be a string"),
+    ],
+    ids=["an-object", "a-string", "a-repeated-flag", "a-list-in-the-list", "int-description", "null-description"],
+)
+def test_flags_not_a_list_of_unique_strings_or_a_module_description_not_a_string_is_rejected(doc, msg):
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        parse_config(json.dumps(doc))
+
+
 # -- layout -------------------------------------------------------------
 
 

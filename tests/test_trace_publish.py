@@ -6,6 +6,8 @@ from collections import Counter
 
 import pytest
 
+from hilsim.sim.gpio import GpioTrace
+
 from conftest import make_bench
 
 ARRAYS = ("trace.source", "trace.value", "trace.tick")
@@ -22,29 +24,31 @@ class PinWatch:
 
     ``status.level`` follows every edge, ``edge_count`` counts kept edges only, and a kept
     rise or fall stores its unperturbed time mod 2^32. A capture re-init restores the defaults.
+    The watch sees each edge where the bench's capture records it, one ``GpioTrace.record``
+    call per edge, whether the edge came alone or in a timer train.
     """
 
-    def __init__(self, bench):
+    def __init__(self, bench, monkeypatch):
         self.unit = bench.trace
         layout = bench.refdev.regs.map
         self.defaults = {name: layout.lookup(name).default for name in PIN_REGISTERS}
         self.capture = self.expected = None
         self.dropped = Counter()  # edges the capture did not keep, by capture method
-        record = self.unit.record_edge
+        record = GpioTrace.record
 
-        def recording(pin, level):
-            expected = self.registers()
-            t = bench.clock.now
-            kept = record(pin, level)
-            expected[f"gpio{pin}.status.level"] = level
-            if kept:
-                expected[f"gpio{pin}.edge_count"] += 1
-                expected[f"gpio{pin}.{'rise' if level else 'fall'}_ticks"] = t & 0xFFFFFFFF
-            else:
-                self.dropped[self.unit.method.kind] += 1
+        def recording(capture, pin, level, t_ns):
+            kept = record(capture, pin, level, t_ns)
+            if capture is self.unit.trace:
+                expected = self.registers()
+                expected[f"gpio{pin}.status.level"] = level
+                if kept:
+                    expected[f"gpio{pin}.edge_count"] += 1
+                    expected[f"gpio{pin}.{'rise' if level else 'fall'}_ticks"] = t_ns & 0xFFFFFFFF
+                else:
+                    self.dropped[capture.method.kind] += 1
             return kept
 
-        self.unit.record_edge = recording
+        monkeypatch.setattr(GpioTrace, "record", recording)
 
     def registers(self) -> dict:
         if self.unit.trace is not self.capture:
@@ -107,13 +111,13 @@ def run_line(bench, line: str) -> None:
         bench.dut.handle_line(line)
 
 
-def test_published_trace_equals_a_from_scratch_mirror_after_every_command():
+def test_published_trace_equals_a_from_scratch_mirror_after_every_command(monkeypatch):
     most_held = {}
     dropped = Counter()
     for seed in range(4):
         rng = random.Random(seed)
         bench = make_bench(seed=seed)
-        pins = PinWatch(bench)
+        pins = PinWatch(bench, monkeypatch)
         for _ in range(60):
             for line in random_step(rng, bench.refdev.regs.map):
                 run_line(bench, line)
@@ -147,9 +151,9 @@ def array_bytes_poked(bench, line: str) -> dict:
     return written
 
 
-def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes():
+def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes(monkeypatch):
     bench = make_bench(seed=3)
-    pins = PinWatch(bench)
+    pins = PinWatch(bench, monkeypatch)
     bench.refdev.regs.poke_param("timer.mode.capture_method", GPIO_IRQ)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 200 20000 0")
@@ -160,9 +164,9 @@ def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes():
 
 
 @pytest.mark.parametrize("method", [1, GPIO_IRQ])
-def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(method):
+def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(method, monkeypatch):
     bench = make_bench(seed=3)
-    pins = PinWatch(bench)
+    pins = PinWatch(bench, monkeypatch)
     bench.refdev.regs.poke_param("timer.mode.capture_method", method)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 50 20000 0")
