@@ -1,4 +1,4 @@
-"""One simulated test-node pair: reference device + DUT on one simulated clock."""
+"""One simulated test-node pair: reference device + DUT on one bare simulated clock."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hilsim.dut import DutDevice, FaultConfig
 from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
 from hilsim.sim.bus import I2cSlaveModel, SpiSlaveModel, UartModel
-from hilsim.sim.clock import EventScheduler
+from hilsim.sim.clock import SimClock
 from hilsim.sim.trace import TraceUnit
 
 
@@ -25,8 +25,7 @@ class Bench:
 
     def __init__(self, config: BenchConfig | None = None):
         self.config = config or BenchConfig()
-        self.scheduler = EventScheduler()
-        self.clock = self.scheduler.clock
+        self.clock = SimClock()
         layout = reference_layout()
         self.refdev = ReferenceDevice(layout)
         regs = self.refdev.regs
@@ -40,7 +39,7 @@ class Bench:
         self.refdev.register_init_hook("timer", self.trace.reinit)
         self.refdev.register_init_hook("trace", self.trace.reinit)
         self.dut = DutDevice(
-            self.scheduler,
+            self.clock,
             self.i2c,
             self.spi,
             self.uart,
@@ -51,6 +50,6 @@ class Bench:
         )
 
     def reset(self) -> None:
-        """Reset both devices, as a harness setup phase does."""
+        """Reset both devices, as a harness setup phase does: register image, model configuration, DUT session."""
         self.refdev.reset()
         self.dut.reset()

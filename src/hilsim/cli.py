@@ -48,6 +48,8 @@ def _load_faults(path: str | None) -> FaultConfig | None:
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
+    if not port.isdigit() or int(port) > 0xFFFF:
+        raise BadInput(f"bad address {value!r}, expected host:port")
     return host or "127.0.0.1", int(port)
 
 
@@ -84,6 +86,23 @@ def _build_bench(seed: int, faults: str | None, ppm: float) -> Bench:
     return Bench(BenchConfig(seed=seed, faults=_load_faults(faults), dut_clock_ppm_error=ppm))
 
 
+def _serve_address(listen: str | None, stdio: bool) -> tuple[str, int] | None:
+    """The host and port ``--listen`` names, or None for ``--stdio``."""
+    if stdio == (listen is not None):
+        raise click.UsageError("pass exactly one of --listen or --stdio")
+    return None if stdio else _parse_listen(listen)
+
+
+def _serve(device, name: str, address: tuple[str, int] | None) -> None:
+    """Serve ``device`` on stdin/stdout if ``address`` is None, else on TCP, until the process ends."""
+    if address is None:
+        serve_stdio(device)
+        return
+    server = serve_tcp(device, *address)
+    click.echo(f"{name} on {server.endpoint}", err=True)
+    server.serve_forever()
+
+
 @main.command()
 @click.option("--listen", default=None, help="host:port to serve on")
 @click.option("--stdio", is_flag=True, help="serve on stdin/stdout instead of TCP")
@@ -91,19 +110,14 @@ def _build_bench(seed: int, faults: str | None, ppm: float) -> Bench:
 @click.option("--seed", default=0, show_default=True)
 def serve(listen: str | None, stdio: bool, dut_listen: str | None, seed: int) -> None:
     """Serve a simulated reference device speaking the line protocol."""
-    if stdio == (listen is not None):
-        raise click.UsageError("pass exactly one of --listen or --stdio")
+    address = _serve_address(listen, stdio)
+    dut_address = None if dut_listen is None else _parse_listen(dut_listen)
     bench = _build_bench(seed, None, 0.0)
-    if dut_listen is not None:
-        dut_server = serve_tcp(bench.dut, *_parse_listen(dut_listen))
+    if dut_address is not None:
+        dut_server = serve_tcp(bench.dut, *dut_address)
         dut_server.serve_background()
         click.echo(f"DUT on {dut_server.endpoint}", err=True)
-    if stdio:
-        serve_stdio(bench.refdev)
-        return
-    server = serve_tcp(bench.refdev, *_parse_listen(listen))
-    click.echo(f"reference device on {server.endpoint}", err=True)
-    server.serve_forever()
+    _serve(bench.refdev, "reference device", address)
 
 
 @main.group()
@@ -120,15 +134,8 @@ def dut() -> None:
 @click.option("--seed", default=0, show_default=True)
 def dut_serve(listen: str | None, stdio: bool, faults: str | None, ppm: float, seed: int) -> None:
     """Serve a simulated DUT (with its own private reference bench)."""
-    if stdio == (listen is not None):
-        raise click.UsageError("pass exactly one of --listen or --stdio")
-    bench = _build_bench(seed, faults, ppm)
-    if stdio:
-        serve_stdio(bench.dut)
-        return
-    server = serve_tcp(bench.dut, *_parse_listen(listen))
-    click.echo(f"DUT on {server.endpoint}", err=True)
-    server.serve_forever()
+    address = _serve_address(listen, stdio)
+    _serve(_build_bench(seed, faults, ppm).dut, "DUT", address)
 
 
 # -- shell ---------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, fields
 
 from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
-from hilsim.sim.clock import EventScheduler
+from hilsim.sim.clock import SimClock
 from hilsim.sim.trace import TraceUnit
 
 RESULT_SUCCESS = "Success"
@@ -94,7 +94,7 @@ class DutDevice:
 
     def __init__(
         self,
-        scheduler: EventScheduler,
+        clock: SimClock,
         i2c: I2cSlaveModel,
         spi: SpiSlaveModel,
         uart: UartModel,
@@ -103,8 +103,7 @@ class DutDevice:
         clock_ppm_error: float = 0.0,
         pin_map: dict[int, int] | None = None,
     ):
-        self.scheduler = scheduler
-        self.clock = scheduler.clock
+        self.clock = clock
         self.i2c = i2c
         self.spi = spi
         self.uart = uart
@@ -116,8 +115,7 @@ class DutDevice:
         self.reset()
 
     def reset(self) -> None:
-        """Session reset: bus state, hang latches and pending timer events; faults stay configured."""
-        self.scheduler.clear()
+        """Session reset: bus state and hang latches; faults stay configured."""
         self._i2c_ready = False
         self._spi_ready = False
         self._spi_mode = 0
@@ -154,8 +152,6 @@ class DutDevice:
             fields_out = {"result": RESULT_ERROR, "error_code": -EINVAL}
         response = {"cmd": [line]}
         response.update(fields_out)
-        if "result" not in response:
-            response["result"] = RESULT_SUCCESS
         return json.dumps(response)
 
     def _dispatch(self, line: str) -> dict:
@@ -241,10 +237,11 @@ class DutDevice:
     # -- SPI ------------------------------------------------------------
 
     def _cmd_spi_init(self, args) -> dict:
-        self._spi_mode = args[0] if args else 0
-        self._spi_bitrate = args[1] if len(args) > 1 else DEFAULT_SPI_BITRATE
-        if self._spi_mode not in (0, 1, 2, 3):
+        mode = args[0] if args else 0
+        if mode not in (0, 1, 2, 3):
             raise _DutError(EINVAL)
+        self._spi_mode = mode
+        self._spi_bitrate = args[1] if len(args) > 1 else DEFAULT_SPI_BITRATE
         self._spi_ready = True
         return {"result": RESULT_SUCCESS}
 

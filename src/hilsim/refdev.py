@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import struct
-from functools import partial
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
@@ -159,41 +158,35 @@ class ReferenceDevice:
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
         self.version = layout.version
-        # module name -> re-init callback, invoked on execute when the
-        # module's init flag byte transitioned to 1; one callback may serve
-        # several modules and runs once per reset or execute. Until a model
-        # registers its own, a module's re-init restores its read-only registers.
+        # module name -> offset of its init flag byte, and -> the model callback that re-reads
+        # the module's configuration; one callback may serve several modules
+        self._init_flags = {e.name.split(".")[0]: e.offset for e in layout.entries if "init-trigger" in e.flags}
         self._init_hooks: dict[str, Callable[[], None]] = {}
-        self._init_flags: dict[str, int] = {}
-        for entry in layout.entries:
-            if "init-trigger" in entry.flags:
-                module = entry.name.split(".")[0]
-                self._init_flags[module] = entry.offset
-                self._init_hooks[module] = partial(self.regs.restore, module)
 
     def register_init_hook(self, module: str, hook: Callable[[], None]) -> None:
-        """Replace ``module``'s default re-init, which restores its read-only registers; ``hook`` restores them itself."""
+        """Run ``hook`` on each re-init of ``module``, once the device has restored the read-only
+        registers of every module ``hook`` serves; ``hook`` only re-reads configuration."""
         if module not in self._init_flags:
             raise KeyError(f"module {module!r} has no init-trigger parameter")
         self._init_hooks[module] = hook
 
     def reset(self) -> None:
-        """Restore defaults and re-init all registered peripheral models."""
+        """Restore the default image, then run each distinct hook once."""
         self.regs.reset()
-        self._reinit(self._init_hooks)
+        for hook in dict.fromkeys(self._init_hooks.values()):
+            hook()
 
     def execute(self) -> None:
-        """Commit staged writes, then lower each init flag at 1 and re-init its module."""
+        """Commit staged writes, lower each init flag at 1, restore the read-only registers of its
+        module and of every module sharing its hook, then run each distinct hook once."""
         self.regs.commit()
         committed = self.regs.committed
         raised = [module for module, offset in self._init_flags.items() if committed[offset] == 1]
         for module in raised:
             committed[self._init_flags[module]] = 0
-        self._reinit(raised)
-
-    def _reinit(self, modules) -> None:
-        """Run the distinct hooks of ``modules``, each once."""
-        for hook in dict.fromkeys(self._init_hooks[m] for m in modules):
+        hooks = dict.fromkeys(self._init_hooks[m] for m in raised if m in self._init_hooks)
+        self.regs.restore(*(m for m in self._init_flags if m in raised or self._init_hooks.get(m) in hooks))
+        for hook in hooks:
             hook()
 
     def handle_line(self, line: str) -> str:

@@ -68,6 +68,7 @@ class _PeripheralModel:
         self.reinit()
 
     def reinit(self) -> None:
+        """Re-read the module's configuration; the reference device has restored its registers."""
         raise NotImplementedError
 
     def _window_read(self, offset: int, size: int) -> bytes:
@@ -115,7 +116,6 @@ class I2cSlaveModel(_PeripheralModel):
         self.clock_stretch_ns = rp("i2c.clk_stretch_delay")
         self.nack_data = bool(rp("i2c.mode.nack_data"))
         self.nack_addr = bool(rp("i2c.mode.nack_addr"))
-        self.regs.restore(self.module)
 
     def _nacked(self, address: int, bitrate: int, data_phase: bool = True) -> BusResult | None:
         """The address and NACK path: the NACKed frame's result, or None if the slave takes the frame."""
@@ -199,7 +199,6 @@ class SpiSlaveModel(_PeripheralModel):
         rp = self.regs.read_param
         self.mode = (rp("spi.mode.cpol") << 1) | rp("spi.mode.cpha")
         self.reg_bytes = 2 if rp("spi.mode.reg_16_bit") else 1
-        self.regs.restore(self.module)
 
     def transfer(self, frame: bytes, bitrate: int, mode: int) -> BusResult:
         _check_bitrate(bitrate, SPI_BITRATE_RANGE, "SPI")
@@ -241,7 +240,6 @@ class UartModel(_PeripheralModel):
 
     def reinit(self) -> None:
         self.mode = self.regs.read_param("uart.mode.if_type")
-        self.regs.restore(self.module)
 
     def process(self, data: bytes, bitrate: int) -> BusResult:
         _check_bitrate(bitrate, UART_BITRATE_RANGE, "UART")

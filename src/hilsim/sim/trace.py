@@ -37,14 +37,15 @@ class TraceUnit:
         return self.trace.method
 
     def reinit(self) -> None:
-        """Re-init the timer and trace modules: apply the capture method, drop every capture."""
+        """Re-init the timer and trace modules: apply the capture method, drop every capture and
+        the pin accounting published for it."""
         code = self.regs.read_param("timer.mode.capture_method")
         method = CAPTURE_METHODS[_METHOD_BY_CODE.get(code, "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
         # the arrays show events _shown_first.._shown_first+_shown-1, numbered as the capture kept
-        # them; restore zeroes the arrays, and a register-file reset is always followed by this
+        # them; the reference device zeroes the arrays before it runs this hook
         self._shown_first = self._shown = 0
-        self.regs.restore("timer", "trace", *GPIO_MODULES)
+        self.regs.restore(*GPIO_MODULES)
         self.regs.poke_param("timer.min_tick", method.t_min_ns)
         self.regs.poke_param("timer.min_holdoff", method.t_jitter_ns)
 

@@ -14,7 +14,7 @@ def test_suite_reports_give_the_pinned_suites_digest():
 
 
 def test_command_streams_give_the_pinned_streams_digest():
-    assert digests.streams_digest() == "02f4f32a272f6b47fe4fba939cfba6ca7c3f3049df80b544b86874c32c44e7ea"
+    assert digests.streams_digest() == "c99f74f43393f77583ae2846f117c79a594338ddc159baab78322a34630dac3f"
 
 
 def test_served_suite_reports_give_the_pinned_served_digest():

@@ -78,7 +78,8 @@ def test_i2c_registers_and_transactions_match_closed_forms():
     # re-init clears the module's telemetry; a data NACK then holds the bus for the stretch too
     regs.poke_param("i2c.mode.nack_data", 1)
     regs.poke_param("i2c.clk_stretch_delay", 5_000)
-    i2c.reinit()
+    regs.poke_param("i2c.mode.init", 1)
+    bench.refdev.execute()
     want = dict.fromkeys(I2C_FIELDS, 0)
     frame(lambda: i2c.write_reg(SLAVE, 0, b"\x05", 100_000), "data-nack", b"", "write", 0, 100_000, 5_000)
     want.update(nack_count=1, err_count=1)
@@ -137,7 +138,8 @@ def test_reg_index_registers_follow_the_i2c_pointer_and_the_last_spi_frame():
     assert regs.read_param("i2c.reg_index") == 3
     # and a plain read after a re-init starts at register 0 again
     regs.poke(regs.map.lookup("user_reg.user_reg").offset, b"\x5a")
-    i2c.reinit()
+    regs.poke_param("i2c.mode.init", 1)
+    bench.refdev.execute()
     assert regs.read_param("i2c.reg_index") == 0
     assert i2c.read_bytes(SLAVE, 1, 100_000).data == b"\x5a"
 
@@ -149,7 +151,8 @@ def test_reg_index_registers_follow_the_i2c_pointer_and_the_last_spi_frame():
     spi.transfer(b"", 1_000_000, 0)
     spi.transfer(bytes([2, 0]), 1_000_000, 1)
     assert regs.read_param("spi.reg_index") == 9
-    spi.reinit()
+    regs.poke_param("spi.mode.init", 1)
+    bench.refdev.execute()
     assert regs.read_param("spi.reg_index") == 0
 
 

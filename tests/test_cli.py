@@ -262,6 +262,32 @@ def test_cli_run_suite_rejects_remote_endpoints_without_maps():
     assert_bad_input(result, "remote endpoints need a map directory")
 
 
+SERVE_COMMANDS = (["serve"], ["dut", "serve"])
+
+
+@pytest.mark.parametrize("command", SERVE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("args", [[], ["--stdio", "--listen", "127.0.0.1:0"]], ids=["neither", "both"])
+def test_cli_serve_takes_exactly_one_of_listen_or_stdio(command, args):
+    result = CliRunner().invoke(main, command + args)
+    assert result.exit_code == 2, result.output
+    assert "pass exactly one of --listen or --stdio" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["serve", "--listen", "localhost"],
+        ["serve", "--listen", ":65536"],
+        ["serve", "--stdio", "--dut-listen", "bad"],
+        ["dut", "serve", "--listen", "x:y"],
+    ],
+    ids=" ".join,
+)
+def test_cli_serve_rejects_a_malformed_address(args):
+    result = CliRunner().invoke(main, args, input="")
+    assert_bad_input(result, "expected host:port")
+
+
 def test_cli_dump_trace(map_dir):
     bench = make_bench()
     bench.dut.handle_line("gpio_toggle 0")

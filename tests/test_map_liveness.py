@@ -24,7 +24,7 @@ UNMOVED = {
     **{f"sys.build_time.{field}": BUILD for field in (
         "tick_ms", "seconds", "minutes", "hours", "day_of_month", "day_of_week", "month", "year"
     )},
-    "sys.tick": "not published: the device's time lives in the scheduler, read through trace ticks",
+    "sys.tick": "not published: the device's time lives in the bench clock, read through trace ticks",
     "sys.device_num": IDENTITY,
     "sys.sys_clk_hz": IDENTITY,
     "sys.boot_count": "the simulated device never reboots",

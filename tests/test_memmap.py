@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from importlib import resources
 
 import pytest
 
@@ -17,6 +18,7 @@ from hilsim.memmap import (
     emit_struct_decl,
     parse_config,
 )
+from hilsim.memmap import schema
 from hilsim.pal import NameMap
 from hilsim.reference import reference_layout
 
@@ -152,6 +154,43 @@ def test_a_key_the_schema_forbids_or_a_bool_for_an_integer_is_rejected(doc, msg)
 def test_flags_not_a_list_of_unique_strings_or_a_module_description_not_a_string_is_rejected(doc, msg):
     with pytest.raises(ConfigError, match=re.escape(msg)):
         parse_config(json.dumps(doc))
+
+
+SCHEMA = json.loads(resources.files("hilsim").joinpath("data/map_config.schema.json").read_text("utf-8"))
+
+
+def test_the_json_schema_and_the_validator_allow_the_same_keys_and_values():
+    module, parameter = SCHEMA["$defs"]["module"], SCHEMA["$defs"]["parameter"]
+    assert set(SCHEMA["properties"]) == schema.DOCUMENT_KEYS
+    assert set(module["properties"]) == schema.MODULE_KEYS
+    assert set(parameter["properties"]) == schema.RECORD_KEYS | schema.SCALAR_KEYS
+    fields = parameter["properties"]
+    assert set(fields["type"]["enum"]) == set(schema.SCALAR_TYPES) | {"record"}
+    assert set(fields["access"]["enum"]) == set(schema.ACCESS_LEVELS)
+    assert set(fields["flags"]["items"]["enum"]) == set(schema.KNOWN_FLAGS)
+
+
+def test_the_validator_requires_exactly_the_keys_the_json_schema_requires():
+    """Dropping one key from a document that sets every key fails exactly when the schema requires it."""
+    full_param = {"name": "x", "type": "u8", "description": "d", "array_len": 1, "default": 1,
+                  "access": "read-only", "flags": ["volatile"]}
+    full_module = {"name": "a", "description": "d", "parameters": [full_param]}
+    full_doc = {"name": "m", "version": "1.0.0", "padded_total_size": 64, "modules": [full_module]}
+    levels = [
+        (SCHEMA, full_doc, lambda obj: obj),
+        (SCHEMA["$defs"]["module"], full_module, lambda mod: {**full_doc, "modules": [mod]}),
+        (SCHEMA["$defs"]["parameter"], full_param,
+         lambda par: {**full_doc, "modules": [{**full_module, "parameters": [par]}]}),
+    ]
+    for level, full, wrap in levels:
+        assert set(full) == set(level["properties"]) - {"members"}
+        for key in full:
+            doc = wrap({k: v for k, v in full.items() if k != key})
+            if key in level["required"]:
+                with pytest.raises(ConfigError):
+                    parse_config(json.dumps(doc))
+            else:
+                parse_config(json.dumps(doc))
 
 
 # -- layout -------------------------------------------------------------

