@@ -86,7 +86,7 @@ def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
     sources = client.read_reg("trace.source", 0, count).data
     values = client.read_reg("trace.value", 0, count).data
     ticks = client.read_reg("trace.tick", 0, count).data
-    return [GpioEvent(pin=p, level=v, timestamp_ns=t) for p, v, t in zip(sources, values, ticks)]
+    return list(map(GpioEvent, sources, values, ticks))
 
 
 def load_manifest(suite: str) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 TIMER_BUFFER_LEN = 128
 
@@ -31,8 +32,9 @@ CAPTURE_METHODS = {
 }
 
 
-@dataclass(frozen=True)
-class GpioEvent:
+class GpioEvent(NamedTuple):
+    """One captured edge. A named tuple: it equals the plain ``(pin, level, timestamp_ns)``."""
+
     pin: int
     level: int
     timestamp_ns: int
@@ -57,24 +59,58 @@ class GpioTrace:
 
     def record(self, pin: int, level: int, t_ns: int) -> bool:
         """Record one physical edge; returns True if the event was kept."""
-        if self.method.edges == "rising-only" and level != 1:
-            return False
+        return self.record_train(pin, level, (t_ns,))[0] == 1
+
+    def record_train(self, pin: int, level: int, times) -> tuple[int, int | None, int | None]:
+        """Record a train of edges on ``pin`` at ``times`` (ascending), alternating from ``level``.
+
+        Returns how many the capture kept and the unperturbed times of the last kept rise and
+        fall (None where the train kept none). Each edge is handled as on its own: a falling
+        edge is skipped by a rising-only method; an edge closer than ``t_min_ns`` to the pin's
+        last kept edge, or one that repeats its level on a both-edge method, is an overrun; a
+        kept edge is stamped with a seeded jitter in ``[-t_jitter_ns, t_jitter_ns]``, clamped at 0.
+        """
+        method = self.method
+        t_min = method.t_min_ns
+        both = method.edges == "both"
+        rising_only = not both
+        # randint(-jitter, jitter) as CPython draws it: getrandbits of the span's bit length,
+        # redrawn while out of range, so the values and the generator's state are the same
+        jitter = method.t_jitter_ns
+        span = 2 * jitter + 1
+        bits = span.bit_length()
+        getrandbits = self._rng.getrandbits
+        append = self.buffer.append
         last_t = self._last_accept_ns.get(pin)
         last_level = self._last_level.get(pin)
-        if last_t is not None and t_ns - last_t < self.method.t_min_ns:
-            self.overrun_count += 1
-            return False
-        if last_level is not None and self.method.edges == "both" and level == last_level:
-            # an intervening edge was dropped; skip until alternation resumes
-            self.overrun_count += 1
-            return False
-        jitter = self.method.t_jitter_ns
-        perturbed = t_ns + self._rng.randint(-jitter, jitter)
-        self.buffer.append(GpioEvent(pin=pin, level=level, timestamp_ns=max(perturbed, 0)))
-        self._last_accept_ns[pin] = t_ns
-        self._last_level[pin] = level
-        self.kept += 1
-        return True
+        kept = overruns = 0
+        rise_t = fall_t = None
+        for t in times:
+            if rising_only and level != 1:
+                pass  # a falling edge is not captured: neither kept nor an overrun
+            elif (last_t is not None and t - last_t < t_min) or (both and level == last_level):
+                # too fast, or an intervening edge was dropped: skip until alternation resumes
+                overruns += 1
+            else:
+                r = getrandbits(bits)
+                while r >= span:
+                    r = getrandbits(bits)
+                stamp = t + r - jitter
+                append(GpioEvent(pin, level, stamp if stamp > 0 else 0))
+                last_t = t
+                last_level = level
+                kept += 1
+                if level:
+                    rise_t = t
+                else:
+                    fall_t = t
+            level ^= 1
+        self.overrun_count += overruns
+        if kept:
+            self._last_accept_ns[pin] = last_t
+            self._last_level[pin] = last_level
+            self.kept += kept
+        return kept, rise_t, fall_t
 
     @property
     def events(self) -> list[GpioEvent]:

@@ -25,8 +25,9 @@ class TraceUnit:
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
         self._arrays = [regs.map.lookup(name) for name in ("trace.source", "trace.value", "trace.tick")]
-        # bound once: each pin's level, edge count and last rise and fall ticks, and the four counters
-        pin_fields = ("status.level", "edge_count", "rise_ticks", "fall_ticks")
+        # bound once: each pin's level, edge and overrun counts and last rise and fall ticks, and the
+        # four counters
+        pin_fields = ("status.level", "edge_count", "overrun_count", "rise_ticks", "fall_ticks")
         self._pins = [[regs.bind(f"{mod}.{name}") for name in pin_fields] for mod in GPIO_MODULES]
         counters = ("trace.index", "trace.overrun_count", "timer.event_count", "timer.overrun_count")
         self._counters = [regs.bind(name) for name in counters]
@@ -59,29 +60,24 @@ class TraceUnit:
 
         The pin's registers are written once, with what per-edge writes would have left:
         ``status.level`` follows the last edge, kept or not, ``edge_count`` counts kept edges
-        and wraps at its width, and ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall
-        time mod 2^32.
+        and ``overrun_count`` dropped ones, each wrapping at its width, and
+        ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall time mod 2^32.
         """
-        record = self.trace.record
-        kept = 0
-        rise_t = fall_t = None  # times of the last kept rise and fall
-        for t in times:
-            if record(pin, level, t):
-                kept += 1
-                if level:
-                    rise_t = t
-                else:
-                    fall_t = t
-            level ^= 1
+        trace = self.trace
+        overruns_before = trace.overrun_count
+        kept, rise_t, fall_t = trace.record_train(pin, level, times)
         if pin < len(self._pins):
-            status, edges, rise, fall = self._pins[pin]
-            status.set(level ^ 1)  # the last edge's level: the loop flipped past it
+            status, edges, dropped, rise, fall = self._pins[pin]
+            status.set(level ^ (len(times) - 1) & 1)  # the last edge's level
             if kept:
                 edges.set((edges.get() + kept) % edges.modulus)
                 if rise_t is not None:
                     rise.set(rise_t & 0xFFFFFFFF)
                 if fall_t is not None:
                     fall.set(fall_t & 0xFFFFFFFF)
+            overruns = trace.overrun_count - overruns_before
+            if overruns:
+                dropped.set((dropped.get() + overruns) % dropped.modulus)
         return kept
 
     def publish(self) -> None:
@@ -112,7 +108,8 @@ class TraceUnit:
                 regs.poke(entry.offset, moved)
         if count > still:
             new = list(islice(trace.buffer, still, count))
-            columns = ([e.pin for e in new], [e.level for e in new], [e.timestamp_ns & 0xFFFFFFFF for e in new])
+            sources, values, stamps = zip(*new)
+            columns = (sources, values, [t & 0xFFFFFFFF for t in stamps])
             for entry, column in zip(self._arrays, columns):
                 regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
         self._shown_first = first

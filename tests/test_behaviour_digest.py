@@ -22,4 +22,4 @@ def test_served_suite_reports_give_the_pinned_served_digest():
 
 
 def test_capture_streams_give_the_pinned_trace_digest():
-    assert digests.trace_digest() == "9b6d0c4de4bb754f01cc5e01912577a5f76b56dbcde5f13fa605047c9f22a86c"
+    assert digests.trace_digest() == "4c8dd0cc3e41fffb68a635e6600573fb4b659be754e2afcc24dd286b04b8e0d8"

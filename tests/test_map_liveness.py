@@ -39,7 +39,6 @@ UNMOVED = {
     "spi.buf": "the SPI model does not publish its frame bytes yet",
     "uart.buf": "the UART model does not publish its received bytes yet",
     "uart.rx_error_count": "the UART model cannot produce a framing or parity error",
-    **{f"gpio{pin}.overrun_count": "per-pin overruns are counted only in trace.overrun_count" for pin in range(3)},
     "timer.status.active": "the trace unit does not mark a running capture yet",
 }
 

@@ -168,6 +168,9 @@ def test_the_json_schema_and_the_validator_allow_the_same_keys_and_values():
     assert set(fields["type"]["enum"]) == set(schema.SCALAR_TYPES) | {"record"}
     assert set(fields["access"]["enum"]) == set(schema.ACCESS_LEVELS)
     assert set(fields["flags"]["items"]["enum"]) == set(schema.KNOWN_FLAGS)
+    # a record forbids the scalar-only keys, and a scalar the record-only ones
+    assert set(parameter["then"]["properties"]) == schema.SCALAR_KEYS - schema.RECORD_KEYS
+    assert set(parameter["else"]["properties"]) == schema.RECORD_KEYS - schema.SCALAR_KEYS
 
 
 def test_the_validator_requires_exactly_the_keys_the_json_schema_requires():
@@ -191,6 +194,32 @@ def test_the_validator_requires_exactly_the_keys_the_json_schema_requires():
                     parse_config(json.dumps(doc))
             else:
                 parse_config(json.dumps(doc))
+
+
+def test_the_json_schema_and_the_validator_agree_on_record_documents():
+    """A record with each key dropped, or with a scalar-only key added, passes both checks or neither."""
+    jsonschema = pytest.importorskip("jsonschema")
+    record = {"name": "r", "type": "record", "description": "d", "members": [{"name": "x", "description": "d"}]}
+    scalar_only = {"array_len": 2, "default": 1, "access": "read-only", "flags": ["volatile"]}
+    variants = [record, *({k: v for k, v in record.items() if k != key} for key in record)]
+    variants += [{**record, key: value} for key, value in scalar_only.items()]
+    for par in variants:
+        doc = {"name": "m", "version": "1.0.0", "modules": [{"name": "a", "parameters": [par]}]}
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, SCHEMA)
+        else:
+            jsonschema.validate(doc, SCHEMA)
+    # a record with no members fails both
+    doc = {"name": "m", "version": "1.0.0", "modules": [{"name": "a", "parameters": [
+        {"name": "r", "type": "record", "description": "d"}
+    ]}]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SCHEMA)
+    with pytest.raises(ConfigError, match="record needs at least one member"):
+        parse_config(json.dumps(doc))
 
 
 # -- layout -------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from hilsim.sim.bus import I2C_BITS_PER_BYTE, SPI_BITS_PER_BYTE, UART_BITS_PER_BYTE
 from hilsim.sim.clock import EventScheduler, SimClock
-from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
+from hilsim.sim.gpio import CAPTURE_METHODS, CaptureMethod, GpioEvent, GpioTrace
 
 from conftest import make_bench
 
@@ -221,6 +221,72 @@ def test_capture_min_spacing_and_jitter(kind):
         if not (method.edges == "rising-only" and lv != 1)
     ]
     assert trace.overrun_count == len(candidates) - len(accepted_times)
+
+
+def reference_record(trace: GpioTrace, pin: int, level: int, t_ns: int) -> str:
+    """One edge through the per-edge capture ``record_train`` replaced, drawing with ``randint``.
+
+    Returns what became of the edge: ``kept``, ``skipped``, ``too-fast`` or ``repeated``.
+    """
+    method = trace.method
+    if method.edges == "rising-only" and level != 1:
+        return "skipped"
+    last_t = trace._last_accept_ns.get(pin)
+    last_level = trace._last_level.get(pin)
+    if last_t is not None and t_ns - last_t < method.t_min_ns:
+        trace.overrun_count += 1
+        return "too-fast"
+    if last_level is not None and method.edges == "both" and level == last_level:
+        trace.overrun_count += 1
+        return "repeated"
+    jitter = method.t_jitter_ns
+    perturbed = t_ns + trace._rng.randint(-jitter, jitter)
+    trace.buffer.append(GpioEvent(pin=pin, level=level, timestamp_ns=max(perturbed, 0)))
+    trace._last_accept_ns[pin] = t_ns
+    trace._last_level[pin] = level
+    trace.kept += 1
+    return "kept"
+
+
+@pytest.mark.parametrize("kind", sorted(CAPTURE_METHODS))
+def test_a_train_records_what_the_per_edge_reference_records(kind):
+    method = CAPTURE_METHODS[kind]
+    fast, reference = GpioTrace(method, seed=5), GpioTrace(method, seed=5)
+    rng = random.Random(kind)
+    outcomes = set()
+    t = 0
+    for _ in range(400):
+        pin, level = rng.randrange(3), rng.randrange(2)
+        times = []
+        for _ in range(rng.randint(1, 40)):
+            t += rng.choice((0, rng.randrange(2 * method.t_min_ns), rng.randrange(method.t_min_ns, 4 * method.t_min_ns)))
+            times.append(t)
+        expected = [0, None, None]  # kept, last kept rise time, last kept fall time
+        for k, time in enumerate(times):
+            edge = level ^ (k & 1)
+            outcome = reference_record(reference, pin, edge, time)
+            outcomes.add(outcome)
+            if outcome == "kept":
+                expected[0] += 1
+                expected[2 - edge] = time
+        assert fast.record_train(pin, level, times) == tuple(expected)
+        assert list(fast.buffer) == list(reference.buffer)
+        assert (fast.kept, fast.overrun_count) == (reference.kept, reference.overrun_count)
+        assert fast._rng.getstate() == reference._rng.getstate()
+    both = {"kept", "too-fast", "repeated"}
+    assert outcomes == (both if method.edges == "both" else {"kept", "too-fast", "skipped"})
+
+
+@pytest.mark.parametrize("jitter", [0, 28, 200, 600])
+def test_the_jitter_draw_equals_randint(jitter):
+    trace = GpioTrace(CaptureMethod("spaced", 1, jitter, "both", None), seed=9)
+    times = range(10**6, 10**6 + 10_000)
+    trace.record_train(0, 1, times)
+    reference = random.Random(9)
+    assert [e.timestamp_ns - t for e, t in zip(trace.buffer, times)] == [
+        reference.randint(-jitter, jitter) for _ in times
+    ]
+    assert trace._rng.getstate() == reference.getstate()
 
 
 def test_capture_both_edges_alternate():

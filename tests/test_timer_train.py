@@ -14,6 +14,7 @@ PERIODS = (0, 300, 1_500, 12_000, 40_000)  # ns
 PPMS = (0.0, 150.0, -150.0)
 COUNTS = {"timer_trace": 200, "timer_bench": 150}  # both past the 128 trace slots
 U32 = 1 << 32
+U16 = 1 << 16
 
 
 def cmd(bench, line):
@@ -93,3 +94,16 @@ def test_edge_count_wraps_at_its_width_and_the_edges_are_published(line, kept):
     assert regs.read_param("gpio0.edge_count") == (U32 - 1 + kept) % U32
     assert regs.read_param("trace.index") == kept
     assert regs.read_param("gpio0.status.level") == kept % 2
+
+
+@pytest.mark.parametrize("line", ["gpio_set 0 1", "timer_trace 10 300 0"])
+def test_overrun_count_counts_the_pins_dropped_edges_and_wraps_at_its_width(line):
+    bench = capture_bench(1)
+    regs = bench.refdev.regs
+    assert cmd(bench, "gpio_set 0 1")["result"] == "Success"  # kept: a rise at the same level drops
+    regs.poke_param("gpio0.overrun_count", U16 - 1)
+    assert cmd(bench, line)["result"] == "Success"
+    dropped = bench.trace.trace.overrun_count
+    assert dropped >= 1
+    assert regs.read_param("gpio0.overrun_count") == (U16 - 1 + dropped) % U16
+    assert regs.read_param("gpio1.overrun_count") == 0
