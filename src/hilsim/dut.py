@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 from hilsim.sim.clock import SimClock
@@ -46,6 +47,10 @@ DEFAULT_SPI_BITRATE = 1_000_000
 DEFAULT_UART_BITRATE = 115_200
 
 METADATA = "dut_periph 0.1.0"
+
+# the reply to a command line ends in the JSON of its fields; most commands answer a plain Success
+_SUCCESS_FIELDS = {"result": RESULT_SUCCESS}
+_SUCCESS_TAIL = ", " + json.dumps(_SUCCESS_FIELDS)[1:]
 
 
 @dataclass
@@ -150,18 +155,18 @@ class DutDevice:
                 fields_out = {"data": -exc.code, "result": RESULT_ERROR, "error_code": -exc.code}
         except Exception:
             fields_out = {"result": RESULT_ERROR, "error_code": -EINVAL}
-        response = {"cmd": [line]}
-        response.update(fields_out)
-        return json.dumps(response)
+        # byte for byte json.dumps({"cmd": [line], **fields_out}); no handler answers a "cmd" field
+        tail = _SUCCESS_TAIL if fields_out == _SUCCESS_FIELDS else ", " + json.dumps(fields_out)[1:]
+        return '{"cmd": [' + encode_basestring_ascii(line) + "]" + tail
 
     def _dispatch(self, line: str) -> dict:
         parts = line.split()
         if not parts:
             raise _DutError(EINVAL)
-        handler = getattr(self, f"_cmd_{parts[0]}", None)
+        handler = _COMMANDS.get(parts[0])
         if handler is None:
             return {"result": RESULT_ERROR, "error_code": -EINVAL, "data": -EINVAL}
-        return handler([_to_int(a) for a in parts[1:]])
+        return handler(self, [_to_int(a) for a in parts[1:]])
 
     # -- infrastructure -------------------------------------------------
 
@@ -309,7 +314,8 @@ class DutDevice:
         if not 1 <= n_edges <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
         base = self.clock.now + HANDLER_OVERHEAD_NS
-        self._toggle_train(pin, [base + self._dut_interval(k * period_ns) for k in range(1, n_edges + 1)])
+        scale = 1.0 + self.clock_ppm_error / 1e6  # _dut_interval's factor, computed once per train
+        self._toggle_train(pin, [base + round(k * period_ns * scale) for k in range(1, n_edges + 1)])
         return {"result": RESULT_SUCCESS, "data": n_edges}
 
     def _toggle_train(self, pin: int, times: list[int]) -> None:
@@ -329,6 +335,10 @@ class DutDevice:
         self.trace.publish()
 
 
+# each shell command's handler, by command name: the DutDevice methods named ``_cmd_<name>``
+_COMMANDS = {name[len("_cmd_"):]: method for name, method in vars(DutDevice).items() if name.startswith("_cmd_")}
+
+
 def _bus_data(result: BusResult) -> bytes:
     """The data of a bus result, or its failed status's errno as a ``_DutError``."""
     if result.status != "ok":
@@ -337,4 +347,6 @@ def _bus_data(result: BusResult) -> bytes:
 
 
 def _to_int(token: str) -> int:
+    if token.isdigit():
+        return int(token)
     return int(token, 16) if token.lower().startswith("0x") else int(token)

@@ -79,13 +79,11 @@ def _reset_writes(name_map: NameMap) -> tuple[str, ...]:
 
 
 def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
-    """Fetch the trace buffer through named register reads."""
+    """Fetch the trace buffer in two requests: the event count, then the three arrays in one read."""
     count = client.read_reg("trace.index").data[0]
     if count == 0:
         return []
-    sources = client.read_reg("trace.source", 0, count).data
-    values = client.read_reg("trace.value", 0, count).data
-    ticks = client.read_reg("trace.tick", 0, count).data
+    sources, values, ticks = client.read_regs(("trace.source", "trace.value", "trace.tick"), count).data
     return list(map(GpioEvent, sources, values, ticks))
 
 
@@ -196,10 +194,10 @@ class SuiteRunner:
 
     def _run_step(self, step: dict) -> dict | None:
         op = step["op"]
-        handler = getattr(self, f"_step_{op}", None)
+        handler = _STEPS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise StepFailure(f"unknown step op {op!r}")
-        return handler(step)
+        return handler(self, step)
 
     def _step_dut(self, step: dict) -> None:
         line = " ".join(str(a) for a in [step["cmd"], *step.get("args", [])])
@@ -352,6 +350,10 @@ class SuiteRunner:
             delays.append(max(e.timestamp_ns for e in events) - target)
         slope = fit_slope(range(1, n_max + 1), delays) if n_max > 1 else delays[0]
         return delays, slope
+
+
+# each step op's handler, by op name: the SuiteRunner methods named ``_step_<op>``
+_STEPS = {name[len("_step_"):]: method for name, method in vars(SuiteRunner).items() if name.startswith("_step_")}
 
 
 def run_suite(

@@ -7,6 +7,7 @@ The configuration is a JSON document; the machine-readable schema lives in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 SCALAR_TYPES = {
@@ -19,6 +20,11 @@ SCALAR_TYPES = {
     "i32": (4, -0x80000000, 0x7FFFFFFF),
     "i64": (8, -0x8000000000000000, 0x7FFFFFFFFFFFFFFF),
 }
+
+# map_config.schema.json's patterns: a name is ASCII letters, digits and underscores, a version
+# three runs of ASCII digits; str.isidentifier and str.isdigit would let other scripts through
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_VERSION = re.compile(r"[0-9]+\.[0-9]+\.[0-9]+")
 
 ACCESS_LEVELS = ("read-only", "writable", "privileged")
 KNOWN_FLAGS = ("init-trigger", "volatile", "user-shared")
@@ -101,7 +107,7 @@ def _check_default(param: ParameterSpec, qualname: str) -> None:
 def _parse_parameter(obj: dict, qualname: str) -> ParameterSpec:
     _require(isinstance(obj, dict), f"{qualname}: parameter must be an object")
     name = obj.get("name")
-    _require(isinstance(name, str) and name.isidentifier(), f"{qualname}: bad parameter name {name!r}")
+    _require(isinstance(name, str) and _IDENTIFIER.fullmatch(name), f"{qualname}: bad parameter name {name!r}")
     ptype = obj.get("type", "u8")
     record = ptype == "record"
     _require_keys(obj, RECORD_KEYS if record else SCALAR_KEYS, f"{qualname}: a {'record' if record else 'scalar'}")
@@ -160,14 +166,10 @@ def parse_config(text: str) -> MemoryMapSpec:
     _require(isinstance(doc, dict), "top-level document must be an object")
     _require_keys(doc, DOCUMENT_KEYS, "the map document")
     name = doc.get("name")
-    _require(isinstance(name, str) and name.isidentifier(), f"bad map name {name!r}")
+    _require(isinstance(name, str) and _IDENTIFIER.fullmatch(name), f"bad map name {name!r}")
     version = doc.get("version")
     _require(isinstance(version, str), "version must be a string")
-    parts = version.split(".")
-    _require(
-        len(parts) == 3 and all(p.isdigit() for p in parts),
-        f"version {version!r} is not major.minor.patch",
-    )
+    _require(_VERSION.fullmatch(version), f"version {version!r} is not major.minor.patch")
     padded = doc.get("padded_total_size")
     if padded is not None:
         _require(_is_int(padded) and padded >= 1, "padded_total_size must be a positive integer")
@@ -178,7 +180,7 @@ def parse_config(text: str) -> MemoryMapSpec:
     for mod in doc.get("modules", []):
         _require(isinstance(mod, dict), "module must be an object")
         mod_name = mod.get("name")
-        _require(isinstance(mod_name, str) and mod_name.isidentifier(), f"bad module name {mod_name!r}")
+        _require(isinstance(mod_name, str) and _IDENTIFIER.fullmatch(mod_name), f"bad module name {mod_name!r}")
         _require(mod_name not in module_names, f"duplicate module name {mod_name!r}")
         _require_keys(mod, MODULE_KEYS, f"module {mod_name!r}")
         description = mod.get("description", "")

@@ -217,6 +217,15 @@ class RefDeviceClient:
     def raw(self, line: str) -> dict:
         return json.loads(self.transport.request(line))
 
+    def _read_bytes(self, offset: int, size: int) -> PalResult:
+        """One ``rr`` request; on success the result's data is the bytes read."""
+        line = f"rr {offset} {size}"
+        reply = self.raw(line)
+        if reply.get("result") != 0:
+            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
+        raw = reply["data"]
+        return PalResult(cmd=[line], data=bytes([raw] if isinstance(raw, int) else raw))
+
     def read_reg(self, name: str, index: int = 0, count: int | None = None) -> PalResult:
         count = 1 if count is None else count
         try:
@@ -224,12 +233,36 @@ class RefDeviceClient:
             offset = entry.element_offset(index, count)
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        line = f"rr {offset} {count * entry.elem_size}"
-        reply = self.raw(line)
-        if reply.get("result") != 0:
-            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
-        raw = reply["data"]
-        return PalResult(cmd=[line], data=entry.unpack(bytes([raw] if isinstance(raw, int) else raw)))
+        result = self._read_bytes(offset, count * entry.elem_size)
+        if result.ok:
+            result.data = entry.unpack(result.data)
+        return result
+
+    def read_regs(self, names, count: int) -> PalResult:
+        """Read elements 0..count-1 of each of ``names`` in one request; the data is one list per name.
+
+        The entries must follow each other in the map, so one read from the first's element 0
+        through the last's element count-1 covers them all, and no other client's write can
+        land between two of them.
+        """
+        try:
+            name_map = self._require_map()
+            entries = [name_map.lookup(name) for name in names]
+            for before, after in zip(entries, entries[1:]):
+                if before.offset + before.size != after.offset:
+                    raise ValueError(f"{after.name} does not follow {before.name} in the map")
+            for entry in entries:
+                entry.element_offset(0, count)
+        except (KeyError, ValueError) as exc:
+            return PalResult(result=ERROR, error=str(exc))
+        start, last = entries[0].offset, entries[-1]
+        result = self._read_bytes(start, last.offset + count * last.elem_size - start)
+        if result.ok:
+            raw, result.data = result.data, []
+            for entry in entries:
+                at = entry.offset - start
+                result.data.append(entry.unpack(raw[at : at + count * entry.elem_size]))
+        return result
 
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:
         try:

@@ -150,6 +150,8 @@ def format_response(fields: dict) -> str:
 
 # the bare result-code replies, formatted once
 _RESULT_LINES = [format_response({"result": code}) for code in range(RESULT_INTERNAL_ERROR + 1)]
+# each byte's decimal text: an ``rr`` reply is written from these, byte for byte as format_response writes it
+_BYTE_TEXT = [str(i) for i in range(256)]
 
 
 class ReferenceDevice:
@@ -158,6 +160,7 @@ class ReferenceDevice:
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
         self.version = layout.version
+        self._version_line = format_response({"version": self.version, "result": RESULT_SUCCESS})
         # module name -> offset of its init flag byte, and -> the model callback that re-reads
         # the module's configuration; one callback may serve several modules
         self._init_flags = {e.name.split(".")[0]: e.offset for e in layout.entries if "init-trigger" in e.flags}
@@ -209,7 +212,7 @@ class ReferenceDevice:
             self.execute()
             return _RESULT_LINES[RESULT_SUCCESS]
         if cmd == "-v":
-            return format_response({"version": self.version, "result": RESULT_SUCCESS})
+            return self._version_line
         return _RESULT_LINES[RESULT_PARSE_ERROR]
 
     def _cmd_read(self, args: list[str]) -> str:
@@ -224,8 +227,9 @@ class ReferenceDevice:
         except RangeViolation:
             return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         # bare integer for single-byte reads, list otherwise
-        payload = data[0] if size == 1 else list(data)
-        return format_response({"data": payload, "result": RESULT_SUCCESS})
+        if size == 1:
+            return '{"data": ' + _BYTE_TEXT[data[0]] + ', "result": 0}'
+        return '{"data": [' + ", ".join(map(_BYTE_TEXT.__getitem__, data)) + '], "result": 0}'
 
     def _cmd_write(self, args: list[str]) -> str:
         if len(args) < 2:

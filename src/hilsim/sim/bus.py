@@ -56,12 +56,15 @@ class _PeripheralModel:
 
     module = ""
     telemetry: tuple[str, ...] = ()  # the registers a transaction publishes, named inside the module
+    settings: tuple[str, ...] = ()  # the registers a re-init reads, in the order reinit unpacks them
 
     def __init__(self, regs: RegisterFile, clock: SimClock):
         self.regs = regs
         self.clock = clock
-        # bound once, so a transaction writes its telemetry at known offsets
+        # bound once, so a transaction writes its telemetry at known offsets and a re-init reads
+        # its settings with no name lookup
         self.fields = SimpleNamespace(**{name: regs.bind(f"{self.module}.{name}") for name in self.telemetry})
+        self._settings = [regs.bind(f"{self.module}.{name}") for name in self.settings]
         window = regs.map.lookup("user_reg.user_reg")
         self._window_offset = window.offset
         self._window_size = window.size
@@ -70,6 +73,9 @@ class _PeripheralModel:
     def reinit(self) -> None:
         """Re-read the module's configuration; the reference device has restored its registers."""
         raise NotImplementedError
+
+    def _read_settings(self) -> list[int]:
+        return [field.get() for field in self._settings]
 
     def _window_read(self, offset: int, size: int) -> bytes:
         committed, base, n = self.regs.committed, self._window_offset, self._window_size
@@ -108,14 +114,13 @@ class I2cSlaveModel(_PeripheralModel):
     module = "i2c"
     telemetry = ("start_time", "stop_time", "speed_hz", "reg_index", "addr_ticks", "read_ticks", "write_ticks",
                  "r_count", "w_count", "err_count", "nack_count")
+    settings = ("slave_addr_1", "mode.reg_16_bit", "clk_stretch_delay", "mode.nack_data", "mode.nack_addr")
 
     def reinit(self) -> None:
-        rp = self.regs.read_param
-        self.slave_address = rp("i2c.slave_addr_1")
-        self.reg_bytes = 2 if rp("i2c.mode.reg_16_bit") else 1
-        self.clock_stretch_ns = rp("i2c.clk_stretch_delay")
-        self.nack_data = bool(rp("i2c.mode.nack_data"))
-        self.nack_addr = bool(rp("i2c.mode.nack_addr"))
+        self.slave_address, reg_16_bit, self.clock_stretch_ns, nack_data, nack_addr = self._read_settings()
+        self.reg_bytes = 2 if reg_16_bit else 1
+        self.nack_data = bool(nack_data)
+        self.nack_addr = bool(nack_addr)
 
     def _nacked(self, address: int, bitrate: int, data_phase: bool = True) -> BusResult | None:
         """The address and NACK path: the NACKed frame's result, or None if the slave takes the frame."""
@@ -194,11 +199,12 @@ class SpiSlaveModel(_PeripheralModel):
     module = "spi"
     telemetry = ("start_time", "stop_time", "speed_hz", "reg_index", "transfer_count", "frame_ticks", "byte_ticks",
                  "prev_ticks", "r_count", "w_count")
+    settings = ("mode.cpol", "mode.cpha", "mode.reg_16_bit")
 
     def reinit(self) -> None:
-        rp = self.regs.read_param
-        self.mode = (rp("spi.mode.cpol") << 1) | rp("spi.mode.cpha")
-        self.reg_bytes = 2 if rp("spi.mode.reg_16_bit") else 1
+        cpol, cpha, reg_16_bit = self._read_settings()
+        self.mode = (cpol << 1) | cpha
+        self.reg_bytes = 2 if reg_16_bit else 1
 
     def transfer(self, frame: bytes, bitrate: int, mode: int) -> BusResult:
         _check_bitrate(bitrate, SPI_BITRATE_RANGE, "SPI")
@@ -237,9 +243,10 @@ class UartModel(_PeripheralModel):
 
     module = "uart"
     telemetry = ("rx_count", "tx_count")
+    settings = ("mode.if_type",)
 
     def reinit(self) -> None:
-        self.mode = self.regs.read_param("uart.mode.if_type")
+        (self.mode,) = self._read_settings()
 
     def process(self, data: bytes, bitrate: int) -> BusResult:
         _check_bitrate(bitrate, UART_BITRATE_RANGE, "UART")

@@ -25,8 +25,12 @@ class TraceUnit:
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
         self._arrays = [regs.map.lookup(name) for name in ("trace.source", "trace.value", "trace.tick")]
-        # bound once: each pin's level, edge and overrun counts and last rise and fall ticks, and the
-        # four counters
+        self._spans = [(entry.offset, entry.elem_size) for entry in self._arrays]  # where a full window shifts
+        # bound once: the capture method and the two timing registers a re-init reads and writes,
+        # each pin's level, edge and overrun counts and last rise and fall ticks, and the four counters
+        self._method_code, self._min_tick, self._min_holdoff = (
+            regs.bind(name) for name in ("timer.mode.capture_method", "timer.min_tick", "timer.min_holdoff")
+        )
         pin_fields = ("status.level", "edge_count", "overrun_count", "rise_ticks", "fall_ticks")
         self._pins = [[regs.bind(f"{mod}.{name}") for name in pin_fields] for mod in GPIO_MODULES]
         counters = ("trace.index", "trace.overrun_count", "timer.event_count", "timer.overrun_count")
@@ -40,15 +44,14 @@ class TraceUnit:
     def reinit(self) -> None:
         """Re-init the timer and trace modules: apply the capture method, drop every capture and
         the pin accounting published for it."""
-        code = self.regs.read_param("timer.mode.capture_method")
-        method = CAPTURE_METHODS[_METHOD_BY_CODE.get(code, "timer-capture-irq")]
+        method = CAPTURE_METHODS[_METHOD_BY_CODE.get(self._method_code.get(), "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
         # the arrays show events _shown_first.._shown_first+_shown-1, numbered as the capture kept
         # them; the reference device zeroes the arrays before it runs this hook
         self._shown_first = self._shown = 0
         self.regs.restore(*GPIO_MODULES)
-        self.regs.poke_param("timer.min_tick", method.t_min_ns)
-        self.regs.poke_param("timer.min_holdoff", method.t_jitter_ns)
+        self._min_tick.set(method.t_min_ns)
+        self._min_holdoff.set(method.t_jitter_ns)
 
     def record_edge(self, pin: int, level: int) -> bool:
         """Record one edge at the clock's time; returns True if the capture kept it."""
@@ -97,20 +100,20 @@ class TraceUnit:
         trace_overruns.set(overruns)
         event_count.set(count)
         timer_overruns.set(overruns)
-        regs = self.regs
         dropped = first - self._shown_first
         still = self._shown - dropped  # shown events that stay visible
         if still < 0:
             still = 0
         if dropped and still:
-            for entry in self._arrays:
-                moved = regs.read(entry.element_offset(dropped, still), still * entry.elem_size)
-                regs.poke(entry.offset, moved)
+            committed = self.regs.committed
+            for offset, size in self._spans:
+                source = offset + dropped * size
+                committed[offset : offset + still * size] = committed[source : source + still * size]
         if count > still:
             new = list(islice(trace.buffer, still, count))
             sources, values, stamps = zip(*new)
             columns = (sources, values, [t & 0xFFFFFFFF for t in stamps])
             for entry, column in zip(self._arrays, columns):
-                regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
+                self.regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
         self._shown_first = first
         self._shown = count

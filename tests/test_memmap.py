@@ -222,6 +222,40 @@ def test_the_json_schema_and_the_validator_agree_on_record_documents():
         parse_config(json.dumps(doc))
 
 
+NAMES = ["x", "_x9", "X_1", "é", "xé", "x١", "ǅ", "9x", "x-y", ""]
+VERSIONS = ["1.0.0", "10.20.30", "1.0.١", "1.0.²", "1.0", "1.0.0.0"]
+
+
+def named(where, name):
+    """A one-parameter document with ``name`` as its map, module or parameter name, or as its version."""
+    doc = one_module(param("x"))
+    if where in ("name", "version"):
+        doc[where] = name
+    elif where == "module":
+        doc["modules"][0]["name"] = name
+    else:
+        doc["modules"][0]["parameters"][0]["name"] = name
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where,name",
+    [(where, name) for where in ("name", "module", "parameter") for name in NAMES]
+    + [("version", version) for version in VERSIONS],
+)
+def test_the_json_schema_and_the_validator_agree_on_names_and_versions(where, name):
+    """A non-ASCII letter or digit is no identifier character to the schema, so the validator refuses it too."""
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = named(where, name)
+    try:
+        jsonschema.validate(doc, SCHEMA)
+    except jsonschema.ValidationError:
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(doc))
+    else:
+        parse_config(json.dumps(doc))
+
+
 # -- layout -------------------------------------------------------------
 
 

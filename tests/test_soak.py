@@ -30,8 +30,7 @@ def held_by_hilsim() -> int:
 
     Allocations made elsewhere are left out: the interpreter's interned-string table, for one,
     grows in large steps whichever string pushes it past a size. The method cache is cleared
-    first: it keeps up to 4096 attribute-name strings (each DUT command's dispatch builds one,
-    ``_cmd_<name>``), a bounded cache, not memory the bench holds.
+    first: it keeps up to 4096 attribute-name strings, a bounded cache, not memory the bench holds.
     """
     gc.collect()
     sys._clear_type_cache()
