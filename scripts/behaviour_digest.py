@@ -27,8 +27,8 @@ import random
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
-from hilsim.memmap import emit_csv
-from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.pal import DutClient, RefDeviceClient
 from hilsim.serve import serve_tcp
 
 I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
@@ -59,7 +59,7 @@ def served_digest() -> str:
     for seed in range(8):
         bench = Bench(BenchConfig(seed=seed))
         layout = bench.refdev.regs.map
-        name_map = NameMap.from_csv(emit_csv(layout), version=layout.version)
+        name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
         servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
         for server in servers:
             server.serve_background()

@@ -13,7 +13,7 @@ import click
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import RunConfig, SUITE_NAMES, emit_report, run_suite
-from hilsim.harness.runner import read_trace
+from hilsim.harness.runner import StepFailure, read_trace
 from hilsim.memmap import (
     compute_layout,
     emit_csv,
@@ -23,7 +23,7 @@ from hilsim.memmap import (
 )
 from hilsim.pal import MapStore, RefDeviceClient
 from hilsim.repl import DeviceShell
-from hilsim.serve import serve_stdio, serve_tcp
+from hilsim.serve import LineServer, serve_stdio, serve_tcp
 
 
 @click.group()
@@ -93,12 +93,19 @@ def _serve_address(listen: str | None, stdio: bool) -> tuple[str, int] | None:
     return None if stdio else _parse_listen(listen)
 
 
+def _listen(device, address: tuple[str, int]) -> LineServer:
+    try:
+        return serve_tcp(device, *address)
+    except OSError as exc:
+        raise BadInput(f"cannot listen on {address[0]}:{address[1]}: {exc.strerror or exc}") from None
+
+
 def _serve(device, name: str, address: tuple[str, int] | None) -> None:
     """Serve ``device`` on stdin/stdout if ``address`` is None, else on TCP, until the process ends."""
     if address is None:
         serve_stdio(device)
         return
-    server = serve_tcp(device, *address)
+    server = _listen(device, address)
     click.echo(f"{name} on {server.endpoint}", err=True)
     server.serve_forever()
 
@@ -114,7 +121,7 @@ def serve(listen: str | None, stdio: bool, dut_listen: str | None, seed: int) ->
     dut_address = None if dut_listen is None else _parse_listen(dut_listen)
     bench = _build_bench(seed, None, 0.0)
     if dut_address is not None:
-        dut_server = serve_tcp(bench.dut, *dut_address)
+        dut_server = _listen(bench.dut, dut_address)
         dut_server.serve_background()
         click.echo(f"DUT on {dut_server.endpoint}", err=True)
     _serve(bench.refdev, "reference device", address)
@@ -202,6 +209,8 @@ def dump_trace(endpoint: str, maps: str, out: str) -> None:
     client = _client(endpoint, maps)
     try:
         events = read_trace(client)
+    except StepFailure as exc:
+        raise click.ClickException(str(exc)) from None
     finally:
         client.transport.close()
     buf = io.StringIO()

@@ -9,6 +9,7 @@ timer accuracy, overlap delay).
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -19,8 +20,9 @@ from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import HANDLER_OVERHEAD_NS
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult, TestReport
 from hilsim.harness.stats import TimingStats, compute_timing_stats, fit_slope
-from hilsim.memmap import emit_csv
-from hilsim.pal import DutClient, NameMap, RefDeviceClient, SUCCESS, TransportError
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.memmap.layout import ACCESS_CODES
+from hilsim.pal import DutClient, RefDeviceClient, SUCCESS, TransportError
 from hilsim.reference import reference_layout
 from hilsim.sim.gpio import GpioEvent
 
@@ -51,6 +53,10 @@ class RunConfig(BenchConfig):
     unsupported_modes: tuple = ()
 
 
+# a run of map bytes a client may write: any access code but read-only
+_WRITABLE_RUN = re.compile(b"[^%c]+" % ACCESS_CODES["read-only"])
+
+
 class StepFailure(Exception):
     """A step's expectation was not met. May carry measurements taken so far."""
 
@@ -60,31 +66,39 @@ class StepFailure(Exception):
 
 
 @lru_cache(maxsize=8)
-def _reset_writes(name_map: NameMap) -> tuple[str, ...]:
+def _reset_writes(name_map: LayoutedMap) -> tuple[str, ...]:
     """One ``wr`` of the default image per contiguous non-read-only span, init flags set to 1.
 
     Followed by ``ex``, these restore what a local reset restores in every
     byte a client may write.
     """
-    spans: list[tuple[int, bytearray]] = []
-    for entry in sorted(name_map.entries.values(), key=lambda e: e.offset):
-        if entry.access == "read-only":
-            continue
-        data = entry.pack(1) if "init-trigger" in entry.flags else entry.default_bytes()
-        if spans and spans[-1][0] + len(spans[-1][1]) == entry.offset:
-            spans[-1][1].extend(data)
-        else:
-            spans.append((entry.offset, bytearray(data)))
-    return tuple(f"wr {offset} {' '.join(map(str, data))}" for offset, data in spans)
+    image = bytearray(name_map.default_image)
+    for entry in name_map.entries:
+        if "init-trigger" in entry.flags:
+            image[entry.offset : entry.offset + entry.elem_size] = entry.pack(1)
+    return tuple(
+        f"wr {run.start()} {' '.join(map(str, image[run.start() : run.end()]))}"
+        for run in _WRITABLE_RUN.finditer(name_map.access_mask)
+    )
+
+
+def _read(client: RefDeviceClient, name: str, index: int = 0, count: int | None = None) -> list[int]:
+    """Read elements of a parameter, as ``RefDeviceClient.read_reg``; a failed read fails the step."""
+    result = client.read_reg(name, index, count)
+    if not result.ok:
+        raise StepFailure(f"read_reg {name}: {result.error}")
+    return result.data
 
 
 def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
     """Fetch the trace buffer in two requests: the event count, then the three arrays in one read."""
-    count = client.read_reg("trace.index").data[0]
+    count = _read(client, "trace.index")[0]
     if count == 0:
         return []
-    sources, values, ticks = client.read_regs(("trace.source", "trace.value", "trace.tick"), count).data
-    return list(map(GpioEvent, sources, values, ticks))
+    arrays = client.read_regs(("trace.source", "trace.value", "trace.tick"), count)
+    if not arrays.ok:
+        raise StepFailure(f"read_regs trace arrays: {arrays.error}")
+    return list(map(GpioEvent, *arrays.data))
 
 
 def load_manifest(suite: str) -> dict:
@@ -119,7 +133,7 @@ class SuiteRunner:
         config = config or RunConfig()
         bench = Bench(config)
         layout = reference_layout()
-        name_map = NameMap.from_csv(emit_csv(layout), version=layout.version)
+        name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
         return cls(
             DutClient(bench.dut),
             RefDeviceClient(bench.refdev, name_map),
@@ -212,11 +226,9 @@ class SuiteRunner:
                 raise StepFailure(f"{line}: expected {key} {wanted!r}, got {got!r}")
 
     def _step_ref_read(self, step: dict) -> None:
-        result = self.phil.read_reg(step["name"], step.get("index", 0), step.get("count"))
-        if not result.ok:
-            raise StepFailure(f"read_reg {step['name']}: {result.error}")
-        if "expect" in step and result.data != step["expect"]:
-            raise StepFailure(f"{step['name']}: expected {step['expect']}, got {result.data}")
+        data = _read(self.phil, step["name"], step.get("index", 0), step.get("count"))
+        if "expect" in step and data != step["expect"]:
+            raise StepFailure(f"{step['name']}: expected {step['expect']}, got {data}")
 
     def _step_ref_write(self, step: dict) -> None:
         result = self.phil.write_reg(step["name"], step["value"], step.get("index", 0))
@@ -237,13 +249,11 @@ class SuiteRunner:
         line = " ".join(str(a) for a in [step["cmd"], *step.get("args", [])])
         response = self.dut.command(line)
         self._check_response(line, response, {"result": SUCCESS})
-        ref = self.phil.read_reg(step["name"], step.get("index", 0), step.get("count"))
-        if not ref.ok:
-            raise StepFailure(f"read_reg {step['name']}: {ref.error}")
+        ref = _read(self.phil, step["name"], step.get("index", 0), step.get("count"))
         data = response.get("data")
         data = data if isinstance(data, list) else [data]
-        if data != ref.data:
-            raise StepFailure(f"{line}: DUT data {data} != reference {ref.data} ({step['name']})")
+        if data != ref:
+            raise StepFailure(f"{line}: DUT data {data} != reference {ref} ({step['name']})")
 
     def _step_metadata_check(self, step: dict) -> None:
         response = self.dut.get_metadata()
@@ -345,7 +355,7 @@ class SuiteRunner:
             if len(events) != n:
                 raise StepFailure(
                     f"timer_bench n={n}: expected {n} edges, saw {len(events)} "
-                    f"(overruns {self.phil.read_reg('trace.overrun_count').data[0]})"
+                    f"(overruns {_read(self.phil, 'trace.overrun_count')[0]})"
                 )
             delays.append(max(e.timestamp_ns for e in events) - target)
         slope = fit_slope(range(1, n_max + 1), delays) if n_max > 1 else delays[0]

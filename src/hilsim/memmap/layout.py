@@ -9,9 +9,12 @@ end of a map never moves existing entries. Total size is padded up to
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
 
@@ -72,31 +75,67 @@ class LayoutEntry:
         return self.pack(list(values) + [0] * (self.array_len - len(values)))
 
 
-@dataclass
+@dataclass(eq=False)
 class LayoutedMap:
-    """Computed packed layout: ordered leaf entries plus the source spec."""
+    """Packed layout: ordered leaf entries, the map's version, and the spec it was computed from.
 
-    spec: MemoryMapSpec
+    A map read back from its CSV form has no spec. Maps compare and hash by identity.
+    """
+
     entries: tuple[LayoutEntry, ...]
     total_size: int
-    # the entries by name, the whole map at its defaults, which every reset
-    # restores, and one ACCESS_CODES byte per map byte; set here rather than
-    # as cached properties, which would slow every attribute lookup on the map
-    by_name: dict[str, LayoutEntry] = field(init=False, repr=False, compare=False)
-    default_image: bytes = field(init=False, repr=False, compare=False)
-    access_mask: bytes = field(init=False, repr=False, compare=False)
-    # per module, the merged byte ranges of its read-only entries, which the
-    # module's re-init returns to the default image
-    read_only_spans: dict[str, tuple[slice, ...]] = field(init=False, repr=False, compare=False)
+    version: str
+    spec: MemoryMapSpec | None = None
+    by_name: dict[str, LayoutEntry] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.by_name = {e.name: e for e in self.entries}
+
+    @classmethod
+    def from_csv(cls, text: str, version: str) -> "LayoutedMap":
+        """Parse ``emit_csv`` rows into a map ending at its last entry; a one-element list default becomes a scalar."""
+        entries = []
+        for row in csv.DictReader(io.StringIO(text)):
+            size = int(row["size"])
+            default = row.get("default") or "0"
+            flags = row.get("flags") or ""
+            entries.append(
+                LayoutEntry(
+                    name=row["name"],
+                    offset=int(row["offset"]),
+                    size=size,
+                    type=row["type"],
+                    array_len=size // ELEMENT[row["type"]].size,
+                    access=row["access"],
+                    default=[int(v) for v in default.split(";")] if ";" in default else int(default),
+                    flags=tuple(flags.split("|")) if flags else (),
+                    description=row["description"],
+                )
+            )
+        end = entries[-1].offset + entries[-1].size if entries else 0
+        return cls(tuple(entries), end, version)
+
+    @cached_property
+    def default_image(self) -> bytes:
+        """The whole map at its defaults, which every reset restores; padding is zero."""
         image = bytearray(self.total_size)
-        mask = bytearray([ACCESS_CODES["read-only"]]) * self.total_size
-        spans: dict[str, list[list[int]]] = {}
         for e in self.entries:
             image[e.offset : e.offset + e.size] = e.default_bytes()
+        return bytes(image)
+
+    @cached_property
+    def access_mask(self) -> bytes:
+        """One ACCESS_CODES byte per map byte."""
+        mask = bytearray([ACCESS_CODES["read-only"]]) * self.total_size
+        for e in self.entries:
             mask[e.offset : e.offset + e.size] = bytes([ACCESS_CODES[e.access]]) * e.size
+        return bytes(mask)
+
+    @cached_property
+    def read_only_spans(self) -> dict[str, tuple[slice, ...]]:
+        """Per module, the merged byte ranges of its read-only entries, which the module's re-init restores."""
+        spans: dict[str, list[list[int]]] = {}
+        for e in self.entries:
             module_spans = spans.setdefault(e.name.split(".")[0], [])
             if e.access != "read-only":
                 continue
@@ -104,13 +143,7 @@ class LayoutedMap:
                 module_spans[-1][1] = e.offset + e.size
             else:
                 module_spans.append([e.offset, e.offset + e.size])
-        self.default_image = bytes(image)
-        self.access_mask = bytes(mask)
-        self.read_only_spans = {m: tuple(slice(*span) for span in s) for m, s in spans.items()}
-
-    @property
-    def version(self) -> str:
-        return self.spec.version
+        return {m: tuple(slice(*span) for span in s) for m, s in spans.items()}
 
     @property
     def map_hash(self) -> str:
@@ -181,4 +214,4 @@ def compute_layout(spec: MemoryMapSpec) -> LayoutedMap:
             )
         total = spec.padded_total_size
 
-    return LayoutedMap(spec=spec, entries=tuple(entries), total_size=total)
+    return LayoutedMap(entries=tuple(entries), total_size=total, version=spec.version, spec=spec)

@@ -8,16 +8,13 @@ responses, over an in-process handler or a TCP socket.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 import socket
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from hilsim.memmap.layout import LayoutEntry
-from hilsim.memmap.schema import SCALAR_TYPES
+from hilsim.memmap.layout import LayoutedMap
 from hilsim.serve import LineSocket, LineTooLong
 
 SUCCESS = "Success"
@@ -98,43 +95,7 @@ def open_transport(endpoint):
     raise TypeError(f"cannot interpret endpoint {endpoint!r}")
 
 
-class NameMap:
-    """Qualified name -> layout entry lookup loaded from a CSV map."""
-
-    def __init__(self, entries: dict[str, LayoutEntry], version: str):
-        self.entries = entries
-        self.version = version
-
-    @classmethod
-    def from_csv(cls, text: str, version: str) -> "NameMap":
-        """Parse ``emit_csv`` rows back into layout entries (a one-element list default becomes a scalar)."""
-        entries = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            size = int(row["size"])
-            default = row.get("default") or "0"
-            flags = row.get("flags") or ""
-            entry = LayoutEntry(
-                name=row["name"],
-                offset=int(row["offset"]),
-                size=size,
-                type=row["type"],
-                array_len=size // SCALAR_TYPES[row["type"]][0],
-                access=row["access"],
-                default=[int(v) for v in default.split(";")] if ";" in default else int(default),
-                flags=tuple(flags.split("|")) if flags else (),
-                description=row["description"],
-            )
-            entries[entry.name] = entry
-        return cls(entries, version)
-
-    def lookup(self, name: str) -> LayoutEntry:
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise KeyError(f"unknown parameter {name!r}") from None
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
+NameMap = LayoutedMap  # perfbench/tracer.py imports the map type by this name and patches its from_csv
 
 
 class MapStore:
@@ -167,10 +128,10 @@ class MapStore:
     def versions(self) -> list[str]:
         return sorted(self._index)
 
-    def get(self, version: str) -> NameMap:
+    def get(self, version: str) -> LayoutedMap:
         if version not in self._index:
             raise KeyError(f"no installed map for version {version!r}")
-        return NameMap.from_csv(self._index[version].read_text("utf-8"), version)
+        return LayoutedMap.from_csv(self._index[version].read_text("utf-8"), version)
 
 
 @dataclass
@@ -192,8 +153,8 @@ class RefDeviceClient:
 
     def __init__(self, endpoint, maps):
         self.transport = open_transport(endpoint)
-        self.store = maps if isinstance(maps, (MapStore, NameMap)) else MapStore(maps)
-        self.map: NameMap | None = self.store if isinstance(self.store, NameMap) else None
+        self.store = maps if isinstance(maps, (MapStore, LayoutedMap)) else MapStore(maps)
+        self.map: LayoutedMap | None = self.store if isinstance(self.store, LayoutedMap) else None
 
     def connect(self) -> PalResult:
         """Read the device version and bind the matching map."""
@@ -209,7 +170,7 @@ class RefDeviceClient:
         self.map = self.store.get(version)
         return PalResult(cmd=["-v"], data=version)
 
-    def _require_map(self) -> NameMap:
+    def _require_map(self) -> LayoutedMap:
         if self.map is None:
             raise RuntimeError("client is not connected; call connect() first")
         return self.map
@@ -217,32 +178,17 @@ class RefDeviceClient:
     def raw(self, line: str) -> dict:
         return json.loads(self.transport.request(line))
 
-    def _read_bytes(self, offset: int, size: int) -> PalResult:
-        """One ``rr`` request; on success the result's data is the bytes read."""
-        line = f"rr {offset} {size}"
-        reply = self.raw(line)
-        if reply.get("result") != 0:
-            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
-        raw = reply["data"]
-        return PalResult(cmd=[line], data=bytes([raw] if isinstance(raw, int) else raw))
-
     def read_reg(self, name: str, index: int = 0, count: int | None = None) -> PalResult:
-        count = 1 if count is None else count
-        try:
-            entry = self._require_map().lookup(name)
-            offset = entry.element_offset(index, count)
-        except (KeyError, ValueError) as exc:
-            return PalResult(result=ERROR, error=str(exc))
-        result = self._read_bytes(offset, count * entry.elem_size)
+        result = self.read_regs((name,), 1 if count is None else count, index)
         if result.ok:
-            result.data = entry.unpack(result.data)
+            result.data = result.data[0]
         return result
 
-    def read_regs(self, names, count: int) -> PalResult:
-        """Read elements 0..count-1 of each of ``names`` in one request; the data is one list per name.
+    def read_regs(self, names, count: int, index: int = 0) -> PalResult:
+        """Read elements index..index+count-1 of each of ``names`` in one request; the data is one list per name.
 
-        The entries must follow each other in the map, so one read from the first's element 0
-        through the last's element count-1 covers them all, and no other client's write can
+        The entries must follow each other in the map, so one read from the first's element index
+        through the last's element index+count-1 covers them all, and no other client's write can
         land between two of them.
         """
         try:
@@ -251,18 +197,18 @@ class RefDeviceClient:
             for before, after in zip(entries, entries[1:]):
                 if before.offset + before.size != after.offset:
                     raise ValueError(f"{after.name} does not follow {before.name} in the map")
-            for entry in entries:
-                entry.element_offset(0, count)
+            offsets = [entry.element_offset(index, count) for entry in entries]
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        start, last = entries[0].offset, entries[-1]
-        result = self._read_bytes(start, last.offset + count * last.elem_size - start)
-        if result.ok:
-            raw, result.data = result.data, []
-            for entry in entries:
-                at = entry.offset - start
-                result.data.append(entry.unpack(raw[at : at + count * entry.elem_size]))
-        return result
+        start = offsets[0]
+        line = f"rr {start} {offsets[-1] + count * entries[-1].elem_size - start}"
+        reply = self.raw(line)
+        if reply.get("result") != 0:
+            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
+        raw = reply["data"]
+        raw = bytes([raw] if isinstance(raw, int) else raw)
+        data = [e.unpack(raw[at - start : at - start + count * e.elem_size]) for e, at in zip(entries, offsets)]
+        return PalResult(cmd=[line], data=data)
 
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:
         try:
@@ -291,7 +237,7 @@ class RefDeviceClient:
         """Write a parameter, raise its module's init flag if it has one and that was not the write, and execute."""
         # resolved before the first write, so a module with no init flag never leaves a write staged
         init_flag = name.split(".")[0] + ".mode.init"
-        raise_flag = name != init_flag and init_flag in self._require_map().entries
+        raise_flag = name != init_flag and init_flag in self._require_map().by_name
         first = self.write_reg(name, value, index=index)
         if not first.ok:
             return first

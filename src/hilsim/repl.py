@@ -21,7 +21,7 @@ class DeviceShell(cmd.Cmd):
     def _names(self, prefix: str) -> list[str]:
         if self.client.map is None:
             return []
-        return [n for n in self.client.map.names() if n.startswith(prefix)]
+        return [n for n in sorted(self.client.map.by_name) if n.startswith(prefix)]
 
     def _show(self, result) -> None:
         if result.ok:
@@ -30,10 +30,10 @@ class DeviceShell(cmd.Cmd):
             self.stdout.write(f"error: {result.error}\n")
 
     def onecmd(self, line: str) -> bool:
-        """Run one command; a dropped device connection is reported, not raised."""
+        """Run one command; a dropped device connection or a malformed number is reported, not raised."""
         try:
             return super().onecmd(line)
-        except TransportError as exc:
+        except (TransportError, ValueError) as exc:
             self.stdout.write(f"error: {exc}\n")
             return False
 

@@ -16,8 +16,8 @@ from hilsim.dut import FaultConfig
 from hilsim.harness import FAULT_CATEGORY, RunConfig, SUITE_NAMES, SuiteRunner, run_suite
 from hilsim.harness.runner import PPM_THRESHOLD
 from hilsim.memmap import SCALAR_TYPES, compute_layout, parse_config
-from hilsim.pal import NameMap, RefDeviceClient
-from hilsim.memmap import emit_csv
+from hilsim.pal import RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.reference import reference_layout
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
 
@@ -64,7 +64,7 @@ def test_criterion_1_protocol_golden():
 def test_criterion_2_nack_data_scenario():
     bench = Bench(BenchConfig(seed=0))
     layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, NameMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
     assert client.connect().ok
     assert client.write_and_execute("i2c.mode.nack_data", 1).ok
     bench.dut.handle_line("i2c_init")
@@ -229,7 +229,7 @@ def test_criterion_9_layout_properties():
 def test_criterion_10_name_address_parity():
     bench = Bench(BenchConfig(seed=0))
     layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, NameMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
     assert client.connect().ok
     rng = random.Random(100)
     for _ in range(100):

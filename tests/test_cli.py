@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,9 @@ from click.testing import CliRunner
 
 import hilsim
 from hilsim.cli import main
-from hilsim.memmap import emit_csv
+from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.dut import METADATA
-from hilsim.pal import NameMap, RefDeviceClient, TransportError
+from hilsim.pal import RefDeviceClient, TransportError
 from hilsim.reference import reference_config_text, reference_layout
 from hilsim.repl import DeviceShell
 from hilsim.serve import serve_stdio, serve_tcp
@@ -101,7 +102,7 @@ def test_serve_tcp_sequential_clients(bench, map_dir):
 @pytest.fixture
 def shell(bench):
     layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, NameMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
     client.connect()
     out = io.StringIO()
     sh = DeviceShell(client, stdout=out)
@@ -136,8 +137,12 @@ def test_shell_survives_bad_input(shell):
     sh, out = shell
     sh.onecmd("read not.a.name")
     sh.onecmd("write")
-    text = out.getvalue()
-    assert "error" in text and "usage" in text
+    for line in ("read i2c.r_count x", "write i2c.r_count zz", "write_execute i2c.slave_addr_1 q"):
+        sh.onecmd(line)
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("error") and lines[1].startswith("usage")
+    assert [line.split(":")[0] for line in lines[2:]] == ["error"] * 3
+    assert "invalid literal" in lines[2] and "'zz'" in lines[3] and "'q'" in lines[4]
 
 
 class DroppedTransport:
@@ -152,7 +157,7 @@ class DroppedTransport:
 
 def test_shell_reports_a_dropped_connection_and_goes_on():
     layout = reference_layout()
-    client = RefDeviceClient(DroppedTransport(), NameMap.from_csv(emit_csv(layout), layout.version))
+    client = RefDeviceClient(DroppedTransport(), LayoutedMap.from_csv(emit_csv(layout), layout.version))
     commands = ["read i2c.slave_addr_1", "write i2c.mode.nack_data 1", "execute",
                 "write_execute i2c.mode.nack_data 1", "raw rr 0 1", "describe i2c.r_count"]
     out = io.StringIO()
@@ -288,6 +293,25 @@ def test_cli_serve_rejects_a_malformed_address(args):
     assert_bad_input(result, "expected host:port")
 
 
+@pytest.fixture
+def taken_port():
+    """An address whose port another socket already listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        sock.listen()
+        yield "127.0.0.1:%d" % sock.getsockname()[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["serve", "--listen"], ["serve", "--stdio", "--dut-listen"], ["dut", "serve", "--listen"]],
+    ids=" ".join,
+)
+def test_cli_serve_reports_a_taken_port_in_one_line(args, taken_port):
+    result = CliRunner().invoke(main, args + [taken_port], input="")
+    assert_bad_input(result, f"cannot listen on {taken_port}: ")
+
+
 def test_cli_dump_trace(map_dir):
     bench = make_bench()
     bench.dut.handle_line("gpio_toggle 0")
@@ -306,6 +330,30 @@ def test_cli_dump_trace(map_dir):
     assert lines[0] == "index,pin,level,tick_ns"
     assert len(lines) == 3
     assert lines[1].startswith("0,0,1,")
+
+
+class RefusingReads:
+    """A reference device that answers every ``rr`` with result 4."""
+
+    def __init__(self, device):
+        self.device = device
+
+    def handle_line(self, line):
+        return '{"result": 4}' if line.startswith("rr") else self.device.handle_line(line)
+
+
+def test_cli_dump_trace_reports_a_refused_read_in_one_line(map_dir):
+    server = serve_tcp(RefusingReads(make_bench().refdev))
+    server.serve_background()
+    try:
+        result = CliRunner().invoke(
+            main, ["dump-trace", "--endpoint", server.endpoint, "--maps", str(map_dir)]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert result.exit_code == 1, result.output
+    assert result.output.strip() == "Error: read_reg trace.index: device result 4"
 
 
 def test_cli_serve_mutually_exclusive_flags():

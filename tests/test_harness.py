@@ -189,6 +189,41 @@ def test_a_lost_reference_device_fails_its_case_and_the_later_cases_run(word):
     assert [c.verdict for c in later] == [PASS] * len(later)
 
 
+class RefusingTransport:
+    """Serves a device in process, but answers an ``rr`` at one of ``offsets`` (any ``rr`` if None) with result 4."""
+
+    def __init__(self, device, offsets=None):
+        self.device = device
+        self.offsets = offsets
+
+    def request(self, line):
+        word, *args = line.split()
+        if word == "rr" and (self.offsets is None or int(args[0]) in self.offsets):
+            return '{"result": 4}'
+        return self.device.handle_line(line)
+
+    def close(self):
+        pass
+
+
+def test_a_refused_trace_read_fails_its_case_and_the_suite_finishes():
+    runner = SuiteRunner.local(RunConfig(seed=5))
+    runner.phil.transport = RefusingTransport(runner.bench.refdev)
+    cases = {c.id: c for c in runner.run_suite("gpio_timer").cases}
+    for case_id in ("gpio.trace_count", "timer.accuracy", "timer.overlap_delay"):
+        assert (cases[case_id].verdict, cases[case_id].reason) == (FAIL, "read_reg trace.index: device result 4")
+
+
+def test_a_refused_overrun_read_fails_the_overlap_case():
+    # pin 0's edges land on pin 1, so the overlap step reads the overrun count for its message
+    runner = SuiteRunner.local(RunConfig(seed=3, pin_map={0: 1, 1: 0, 2: 2}))
+    offset = runner.phil.map.lookup("trace.overrun_count").offset
+    runner.phil.transport = RefusingTransport(runner.bench.refdev, {offset})
+    case = runner.run_case(load_manifest("gpio_timer")["cases"][3])
+    assert (case.id, case.verdict) == ("timer.overlap_delay", FAIL)
+    assert case.reason == "read_reg trace.overrun_count: device result 4"
+
+
 def test_a_timer_trace_on_a_miswired_pin_fails_its_case():
     report = run_suite("gpio_timer", config=RunConfig(seed=3, pin_map={0: 1, 1: 0, 2: 2}))
     accuracy = {c.id: c for c in report.cases}["timer.accuracy"]

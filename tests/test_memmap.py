@@ -11,6 +11,7 @@ from hilsim.memmap import (
     ConfigError,
     ConfigSyntaxError,
     LayoutError,
+    LayoutedMap,
     SCALAR_TYPES,
     compute_layout,
     emit_csv,
@@ -19,7 +20,6 @@ from hilsim.memmap import (
     parse_config,
 )
 from hilsim.memmap import schema
-from hilsim.pal import NameMap
 from hilsim.reference import reference_layout
 
 from conftest import load_script
@@ -381,7 +381,7 @@ def ref_layout():
 
 def test_emit_csv_roundtrip(ref_layout):
     text = emit_csv(ref_layout)
-    name_map = NameMap.from_csv(text, ref_layout.version)
+    name_map = LayoutedMap.from_csv(text, ref_layout.version)
     assert len(name_map.entries) == len(ref_layout.entries)
     for entry in ref_layout.entries:
         loaded = name_map.lookup(entry.name)

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from hilsim.memmap import emit_csv
+from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import (
     DutClient,
     MapStore,
-    NameMap,
     RefDeviceClient,
     SUCCESS,
     TransportError,
@@ -24,7 +23,7 @@ def layout():
 
 @pytest.fixture(scope="module")
 def name_map(layout):
-    return NameMap.from_csv(emit_csv(layout), version=layout.version)
+    return LayoutedMap.from_csv(emit_csv(layout), layout.version)
 
 
 @pytest.fixture
@@ -95,13 +94,13 @@ def test_connect_reports_missing_map_version(bench, tmp_path):
 
 
 def test_connect_with_a_name_map_of_another_version_is_an_error(bench, name_map):
-    client = RefDeviceClient(bench.refdev, NameMap(name_map.entries, version="9.9.9"))
+    client = RefDeviceClient(bench.refdev, LayoutedMap(name_map.entries, name_map.total_size, "9.9.9"))
     result = client.connect()
     assert (result.result, result.error) == ("Error", "no map for reported version '1.2.3'")
 
 
 def test_unreachable_endpoint_is_timeout():
-    client = RefDeviceClient("127.0.0.1:1", NameMap({}, "1.2.3"))
+    client = RefDeviceClient("127.0.0.1:1", LayoutedMap((), 0, "1.2.3"))
     result = client.connect()
     assert result.result == "Timeout"
 
@@ -174,7 +173,7 @@ def test_name_address_parity_random_states(bench, name_map, layout):
     client.connect()
     for _ in range(10):
         bench.refdev.regs.poke(0, bytes(rng.randrange(256) for _ in range(2048)))
-        for name in rng.sample(name_map.names(), 40):
+        for name in rng.sample(sorted(name_map.by_name), 40):
             entry = layout.lookup(name)
             named = client.read_reg(name, 0, entry.array_len).data
             raw = bench.refdev.regs.read(entry.offset, entry.size)

@@ -1,7 +1,7 @@
 """Client-side guards of the PAL: a rejected access never reaches the wire."""
 
-from hilsim.memmap import emit_csv
-from hilsim.pal import ERROR, NameMap, RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.pal import ERROR, RefDeviceClient
 from hilsim.reference import reference_layout
 
 
@@ -23,7 +23,7 @@ class WireLog:
 def connected_client(bench):
     layout = reference_layout()
     wire = WireLog(bench.refdev)
-    client = RefDeviceClient(wire, NameMap.from_csv(emit_csv(layout), version=layout.version))
+    client = RefDeviceClient(wire, LayoutedMap.from_csv(emit_csv(layout), layout.version))
     assert client.connect().ok
     wire.lines.clear()
     return client, wire

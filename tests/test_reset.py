@@ -4,8 +4,8 @@ import pytest
 
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
 from hilsim.harness.runner import _reset_writes
-from hilsim.memmap import emit_csv
-from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.pal import DutClient, RefDeviceClient
 from hilsim.refdev import RangeViolation
 from hilsim.reference import reference_layout
 from hilsim.serve import serve_tcp
@@ -64,7 +64,37 @@ def test_default_image_matches_every_entry_default():
 
 def test_csv_map_round_trips_to_the_layout_entries():
     layout = reference_layout()
-    assert NameMap.from_csv(emit_csv(layout), layout.version).entries == layout.by_name
+    csv_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
+    assert csv_map.by_name == layout.by_name
+    assert (csv_map.version, csv_map.map_hash) == (layout.version, layout.map_hash)
+    assert csv_map.spec is None
+
+
+def reset_writes_per_entry(layout):
+    """The soft reset's lines built entry by entry: each writable entry's default bytes, or 1 for an
+    init flag, joined into one ``wr`` while the entries follow each other."""
+    spans = []
+    for entry in sorted(layout.entries, key=lambda e: e.offset):
+        if entry.access == "read-only":
+            continue
+        data = entry.pack(1) if "init-trigger" in entry.flags else entry.default_bytes()
+        if spans and spans[-1][0] + len(spans[-1][1]) == entry.offset:
+            spans[-1][1].extend(data)
+        else:
+            spans.append((entry.offset, bytearray(data)))
+    return tuple(f"wr {offset} {' '.join(map(str, data))}" for offset, data in spans)
+
+
+def test_reset_writes_equal_the_per_entry_reference():
+    layout = reference_layout()
+    csv_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
+    assert _reset_writes(csv_map) == reset_writes_per_entry(layout) == _reset_writes(layout)
+
+
+def test_a_local_runner_leaves_its_csv_map_image_unbuilt():
+    runner = SuiteRunner.local(RunConfig(seed=1))
+    runner.run_suite("infrastructure")
+    assert "default_image" not in vars(runner.phil.map)
 
 
 # -- served resets --------------------------------------------------------
@@ -91,7 +121,7 @@ def test_padding_is_read_only_so_a_served_reset_restores_every_byte(bench):
         assert bench.refdev.handle_line(f"wr {offset} 5") == '{"result": 3}', offset
     assert bench.refdev.handle_line("ex") == '{"result": 0}'
     assert bytes(bench.refdev.regs.committed) == bytes(make_bench(seed=7).refdev.regs.committed)
-    assert len(_reset_writes(NameMap.from_csv(emit_csv(layout), version=layout.version))) == 16
+    assert len(_reset_writes(LayoutedMap.from_csv(emit_csv(layout), layout.version))) == 16
 
 
 SEED = 3
@@ -120,7 +150,7 @@ def test_served_verdicts_equal_local_verdicts_in_any_order(local_verdicts):
     layout = reference_layout()
     runner = SuiteRunner(
         DutClient(dut_server.endpoint),
-        RefDeviceClient(ref_server.endpoint, NameMap.from_csv(emit_csv(layout), version=layout.version)),
+        RefDeviceClient(ref_server.endpoint, LayoutedMap.from_csv(emit_csv(layout), layout.version)),
         config=RunConfig(seed=SEED),
     )
     try:

@@ -14,8 +14,8 @@ from hilsim.dut import _COMMANDS, FaultConfig
 from hilsim.harness import RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL
 from hilsim.harness.runner import read_trace
-from hilsim.memmap import emit_csv
-from hilsim.pal import NameMap, RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.pal import RefDeviceClient
 from hilsim.serve import serve_tcp
 from hilsim.sim.gpio import GpioEvent
 
@@ -158,11 +158,25 @@ def test_a_shifted_full_window_reads_back_as_the_latest_held_events(method):
 
 def test_read_regs_refuses_entries_that_do_not_follow_each_other(bench):
     layout = bench.refdev.regs.map
-    client = RefDeviceClient(CountingTransport(bench.refdev), NameMap.from_csv(emit_csv(layout), layout.version))
+    client = RefDeviceClient(CountingTransport(bench.refdev), LayoutedMap.from_csv(emit_csv(layout), layout.version))
     result = client.read_regs(("trace.source", "trace.tick"), 4)
     assert not result.ok and "trace.tick does not follow trace.source" in result.error
     assert not client.read_regs(("trace.source", "trace.value"), 129).ok
     assert client.transport.lines == []
+
+
+def test_read_regs_from_an_index_decodes_each_entry_from_its_own_element(bench):
+    layout = bench.refdev.regs.map
+    names = ("trace.source", "trace.value", "trace.tick")
+    first, last = layout.lookup(names[0]), layout.lookup(names[-1])
+    rng = random.Random(9)
+    bench.refdev.regs.poke(first.offset, bytes(rng.randrange(256) for _ in range(last.offset + last.size - first.offset)))
+    client = RefDeviceClient(CountingTransport(bench.refdev), LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    result = client.read_regs(names, 3, index=5)
+    start, end = first.element_offset(5, 3), last.element_offset(5, 3) + 3 * last.elem_size
+    assert result.ok and client.transport.lines == [f"rr {start} {end - start}"]
+    assert result.data == [client.read_reg(name, 5, 3).data for name in names]
+    assert result.data == [bench.refdev.regs.read_param(name, 5, 3) for name in names]
 
 
 def test_the_tcp_read_back_equals_the_in_process_one():
@@ -171,7 +185,7 @@ def test_the_tcp_read_back_equals_the_in_process_one():
     server = serve_tcp(runner.bench.refdev)
     server.serve_background()
     try:
-        remote = RefDeviceClient(server.endpoint, NameMap.from_csv(emit_csv(layout), layout.version))
+        remote = RefDeviceClient(server.endpoint, LayoutedMap.from_csv(emit_csv(layout), layout.version))
         assert remote.connect().ok
         try:
             assert read_trace(remote) == runner.read_trace() != []

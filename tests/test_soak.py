@@ -13,8 +13,8 @@ from pathlib import Path
 import hilsim
 from hilsim.bench import Bench, BenchConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
-from hilsim.memmap import emit_csv
-from hilsim.pal import DutClient, NameMap, RefDeviceClient
+from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.pal import DutClient, RefDeviceClient
 from hilsim.serve import serve_tcp
 
 PASSES = 20
@@ -41,7 +41,7 @@ def held_by_hilsim() -> int:
 def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two():
     bench = Bench(BenchConfig(seed=3))
     layout = bench.refdev.regs.map
-    name_map = NameMap.from_csv(emit_csv(layout), version=layout.version)
+    name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
     servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
     for server in servers:
         server.serve_background()
