@@ -102,14 +102,22 @@ def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
 
 
 def load_manifest(suite: str) -> dict:
-    """Load a packaged suite manifest by name, or any manifest by path."""
+    """Load a packaged suite manifest by name, or any manifest by path.
+
+    A packaged manifest's text is read once per process; a path is read on every call. Each
+    call decodes the text anew, so no two runs share a dict.
+    """
     path = Path(suite)
     if path.suffix == ".json" and path.exists():
         return json.loads(path.read_text("utf-8"))
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    text = resources.files("hilsim").joinpath(f"harness/suites/{suite}.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(_packaged_manifest(suite))
+
+
+@lru_cache(maxsize=None)
+def _packaged_manifest(suite: str) -> str:
+    return resources.files("hilsim").joinpath(f"harness/suites/{suite}.json").read_text("utf-8")
 
 
 class SuiteRunner:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import re
 import socket
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from hilsim.memmap.layout import LayoutedMap
+from hilsim.memmap.layout import STRUCT_CODES, LayoutedMap
 from hilsim.serve import LineSocket, LineTooLong
 
 SUCCESS = "Success"
@@ -22,6 +23,8 @@ ERROR = "Error"
 TIMEOUT = "Timeout"
 
 _SEMVER_SUFFIX = re.compile(r"[-_](\d+\.\d+\.\d+)$")
+# the reference device's reply to every accepted ``wr`` and ``ex``, matched as text
+_SUCCESS_REPLY = json.dumps({"result": 0})
 
 
 class TransportError(OSError):
@@ -46,6 +49,9 @@ class TcpTransport:
 
     Lines are framed by ``LineSocket``, the server's own framing. A failed
     request drops the connection, and the next request opens a new one.
+    Once connected, the socket blocks and the kernel holds ``timeout`` as its
+    send and receive limit, so a request is one ``send`` and one ``recv``
+    with no ``poll`` before each.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0):
@@ -58,6 +64,11 @@ class TcpTransport:
             sock = socket.create_connection(self._addr, timeout=self._timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {self._addr[0]}:{self._addr[1]}: {exc}") from exc
+        # the same limit as a POSIX timeval, held by the kernel; a zero one would mean no limit
+        limit = struct.pack("ll", *divmod(max(1, round(self._timeout * 1e6)), 1_000_000))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
+        sock.setblocking(True)
         self._lines = LineSocket(sock)
         return self._lines
 
@@ -66,6 +77,9 @@ class TcpTransport:
         try:
             lines.send_line(line)
             reply = lines.recv_line()
+        except BlockingIOError as exc:  # the kernel's send or receive limit ran out
+            self.close()
+            raise TransportError("timed out") from exc
         except (OSError, LineTooLong) as exc:
             self.close()
             raise TransportError(str(exc)) from exc
@@ -159,8 +173,8 @@ class RefDeviceClient:
     def connect(self) -> PalResult:
         """Read the device version and bind the matching map."""
         try:
-            reply = json.loads(self.transport.request("-v"))
-        except (TransportError, json.JSONDecodeError):
+            reply = self.raw("-v")
+        except TransportError:
             return PalResult(cmd=["-v"], result=TIMEOUT, error="endpoint unreachable")
         version = reply.get("version")
         if self.map is not None and self.map.version == version:
@@ -176,7 +190,17 @@ class RefDeviceClient:
         return self.map
 
     def raw(self, line: str) -> dict:
-        return json.loads(self.transport.request(line))
+        """Send one line and decode its reply; a reply that is not a JSON object raises ``TransportError``."""
+        reply = self.transport.request(line)
+        if reply == _SUCCESS_REPLY:
+            return {"result": 0}
+        try:
+            fields = json.loads(reply)
+        except json.JSONDecodeError:
+            fields = None
+        if not isinstance(fields, dict):
+            raise TransportError(f"malformed reply {reply[:80]!r}")
+        return fields
 
     def read_reg(self, name: str, index: int = 0, count: int | None = None) -> PalResult:
         result = self.read_regs((name,), 1 if count is None else count, index)
@@ -207,7 +231,10 @@ class RefDeviceClient:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
         raw = reply["data"]
         raw = bytes([raw] if isinstance(raw, int) else raw)
-        data = [e.unpack(raw[at - start : at - start + count * e.elem_size]) for e, at in zip(entries, offsets)]
+        data = [
+            list(struct.unpack_from(f"<{count}{STRUCT_CODES[e.type]}", raw, at - start))
+            for e, at in zip(entries, offsets)
+        ]
         return PalResult(cmd=[line], data=data)
 
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:

@@ -8,6 +8,7 @@ line-oriented protocol: ``rr <index> <size>``, ``wr <index> [data]``,
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from typing import Callable
@@ -200,14 +201,15 @@ class ReferenceDevice:
             return _RESULT_LINES[RESULT_INTERNAL_ERROR]
 
     def _dispatch(self, line: str) -> str:
-        parts = line.split()
+        # a ``wr`` line splits into command, offset and its data text, which _cmd_write decodes whole
+        parts = line.split(None, 2)
         if not parts:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         cmd = parts[0]
-        if cmd == "rr":
-            return self._cmd_read(parts[1:])
         if cmd == "wr":
             return self._cmd_write(parts[1:])
+        if cmd == "rr":
+            return self._cmd_read(line.split()[1:])
         if cmd == "ex":
             self.execute()
             return _RESULT_LINES[RESULT_SUCCESS]
@@ -232,11 +234,12 @@ class ReferenceDevice:
         return '{"data": [' + ", ".join(map(_BYTE_TEXT.__getitem__, data)) + '], "result": 0}'
 
     def _cmd_write(self, args: list[str]) -> str:
+        """Stage ``args``, an offset and the data text after it; range and access are checked on every call."""
         if len(args) < 2:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             offset = _parse_int(args[0])
-            data = _parse_bytes(args[1:])
+            data = _parse_data(args[1])
         except ValueError:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
@@ -264,3 +267,12 @@ def _parse_bytes(tokens: list[str]) -> bytes:
         return bytes(map(_DECIMAL_BYTES.__getitem__, tokens))
     except KeyError:
         return bytes(_parse_int(t) for t in tokens)  # ValueError above 0xFF
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_data(text: str) -> bytes:
+    """The bytes of a ``wr`` data text, cached: a client's reset sends the same few lines before every case.
+
+    A malformed text raises ``ValueError`` on every call, as the cache keeps no exceptions.
+    """
+    return _parse_bytes(text.split())

@@ -16,6 +16,7 @@ from hilsim.refdev import (
     RESULT_OUT_OF_RANGE,
     RESULT_PARSE_ERROR,
     RESULT_SUCCESS,
+    _parse_data,
 )
 from hilsim.reference import reference_layout
 
@@ -165,3 +166,37 @@ def test_golden_protocol_file(device, bench):
     """Replay the golden request/response file byte-exactly."""
     for request, expected in golden_exchanges(bench):
         assert bench.refdev.handle_line(request) == expected, request
+
+
+# -- the ``wr`` data cache ------------------------------------------------
+
+
+def test_a_repeated_write_line_stages_each_time_and_lands_in_order(device):
+    offset = device.regs.map.lookup("user_reg.user_reg").offset
+    first, second = f"wr {offset} 17 18", f"wr {offset} 34 35"
+    assert [device.handle_line(line) for line in (first, second, first)] == ['{"result": 0}'] * 3
+    assert device.regs.staged == [(offset, b"\x11\x12"), (offset, b"\x22\x23"), (offset, b"\x11\x12")]
+    device.handle_line("ex")
+    assert device.regs.read(offset, 2) == b"\x11\x12"
+
+
+def test_a_repeated_write_is_checked_for_access_and_parsed_anew_when_malformed(device):
+    _parse_data.cache_clear()
+    for _ in range(2):
+        assert json.loads(device.handle_line("wr 0 1"))["result"] == RESULT_ACCESS_VIOLATION
+        assert json.loads(device.handle_line("wr 204 300"))["result"] == RESULT_PARSE_ERROR
+    assert _parse_data.cache_info().currsize == 1  # "1"; the malformed text raised and was not kept
+    assert device.regs.staged == []
+
+
+def test_tabs_and_runs_of_spaces_split_a_write_as_single_spaces_do(device):
+    assert device.handle_line("wr 52\t1  2") == '{"result": 0}'
+    assert device.handle_line("wr\t52 1\t\t2 ") == '{"result": 0}'
+    assert device.regs.staged == [(52, b"\x01\x02")] * 2
+
+
+def test_the_write_cache_keeps_at_most_64_data_texts(device):
+    offset = device.regs.map.lookup("user_reg.user_reg").offset
+    for value in range(1000):
+        assert device.handle_line(f"wr {offset} {value % 256} {value // 256}") == '{"result": 0}'
+    assert _parse_data.cache_info().currsize <= 64

@@ -7,7 +7,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from hilsim.pal import TcpTransport, TransportError
+from hilsim.harness.report import FAIL, SKIP
+from hilsim.harness.runner import RunConfig, SuiteRunner
+from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError
 from hilsim.serve import MAX_LINE, serve_tcp
 
 from conftest import golden_exchanges
@@ -36,11 +38,21 @@ def served(device):
         server.server_close()
 
 
+class MalformedWrites:
+    """A reference device that answers ``not json`` to every ``wr`` and passes every other line on."""
+
+    def __init__(self, device):
+        self.device = device
+
+    def handle_line(self, line):
+        return "not json" if line.startswith("wr") else self.device.handle_line(line)
+
+
 @contextmanager
-def fake_server(script, connections=1):
+def fake_server(script, connections=1, timeout=5):
     """A loopback listener that runs ``script(conn, index)`` on each of its connections in turn.
 
-    Yields a ``TcpTransport`` pointed at it.
+    Yields a ``TcpTransport`` pointed at it, with ``timeout`` as its limit.
     """
     listener = socket.create_server(("127.0.0.1", 0))
 
@@ -52,7 +64,7 @@ def fake_server(script, connections=1):
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    transport = TcpTransport(*listener.getsockname()[:2], timeout=5)
+    transport = TcpTransport(*listener.getsockname()[:2], timeout=timeout)
     try:
         yield transport
     finally:
@@ -176,3 +188,68 @@ def test_connect_is_lazy_and_a_refused_connect_is_a_transport_error():
     transport = TcpTransport("127.0.0.1", port, timeout=1)
     with pytest.raises(TransportError, match="cannot connect"):
         transport.request("-v")
+
+
+def test_a_silent_peer_times_out_and_the_next_request_opens_a_new_connection():
+    def script(conn, index):
+        if index == 0:
+            while conn.recv(4096):  # never answers; ends when the client gives up and closes
+                pass
+        else:
+            recv_lines(conn, 1)
+            conn.sendall(b'{"connection": 1}\n')
+
+    with fake_server(script, connections=2, timeout=0.2) as transport:
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            transport.request("-v")
+        assert time.monotonic() - started < 2
+        assert transport.request("-v") == '{"connection": 1}'
+
+
+def test_a_connected_socket_blocks_and_holds_its_limit_in_the_kernel():
+    """No Python timeout, so no ``poll`` before each ``send`` and ``recv``; the kernel keeps the limit."""
+
+    def script(conn, _):
+        recv_lines(conn, 1)
+        conn.sendall(b'{"result": 0}\n')
+        recv_lines(conn, 1)
+
+    with fake_server(script, timeout=0.2) as transport:
+        assert transport.request("-v") == '{"result": 0}'
+        sock = transport._lines.sock
+        assert sock.gettimeout() is None
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            assert sock.getsockopt(socket.SOL_SOCKET, option, 16) != bytes(16)
+
+
+# -- a reply that is not JSON ----------------------------------------------
+
+
+@pytest.mark.parametrize("reply", [b"not json", b"[1, 2]"])
+def test_a_reply_that_is_not_a_json_object_raises_transport_error(bench, reply):
+    def script(conn, _):
+        recv_lines(conn, 1)
+        conn.sendall(reply + b"\n")
+        recv_lines(conn, 1)
+
+    with fake_server(script) as transport:
+        client = RefDeviceClient(transport, bench.refdev.regs.map)
+        with pytest.raises(TransportError, match="malformed reply"):
+            client.raw("wr 52 1")
+
+
+def test_a_malformed_reply_fails_only_its_case_and_the_suite_runs_on(bench):
+    with served(MalformedWrites(bench.refdev)) as addr:
+        runner = SuiteRunner(
+            DutClient(bench.dut),
+            RefDeviceClient("{}:{}".format(*addr), bench.refdev.regs.map),
+            config=RunConfig(seed=7),
+        )
+        try:
+            report = runner.run_suite("i2c")
+        finally:
+            runner.phil.transport.close()
+    run = [case for case in report.cases if case.verdict != SKIP]
+    assert run
+    assert {(case.verdict, case.reason) for case in run} == {(FAIL, "reference device lost: malformed reply 'not json'")}
