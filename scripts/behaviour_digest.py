@@ -16,6 +16,8 @@ the whole register image after every command of 12 seeded capture streams:
 ``gpio_toggle`` bursts, ``gpio_set``, ``timer_trace`` of up to 300 edges and
 ``timer_bench``, mixed with capture-method switches, trace inits and
 ``Bench.reset()``, so each capture method overruns its 128 trace slots.
+``generator`` hashes the struct declaration, CSV map and docs that the
+generator writes for the bundled map, in that order.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import random
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
-from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.memmap import LayoutedMap, emit_csv, emit_docs, emit_struct_decl
 from hilsim.pal import DutClient, RefDeviceClient
+from hilsim.reference import reference_layout
 from hilsim.serve import serve_tcp
 
 I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
@@ -166,8 +169,15 @@ def trace_digest() -> str:
     return digest.hexdigest()
 
 
+def generator_digest() -> str:
+    layout = reference_layout()
+    text = "".join(emit(layout) for emit in (emit_struct_decl, emit_csv, emit_docs))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 if __name__ == "__main__":
     print("suites ", suites_digest())
     print("streams", streams_digest())
     print("served ", served_digest())
     print("trace  ", trace_digest())
+    print("generator", generator_digest())

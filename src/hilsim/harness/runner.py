@@ -73,9 +73,8 @@ def _reset_writes(name_map: LayoutedMap) -> tuple[str, ...]:
     byte a client may write.
     """
     image = bytearray(name_map.default_image)
-    for entry in name_map.entries:
-        if "init-trigger" in entry.flags:
-            image[entry.offset : entry.offset + entry.elem_size] = entry.pack(1)
+    for entry in name_map.init_flags.values():
+        image[entry.offset : entry.offset + entry.elem_size] = entry.pack(1)
     return tuple(
         f"wr {run.start()} {' '.join(map(str, image[run.start() : run.end()]))}"
         for run in _WRITABLE_RUN.finditer(name_map.access_mask)
@@ -359,6 +358,8 @@ class SuiteRunner:
             response = self.dut.timer_bench(n, period_ns, pin)
             self._check_response("timer_bench", response, {"result": SUCCESS})
             target = response.get("data")
+            if type(target) is not int:
+                raise StepFailure(f"timer_bench n={n}: no integer data in reply {json.dumps(response)}")
             events = [e for e in self.read_trace() if e.pin == pin]
             if len(events) != n:
                 raise StepFailure(

@@ -8,17 +8,6 @@ import io
 from hilsim.memmap.layout import LayoutedMap
 from hilsim.memmap.schema import ParameterSpec
 
-_C_TYPES = {
-    "u8": "uint8_t",
-    "u16": "uint16_t",
-    "u32": "uint32_t",
-    "u64": "uint64_t",
-    "i8": "int8_t",
-    "i16": "int16_t",
-    "i32": "int32_t",
-    "i64": "int64_t",
-}
-
 CSV_COLUMNS = ["name", "offset", "size", "type", "access", "default", "flags", "description"]
 
 
@@ -29,7 +18,7 @@ def _emit_param(param: ParameterSpec, indent: str, lines: list[str]) -> None:
             _emit_param(member, indent + "    ", lines)
         lines.append(f"{indent}}} {param.name};")
         return
-    ctype = _C_TYPES[param.type]
+    ctype = f"{'u' if param.type.startswith('u') else ''}int{8 * param.scalar_size()}_t"
     suffix = f"[{param.array_len}]" if param.array_len > 1 else ""
     comment = f" /* {param.description} */" if param.description else ""
     lines.append(f"{indent}{ctype} {param.name}{suffix};{comment}")

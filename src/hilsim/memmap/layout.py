@@ -16,14 +16,12 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from hilsim.memmap.schema import MemoryMapSpec, ParameterSpec
+from hilsim.memmap.schema import STRUCT_CODES, MemoryMapSpec, ParameterSpec
 
 
 # per-byte codes of LayoutedMap.access_mask; padding between and after the entries is read-only
 ACCESS_CODES = {"writable": 0, "privileged": 1, "read-only": 2}
 
-# struct format character of each scalar type; register values are little-endian
-STRUCT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i8": "b", "i16": "h", "i32": "i", "i64": "q"}
 # one element of each type: pack's hot case, and the codec a bound register field writes through
 ELEMENT = {t: struct.Struct("<" + code) for t, code in STRUCT_CODES.items()}
 
@@ -144,6 +142,11 @@ class LayoutedMap:
             else:
                 module_spans.append([e.offset, e.offset + e.size])
         return {m: tuple(slice(*span) for span in s) for m, s in spans.items()}
+
+    @cached_property
+    def init_flags(self) -> dict[str, LayoutEntry]:
+        """Per module, its ``init-trigger`` entry: the flag a client raises to make the module re-init."""
+        return {e.name.split(".")[0]: e for e in self.entries if "init-trigger" in e.flags}
 
     @property
     def map_hash(self) -> str:

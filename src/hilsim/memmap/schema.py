@@ -8,18 +8,21 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import dataclass
 
-SCALAR_TYPES = {
-    "u8": (1, 0, 0xFF),
-    "u16": (2, 0, 0xFFFF),
-    "u32": (4, 0, 0xFFFFFFFF),
-    "u64": (8, 0, 0xFFFFFFFFFFFFFFFF),
-    "i8": (1, -0x80, 0x7F),
-    "i16": (2, -0x8000, 0x7FFF),
-    "i32": (4, -0x80000000, 0x7FFFFFFF),
-    "i64": (8, -0x8000000000000000, 0x7FFFFFFFFFFFFFFF),
-}
+# the one table of scalar types: each type's struct format code; register values are little-endian
+STRUCT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i8": "b", "i16": "h", "i32": "i", "i64": "q"}
+
+
+def _size_and_range(code: str) -> tuple[int, int, int]:
+    """A code's standard size (never the native one), and the range of that many bytes: signed for a lower-case code."""
+    size = struct.calcsize("<" + code)
+    lo = -(1 << 8 * size - 1) if code.islower() else 0
+    return size, lo, lo + (1 << 8 * size) - 1
+
+
+SCALAR_TYPES = {t: _size_and_range(code) for t, code in STRUCT_CODES.items()}
 
 # map_config.schema.json's patterns: a name is ASCII letters, digits and underscores, a version
 # three runs of ASCII digits; str.isidentifier and str.isdigit would let other scripts through

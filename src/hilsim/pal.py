@@ -15,7 +15,8 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from hilsim.memmap.layout import STRUCT_CODES, LayoutedMap
+from hilsim.memmap.layout import LayoutedMap
+from hilsim.memmap.schema import STRUCT_CODES
 from hilsim.serve import LineSocket, LineTooLong
 
 SUCCESS = "Success"
@@ -225,12 +226,21 @@ class RefDeviceClient:
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
         start = offsets[0]
-        line = f"rr {start} {offsets[-1] + count * entries[-1].elem_size - start}"
+        size = offsets[-1] + count * entries[-1].elem_size - start
+        line = f"rr {start} {size}"
         reply = self.raw(line)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
-        raw = reply["data"]
-        raw = bytes([raw] if isinstance(raw, int) else raw)
+        # the bare int of a one-byte read, or a list of exactly ``size`` ints in 0-255
+        data = reply.get("data")
+        if size == 1 and type(data) is int:
+            data = [data]
+        try:
+            raw = bytes(data) if type(data) is list else b""
+        except (TypeError, ValueError):
+            raw = b""
+        if len(raw) != size:
+            return PalResult(cmd=[line], result=ERROR, error=f"malformed reply {json.dumps(reply)[:80]!r}")
         data = [
             list(struct.unpack_from(f"<{count}{STRUCT_CODES[e.type]}", raw, at - start))
             for e, at in zip(entries, offsets)
@@ -261,15 +271,15 @@ class RefDeviceClient:
         return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
 
     def write_and_execute(self, name: str, value, index: int = 0) -> PalResult:
-        """Write a parameter, raise its module's init flag if it has one and that was not the write, and execute."""
+        """Write a parameter, raise its module's ``init-trigger`` flag if any and not the write, and execute."""
         # resolved before the first write, so a module with no init flag never leaves a write staged
-        init_flag = name.split(".")[0] + ".mode.init"
-        raise_flag = name != init_flag and init_flag in self._require_map().by_name
+        init_flag = self._require_map().init_flags.get(name.split(".")[0])
+        raise_flag = init_flag is not None and init_flag.name != name
         first = self.write_reg(name, value, index=index)
         if not first.ok:
             return first
         if raise_flag:
-            flag = self.write_reg(init_flag, 1)
+            flag = self.write_reg(init_flag.name, 1)
             flag.cmd = first.cmd + flag.cmd
             if not flag.ok:
                 flag.error = f"init flag write failed: {flag.error}"
@@ -289,10 +299,12 @@ class DutClient:
         self.transport = open_transport(endpoint)
 
     def command(self, line: str) -> dict:
+        """Send one shell line; no reply, or one that is not a JSON object, counts as a timeout."""
         try:
-            return json.loads(self.transport.request(line))
+            reply = json.loads(self.transport.request(line))
         except (TransportError, json.JSONDecodeError):
-            return {"cmd": [line], "result": TIMEOUT}
+            reply = None
+        return reply if isinstance(reply, dict) else {"cmd": [line], "result": TIMEOUT}
 
     def sync(self) -> dict:
         return self.command("sync")

@@ -39,7 +39,8 @@ class Field:
     """One element of a map entry bound to its offset in a register file, read and written with no name lookup.
 
     A value out of the entry's range raises the same ``ValueError`` as ``LayoutEntry.pack`` and
-    leaves the register as it was.
+    leaves the register as it was. ``wrap`` and ``add`` publish a value wrapped at the register's
+    width, as a hardware counter or timestamp wraps.
     """
 
     __slots__ = ("entry", "offset", "modulus", "_span", "_codec", "_view")
@@ -62,6 +63,12 @@ class Field:
         except struct.error:
             self.entry.pack(value)  # raises the entry's ValueError
             raise
+
+    def wrap(self, value: int) -> None:
+        self.set(value % self.modulus)
+
+    def add(self, delta: int) -> None:
+        self.set((self.get() + delta) % self.modulus)
 
 
 class RegisterFile:
@@ -164,7 +171,7 @@ class ReferenceDevice:
         self._version_line = format_response({"version": self.version, "result": RESULT_SUCCESS})
         # module name -> offset of its init flag byte, and -> the model callback that re-reads
         # the module's configuration; one callback may serve several modules
-        self._init_flags = {e.name.split(".")[0]: e.offset for e in layout.entries if "init-trigger" in e.flags}
+        self._init_flags = {module: entry.offset for module, entry in layout.init_flags.items()}
         self._init_hooks: dict[str, Callable[[], None]] = {}
 
     def register_init_hook(self, module: str, hook: Callable[[], None]) -> None:
@@ -258,21 +265,10 @@ def _parse_int(token: str) -> int:
     return value
 
 
-_DECIMAL_BYTES = {str(i): i for i in range(256)}
-
-
-def _parse_bytes(tokens: list[str]) -> bytes:
-    try:
-        # fast path for plain decimal bytes; any other spelling takes the checked path
-        return bytes(map(_DECIMAL_BYTES.__getitem__, tokens))
-    except KeyError:
-        return bytes(_parse_int(t) for t in tokens)  # ValueError above 0xFF
-
-
 @functools.lru_cache(maxsize=64)
 def _parse_data(text: str) -> bytes:
     """The bytes of a ``wr`` data text, cached: a client's reset sends the same few lines before every case.
 
-    A malformed text raises ``ValueError`` on every call, as the cache keeps no exceptions.
+    A malformed text, or a byte above 0xFF, raises ``ValueError`` on every call, as the cache keeps no exceptions.
     """
-    return _parse_bytes(text.split())
+    return bytes(_parse_int(t) for t in text.split())

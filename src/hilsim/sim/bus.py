@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from hilsim.refdev import Field, RegisterFile
+from hilsim.refdev import RegisterFile
 from hilsim.sim.clock import SimClock
 
 I2C_BITS_PER_BYTE = 9  # 8 data + ACK
@@ -86,13 +86,6 @@ class _PeripheralModel:
         for i, b in enumerate(data):
             committed[base + (offset + i) % n] = b
 
-    def _bump(self, field: Field, delta: int) -> None:
-        self._poke_wrapped(field, field.get() + delta)
-
-    def _poke_wrapped(self, field: Field, value: int) -> None:
-        """Publish a value, wrapping at the register width like a real counter."""
-        field.set(value % field.modulus)
-
     def _hold_bus(self, n_bytes: int, bitrate: int, stretch_ns: int = 0) -> int:
         """Occupy the bus for a frame of ``n_bytes`` at ``bitrate`` plus any clock stretch; return how long."""
         duration = wire_ns(frame_bits(self.module, n_bytes), bitrate) + stretch_ns
@@ -105,7 +98,7 @@ class _PeripheralModel:
         self.fields.start_time.set(stop - duration)
         self.fields.stop_time.set(stop)
         if n_bytes:
-            self._poke_wrapped(self.fields.speed_hz, round(frame_bits(self.module, n_bytes) * 1e9 / duration))
+            self.fields.speed_hz.wrap(round(frame_bits(self.module, n_bytes) * 1e9 / duration))
 
 
 class I2cSlaveModel(_PeripheralModel):
@@ -131,17 +124,17 @@ class I2cSlaveModel(_PeripheralModel):
             status = "data-nack"
         else:
             return None
-        self._bump(self.fields.nack_count, 1)
-        self._bump(self.fields.err_count, 1)
+        self.fields.nack_count.add(1)
+        self.fields.err_count.add(1)
         return self._frame(status, "write", 0, bitrate)
 
     def _frame(self, status: str, direction: str, n_bytes: int, bitrate: int, data: bytes = b"") -> BusResult:
         """Hold the bus for the address byte plus ``n_bytes``, then publish times and per-phase ticks (µs)."""
         duration = self._hold_bus(n_bytes, bitrate, self.clock_stretch_ns)
         self._publish_times(n_bytes, duration)
-        self._poke_wrapped(self.fields.addr_ticks, round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
+        self.fields.addr_ticks.wrap(round(I2C_BITS_PER_BYTE * 1e6 / bitrate))
         ticks = self.fields.read_ticks if direction == "read" else self.fields.write_ticks
-        self._poke_wrapped(ticks, round(duration / 1_000))
+        ticks.wrap(round(duration / 1_000))
         return BusResult(status, data)
 
     def _check_pointer(self, register: int) -> None:
@@ -157,8 +150,8 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         self.fields.reg_index.set(register)
         data = self._window_read(register * self.reg_bytes, length)
-        self._bump(self.fields.w_count, self.reg_bytes)
-        self._bump(self.fields.r_count, length)
+        self.fields.w_count.add(self.reg_bytes)
+        self.fields.r_count.add(length)
         return self._frame("ok", "read", self.reg_bytes + length, bitrate, data)
 
     def write_reg(self, address: int, register: int, data: bytes, bitrate: int) -> BusResult:
@@ -168,7 +161,7 @@ class I2cSlaveModel(_PeripheralModel):
             return nack
         self.fields.reg_index.set(register)
         self._window_write(register * self.reg_bytes, data)
-        self._bump(self.fields.w_count, self.reg_bytes + len(data))
+        self.fields.w_count.add(self.reg_bytes + len(data))
         return self._frame("ok", "write", self.reg_bytes + len(data), bitrate)
 
     def read_bytes(self, address: int, length: int, bitrate: int) -> BusResult:
@@ -177,7 +170,7 @@ class I2cSlaveModel(_PeripheralModel):
         if nack is not None:
             return nack
         data = self._window_read(self.fields.reg_index.get() * self.reg_bytes, length)
-        self._bump(self.fields.r_count, length)
+        self.fields.r_count.add(length)
         return self._frame("ok", "read", length, bitrate, data)
 
     def write_bytes(self, address: int, data: bytes, bitrate: int) -> BusResult:
@@ -185,7 +178,7 @@ class I2cSlaveModel(_PeripheralModel):
         if nack is not None:
             return nack
         self._window_write(self.fields.reg_index.get() * self.reg_bytes, data)
-        self._bump(self.fields.w_count, len(data))
+        self.fields.w_count.add(len(data))
         return self._frame("ok", "write", len(data), bitrate)
 
 
@@ -219,17 +212,17 @@ class SpiSlaveModel(_PeripheralModel):
         n = len(frame) - 1
         if frame[0] & SPI_WRITE_FLAG:
             self._window_write(offset, frame[1:])
-            self._bump(fields.w_count, n)
+            fields.w_count.add(n)
             reply = bytes(len(frame))
         else:
             reply = bytes(1) + self._window_read(offset, n)
-            self._bump(fields.r_count, n)
-        self._bump(fields.transfer_count, len(frame))
+            fields.r_count.add(n)
+        fields.transfer_count.add(len(frame))
         duration = self._hold_bus(len(frame), bitrate)
         self._publish_times(len(frame), duration)
-        self._poke_wrapped(fields.prev_ticks, fields.frame_ticks.get())
-        self._poke_wrapped(fields.frame_ticks, round(duration / 1_000))
-        self._poke_wrapped(fields.byte_ticks, round(duration / 1_000 / len(frame)))
+        fields.prev_ticks.wrap(fields.frame_ticks.get())
+        fields.frame_ticks.wrap(round(duration / 1_000))
+        fields.byte_ticks.wrap(round(duration / 1_000 / len(frame)))
         return BusResult("ok", reply)
 
 
@@ -256,8 +249,8 @@ class UartModel(_PeripheralModel):
             reply = bytes((b + 1) % 256 for b in data)
         else:
             reply = b""
-        self._bump(self.fields.rx_count, len(data))
-        self._bump(self.fields.tx_count, len(reply))
+        self.fields.rx_count.add(len(data))
+        self.fields.tx_count.add(len(reply))
         self._window_write(0, data[: self._window_size])
         # the reply goes out after the received bytes
         self._hold_bus(len(data), bitrate)

@@ -57,10 +57,6 @@ class GpioTrace:
         self.buffer = deque(maxlen=self.method.buffer_len)
         self._rng = random.Random(self.seed)
 
-    def record(self, pin: int, level: int, t_ns: int) -> bool:
-        """Record one physical edge; returns True if the event was kept."""
-        return self.record_train(pin, level, (t_ns,))[0] == 1
-
     def record_train(self, pin: int, level: int, times) -> tuple[int, int | None, int | None]:
         """Record a train of edges on ``pin`` at ``times`` (ascending), alternating from ``level``.
 

@@ -64,7 +64,7 @@ class TraceUnit:
         The pin's registers are written once, with what per-edge writes would have left:
         ``status.level`` follows the last edge, kept or not, ``edge_count`` counts kept edges
         and ``overrun_count`` dropped ones, each wrapping at its width, and
-        ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall time mod 2^32.
+        ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall time, wrapped at their width.
         """
         trace = self.trace
         overruns_before = trace.overrun_count
@@ -73,14 +73,14 @@ class TraceUnit:
             status, edges, dropped, rise, fall = self._pins[pin]
             status.set(level ^ (len(times) - 1) & 1)  # the last edge's level
             if kept:
-                edges.set((edges.get() + kept) % edges.modulus)
+                edges.add(kept)
                 if rise_t is not None:
-                    rise.set(rise_t & 0xFFFFFFFF)
+                    rise.wrap(rise_t)
                 if fall_t is not None:
-                    fall.set(fall_t & 0xFFFFFFFF)
+                    fall.wrap(fall_t)
             overruns = trace.overrun_count - overruns_before
             if overruns:
-                dropped.set((dropped.get() + overruns) % dropped.modulus)
+                dropped.add(overruns)
         return kept
 
     def publish(self) -> None:

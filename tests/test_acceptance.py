@@ -142,7 +142,7 @@ def test_criterion_6_capture_envelope():
             level = 1 - level
             if not (method.edges == "rising-only" and level != 1):
                 candidates += 1
-            if trace.record(0, level, t):
+            if trace.record_train(0, level, (t,))[0]:
                 physical_kept.append((t, level))
 
         # below-t_min arrivals were dropped and accounted

@@ -1,4 +1,4 @@
-"""The four behaviour digests, pinned: each hashes suite reports, replies or register images.
+"""The behaviour digests, pinned: each hashes suite reports, replies, register images or generated text.
 
 A change that alters a digest on purpose updates its pin here and records the old and new
 values in CHANGES.md.
@@ -23,3 +23,7 @@ def test_served_suite_reports_give_the_pinned_served_digest():
 
 def test_capture_streams_give_the_pinned_trace_digest():
     assert digests.trace_digest() == "4c8dd0cc3e41fffb68a635e6600573fb4b659be754e2afcc24dd286b04b8e0d8"
+
+
+def test_the_bundled_map_gives_the_pinned_generator_digest():
+    assert digests.generator_digest() == "987741dd059e336e5b882c2a5251eb4bdb7426190a105dda1f1b8a623a55b52f"

@@ -395,6 +395,35 @@ def test_emit_struct_mentions_every_module(ref_layout):
     assert "#pragma pack(1)" in text
 
 
+def test_scalar_types_give_the_size_and_range_of_their_struct_codes():
+    assert SCALAR_TYPES == {
+        "u8": (1, 0, 0xFF),
+        "u16": (2, 0, 0xFFFF),
+        "u32": (4, 0, 0xFFFFFFFF),
+        "u64": (8, 0, 0xFFFFFFFFFFFFFFFF),
+        "i8": (1, -0x80, 0x7F),
+        "i16": (2, -0x8000, 0x7FFF),
+        "i32": (4, -0x80000000, 0x7FFFFFFF),
+        "i64": (8, -0x8000000000000000, 0x7FFFFFFFFFFFFFFF),
+    }
+
+
+def test_emit_struct_declares_each_scalar_type_as_its_c_fixed_width_type():
+    module = {"name": "a", "parameters": [param(t, type=t) for t in SCALAR_TYPES]}
+    layout = compute_layout(parse_config(make_config([module])))
+    declared = re.findall(r"^ +(\w+) (\w+); ", emit_struct_decl(layout), re.MULTILINE)
+    assert declared == [
+        ("uint8_t", "u8"),
+        ("uint16_t", "u16"),
+        ("uint32_t", "u32"),
+        ("uint64_t", "u64"),
+        ("int8_t", "i8"),
+        ("int16_t", "i16"),
+        ("int32_t", "i32"),
+        ("int64_t", "i64"),
+    ]
+
+
 def test_emit_docs_lists_parameters(ref_layout):
     text = emit_docs(ref_layout)
     assert "i2c.r_count" in text

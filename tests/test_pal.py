@@ -1,10 +1,11 @@
 """Protocol abstraction layer: name maps, clients, and transports."""
 
+import json
 import random
 
 import pytest
 
-from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.memmap import LayoutedMap, compute_layout, emit_csv, parse_config
 from hilsim.pal import (
     DutClient,
     MapStore,
@@ -13,6 +14,7 @@ from hilsim.pal import (
     TransportError,
     open_transport,
 )
+from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
 
 
@@ -162,6 +164,42 @@ def test_write_and_execute_wire_capture(bench, name_map, layout):
 def test_write_and_execute_triggers_reinit(client, bench):
     client.write_and_execute("i2c.mode.nack_data", 1)
     assert bench.i2c.nack_data is True
+
+
+PWM_MAP = {
+    "name": "pwm_bench",
+    "version": "0.0.1",
+    "modules": [
+        {
+            "name": "pwm",
+            "parameters": [
+                {"name": "duty", "description": "Duty cycle in percent."},
+                {"name": "go", "description": "Re-read the configuration.", "flags": ["init-trigger"]},
+            ],
+        }
+    ],
+}
+
+
+def test_write_and_execute_raises_the_init_flag_the_map_names():
+    layout = compute_layout(parse_config(json.dumps(PWM_MAP)))
+    device = ReferenceDevice(layout)
+    seen = []
+    device.register_init_hook("pwm", lambda: seen.append(device.regs.read_param("pwm.duty")))
+    transport = RecordingTransport(device)
+    client = RefDeviceClient(transport, layout)
+    assert client.connect().ok
+    duty, go = (layout.lookup(name).offset for name in ("pwm.duty", "pwm.go"))
+
+    transport.lines.clear()
+    assert client.write_and_execute("pwm.duty", 40).ok
+    assert transport.lines == [f"wr {duty} 40", f"wr {go} 1", "ex"]
+    assert seen == [40]
+
+    transport.lines.clear()
+    assert client.write_and_execute("pwm.go", 1).ok
+    assert transport.lines == [f"wr {go} 1", "ex"]
+    assert seen == [40, 40]
 
 
 # -- name/address parity ------------------------------------------------

@@ -195,6 +195,31 @@ def test_tabs_and_runs_of_spaces_split_a_write_as_single_spaces_do(device):
     assert device.regs.staged == [(52, b"\x01\x02")] * 2
 
 
+@pytest.mark.parametrize(
+    "text,data",
+    [("0 17 255", b"\x00\x11\xff"), ("0x11 0XfF 0x0", b"\x11\xff\x00"), ("007 +5", b"\x07\x05"), ("1_0", b"\x0a")],
+)
+def test_a_data_text_decodes_each_token_as_an_offset_decodes(text, data):
+    assert _parse_data(text) == data
+
+
+@pytest.mark.parametrize("text", ["256", "0x100", "-1", "1 x", "1.0", "0x"])
+def test_a_data_text_with_a_token_that_is_no_byte_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        _parse_data(text)
+
+
+def test_a_bound_field_wraps_and_adds_at_its_width(device):
+    count = device.regs.bind("i2c.r_count")  # u8
+    count.wrap(0x105)
+    assert count.get() == 5
+    count.add(0xFF)
+    assert device.regs.read_param("i2c.r_count") == 4
+    ticks = device.regs.bind("gpio0.rise_ticks")  # u32
+    ticks.wrap(2**32 + 7)
+    assert device.regs.read_param("gpio0.rise_ticks") == 7
+
+
 def test_the_write_cache_keeps_at_most_64_data_texts(device):
     offset = device.regs.map.lookup("user_reg.user_reg").offset
     for value in range(1000):

@@ -197,7 +197,7 @@ def test_capture_min_spacing_and_jitter(kind):
     for _ in range(5_000):
         t += rng.randint(1, 3 * method.t_min_ns)
         level = 1 - level
-        kept = trace.record(0, level, t)
+        kept = trace.record_train(0, level, (t,))[0]
         physical.append((t, level, kept))
 
     kept_events = trace.events
@@ -296,7 +296,7 @@ def test_capture_both_edges_alternate():
     # repeats the first's level and must be rejected to keep alternation
     for level, dt in ((1, 10_000), (0, 10), (1, 10_000), (0, 10_000)):
         t += dt
-        trace.record(0, level, t)
+        trace.record_train(0, level, (t,))
     levels = [e.level for e in trace.events]
     assert levels == [1, 0]
     assert trace.overrun_count == 2
@@ -307,7 +307,7 @@ def test_capture_rising_only_ignores_falling():
     t = 0
     for level in (1, 0, 1, 0, 1):
         t += 1_000
-        trace.record(0, level, t)
+        trace.record_train(0, level, (t,))
     assert [e.level for e in trace.events] == [1, 1, 1]
     assert trace.overrun_count == 0  # falling edges are filtered, not dropped
 
@@ -319,7 +319,7 @@ def test_capture_buffer_overwrites_oldest():
     for _ in range(method.buffer_len + 10):
         t += method.t_min_ns
         level = 1 - level
-        trace.record(0, level, t)
+        trace.record_train(0, level, (t,))
     assert len(trace.events) == method.buffer_len
     # oldest ten physical edges were overwritten
     assert trace.events[0].timestamp_ns > 10 * method.t_min_ns - method.t_jitter_ns
@@ -331,7 +331,7 @@ def test_gpio_irq_unbounded():
     for _ in range(300):
         t += 20_000
         level = 1 - level
-        trace.record(0, level, t)
+        trace.record_train(0, level, (t,))
     assert len(trace.events) == 300
 
 
