@@ -24,7 +24,7 @@ from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.memmap.layout import ACCESS_CODES
 from hilsim.pal import DutClient, RefDeviceClient, SUCCESS, TransportError
 from hilsim.reference import reference_layout
-from hilsim.sim.gpio import GpioEvent
+from hilsim.sim.gpio import GpioEvent, as_event
 
 SUITE_NAMES = ("infrastructure", "i2c", "spi", "uart", "gpio_timer")
 
@@ -90,14 +90,17 @@ def _read(client: RefDeviceClient, name: str, index: int = 0, count: int | None 
 
 
 def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
-    """Fetch the trace buffer in two requests: the event count, then the three arrays in one read."""
+    """Fetch the trace buffer in two requests: the event count, then the three arrays in one read.
+
+    Each row is a ``GpioEvent`` built by ``as_event`` from the three arrays' columns.
+    """
     count = _read(client, "trace.index")[0]
     if count == 0:
         return []
     arrays = client.read_regs(("trace.source", "trace.value", "trace.tick"), count)
     if not arrays.ok:
         raise StepFailure(f"read_regs trace arrays: {arrays.error}")
-    return list(map(GpioEvent, *arrays.data))
+    return list(map(as_event, zip(*arrays.data)))
 
 
 def load_manifest(suite: str) -> dict:
@@ -342,7 +345,8 @@ class SuiteRunner:
     def timer_accuracy(self, period_ns: int, n_events: int, pin: int) -> TimingStats:
         self.clear_trace()
         response = self.dut.timer_trace(n_events, period_ns, pin)
-        self._check_response("timer_trace", response, {"result": SUCCESS})
+        # a DUT that reports another edge count than it was asked for fails, whatever the trace shows
+        self._check_response("timer_trace", response, {"result": SUCCESS, "data": n_events})
         events = [e for e in self.read_trace() if e.pin == pin]
         try:
             # same-direction edges are two toggles apart

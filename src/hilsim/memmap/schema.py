@@ -157,6 +157,16 @@ def _parse_parameter(obj: dict, qualname: str) -> ParameterSpec:
     return param
 
 
+def _init_triggers(params, prefix: str):
+    """The qualified names of the ``init-trigger`` scalars among ``params`` and their record members."""
+    for param in params:
+        qualname = f"{prefix}.{param.name}"
+        if param.is_record:
+            yield from _init_triggers(param.members, qualname)
+        elif "init-trigger" in param.flags:
+            yield qualname
+
+
 def parse_config(text: str) -> MemoryMapSpec:
     """Parse and validate a register-map configuration document."""
     try:
@@ -196,6 +206,12 @@ def parse_config(text: str) -> MemoryMapSpec:
             _require(qual not in qualnames, f"duplicate parameter name {qual}")
             qualnames.add(qual)
             params.append(param)
+        # a module re-inits on one flag; a second one would be a flag that does nothing
+        triggers = list(_init_triggers(params, mod_name))
+        if len(triggers) > 1:
+            raise ConfigError(
+                f"module {mod_name!r} has more than one init-trigger parameter: {triggers[0]} and {triggers[1]}"
+            )
         modules.append(
             ModuleSpec(name=mod_name, description=description, parameters=tuple(params))
         )

@@ -13,6 +13,7 @@ import re
 import socket
 import struct
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from hilsim.memmap.layout import LayoutedMap
@@ -216,17 +217,21 @@ class RefDeviceClient:
         through the last's element index+count-1 covers them all, and no other client's write can
         land between two of them.
         """
+        # each entry looked up, checked to follow the one before and placed, in one pass
         try:
-            name_map = self._require_map()
-            entries = [name_map.lookup(name) for name in names]
-            for before, after in zip(entries, entries[1:]):
-                if before.offset + before.size != after.offset:
-                    raise ValueError(f"{after.name} does not follow {before.name} in the map")
-            offsets = [entry.element_offset(index, count) for entry in entries]
+            lookup = self._require_map().lookup
+            placed = []  # (struct format, element offset) per entry
+            last = None
+            for name in names:
+                entry = lookup(name)
+                if last is not None and last.offset + last.size != entry.offset:
+                    raise ValueError(f"{entry.name} does not follow {last.name} in the map")
+                placed.append((f"<{count}{STRUCT_CODES[entry.type]}", entry.element_offset(index, count)))
+                last = entry
         except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        start = offsets[0]
-        size = offsets[-1] + count * entries[-1].elem_size - start
+        start = placed[0][1]
+        size = placed[-1][1] + count * last.elem_size - start
         line = f"rr {start} {size}"
         reply = self.raw(line)
         if reply.get("result") != 0:
@@ -241,10 +246,7 @@ class RefDeviceClient:
             raw = b""
         if len(raw) != size:
             return PalResult(cmd=[line], result=ERROR, error=f"malformed reply {json.dumps(reply)[:80]!r}")
-        data = [
-            list(struct.unpack_from(f"<{count}{STRUCT_CODES[e.type]}", raw, at - start))
-            for e, at in zip(entries, offsets)
-        ]
+        data = [list(struct.unpack_from(fmt, raw, at - start)) for fmt, at in placed]
         return PalResult(cmd=[line], data=data)
 
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:
@@ -299,10 +301,20 @@ class DutClient:
         self.transport = open_transport(endpoint)
 
     def command(self, line: str) -> dict:
-        """Send one shell line; no reply, or one that is not a JSON object, counts as a timeout."""
+        """Send one shell line; no reply, or one that is not a JSON object, counts as a timeout.
+
+        A plain success reply, the text ``json.dumps({"cmd": [line], "result": "Success"})`` would
+        give, is matched as text and answered with a fresh dict; any other reply is JSON-decoded.
+        """
         try:
-            reply = json.loads(self.transport.request(line))
-        except (TransportError, json.JSONDecodeError):
+            text = self.transport.request(line)
+        except TransportError:
+            return {"cmd": [line], "result": TIMEOUT}
+        if text == '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}':
+            return {"cmd": [line], "result": SUCCESS}
+        try:
+            reply = json.loads(text)
+        except json.JSONDecodeError:
             reply = None
         return reply if isinstance(reply, dict) else {"cmd": [line], "result": TIMEOUT}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 TIMER_BUFFER_LEN = 128
@@ -40,6 +41,10 @@ class GpioEvent(NamedTuple):
     timestamp_ns: int
 
 
+# a GpioEvent from a (pin, level, timestamp_ns) tuple, without the named tuple's Python-level __new__
+as_event = partial(tuple.__new__, GpioEvent)
+
+
 @dataclass
 class GpioTrace:
     """Captured edge log for one capture method."""
@@ -64,7 +69,8 @@ class GpioTrace:
         fall (None where the train kept none). Each edge is handled as on its own: a falling
         edge is skipped by a rising-only method; an edge closer than ``t_min_ns`` to the pin's
         last kept edge, or one that repeats its level on a both-edge method, is an overrun; a
-        kept edge is stamped with a seeded jitter in ``[-t_jitter_ns, t_jitter_ns]``, clamped at 0.
+        kept edge is stamped with a seeded jitter in ``[-t_jitter_ns, t_jitter_ns]``, clamped at 0,
+        and appended to ``buffer`` as a ``GpioEvent`` (built by ``as_event``) before the next edge.
         """
         method = self.method
         t_min = method.t_min_ns
@@ -92,7 +98,7 @@ class GpioTrace:
                 while r >= span:
                     r = getrandbits(bits)
                 stamp = t + r - jitter
-                append(GpioEvent(pin, level, stamp if stamp > 0 else 0))
+                append(as_event((pin, level, stamp if stamp > 0 else 0)))
                 last_t = t
                 last_level = level
                 kept += 1

@@ -3,8 +3,6 @@ captured events and per-pin accounting into the reference device registers."""
 
 from __future__ import annotations
 
-from itertools import islice
-
 from hilsim.refdev import RegisterFile
 from hilsim.sim.clock import SimClock
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
@@ -88,7 +86,8 @@ class TraceUnit:
 
         Only what changed since the last publish is written: the four counters, then, if a
         bounded buffer dropped its oldest events, each array shifted left by that many, then
-        the newly visible events.
+        the newly visible events, taken from the buffer by index (slots ``still..count-1``), so a
+        publish never walks the buffer from its head.
         """
         trace = self.trace
         held = len(trace.buffer)
@@ -110,7 +109,8 @@ class TraceUnit:
                 source = offset + dropped * size
                 committed[offset : offset + still * size] = committed[source : source + still * size]
         if count > still:
-            new = list(islice(trace.buffer, still, count))
+            buffer = trace.buffer
+            new = [buffer[i] for i in range(still, count)]
             sources, values, stamps = zip(*new)
             columns = (sources, values, [t & 0xFFFFFFFF for t in stamps])
             for entry, column in zip(self._arrays, columns):

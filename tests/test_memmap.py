@@ -93,6 +93,35 @@ def test_unknown_flag_rejected():
         parse_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "params,msg",
+    [
+        ([param("go", flags=["init-trigger"]), param("go2", flags=["init-trigger"])],
+         "module 'pwm' has more than one init-trigger parameter: pwm.go and pwm.go2"),
+        ([param("go", flags=["init-trigger"]), param("x"), param("go2", flags=["volatile", "init-trigger"])],
+         "module 'pwm' has more than one init-trigger parameter: pwm.go and pwm.go2"),
+        ([param("go", flags=["init-trigger"]),
+          {"name": "r", "type": "record", "description": "r", "members": [param("go2", flags=["init-trigger"])]}],
+         "module 'pwm' has more than one init-trigger parameter: pwm.go and pwm.r.go2"),
+    ],
+    ids=["two-flags", "a-parameter-between", "one-in-a-record"],
+)
+def test_a_module_with_two_init_trigger_parameters_is_rejected(params, msg):
+    """Only one flag per module can make it re-init, so a second one would be a flag that does nothing."""
+    cfg = make_config([{"name": "pwm", "parameters": params}])
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        parse_config(cfg)
+
+
+def test_one_init_trigger_parameter_per_module_is_accepted():
+    cfg = make_config([
+        {"name": "pwm", "parameters": [param("go", flags=["init-trigger"]), param("x")]},
+        {"name": "adc", "parameters": [param("go", flags=["init-trigger"])]},
+    ])
+    layout = compute_layout(parse_config(cfg))
+    assert {module: e.name for module, e in layout.init_flags.items()} == {"pwm": "pwm.go", "adc": "adc.go"}
+
+
 def record(name, *members, **kw):
     return {"name": name, "type": "record", "description": f"{name} test record", "members": list(members), **kw}
 

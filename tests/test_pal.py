@@ -235,3 +235,87 @@ def test_dut_client_methods(bench):
     assert dut.gpio_toggle(0)["result"] == SUCCESS
     reply = dut.command("i2c_read_reg 99 0 1")
     assert reply["result"] == "Error" and reply["error_code"] == -6
+
+
+class Replying:
+    """Answers every line with ``reply(line)``, counting the replies the client JSON-decodes."""
+
+    def __init__(self, reply, monkeypatch):
+        self.reply = reply
+        self.decoded = 0
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            self.decoded += 1
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+
+    def request(self, line):
+        return self.reply(line)
+
+    def close(self):
+        pass
+
+
+def success_text(line):
+    return json.dumps({"cmd": [line], "result": SUCCESS})
+
+
+def test_a_dut_success_reply_is_matched_as_text_into_a_fresh_dict(bench, monkeypatch):
+    dut = DutClient(bench.dut)
+    counted = Replying(bench.dut.handle_line, monkeypatch)
+    dut.transport = counted
+    first = dut.gpio_toggle(0)
+    assert first == {"cmd": ["gpio_toggle 0"], "result": SUCCESS}
+    first["result"] = "Changed"
+    first["cmd"].append("changed")
+    second = dut.gpio_toggle(0)
+    assert second == {"cmd": ["gpio_toggle 0"], "result": SUCCESS}
+    assert second is not first and second["cmd"] is not first["cmd"]
+    assert counted.decoded == 0
+
+
+@pytest.mark.parametrize(
+    "line", ['get_metadata "quoted"', "get_metadata back\\slash", "get_metadata é", "get_metadata ☃\U0001f600"]
+)
+def test_a_dut_success_reply_to_a_line_that_needs_json_escaping_is_matched_as_text(line, monkeypatch):
+    counted = Replying(success_text, monkeypatch)
+    assert DutClient(counted).command(line) == {"cmd": [line], "result": SUCCESS}
+    assert counted.decoded == 0
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda line: json.dumps({"cmd": [line], "data": 1, "result": SUCCESS}),
+        lambda line: json.dumps({"cmd": [line], "result": SUCCESS}, separators=(",", ":")),
+        lambda line: json.dumps({"result": SUCCESS, "cmd": [line]}),
+        lambda line: json.dumps({"cmd": [line], "result": "Error", "error_code": -22}),
+        lambda line: json.dumps({"cmd": [line.strip()], "result": SUCCESS}),  # the DUT echoes the stripped line
+        lambda line: json.dumps({"cmd": [line], "result": SUCCESS}, ensure_ascii=False),
+    ],
+    ids=["with-data", "compact", "keys-reordered", "error", "stripped-echo", "unescaped"],
+)
+def test_any_other_dut_reply_is_json_decoded(reply, monkeypatch):
+    line = "get_metadata é "
+    expected = json.loads(reply(line))
+    counted = Replying(reply, monkeypatch)
+    assert DutClient(counted).command(line) == expected
+    assert counted.decoded == 1
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        lambda line: "[" + success_text(line) + "]",
+        lambda line: success_text(line) + "x",
+        lambda line: success_text(line)[:-1],
+        lambda line: json.dumps(success_text(line)),
+    ],
+    ids=["in-a-list", "trailing-text", "cut-short", "as-a-string"],
+)
+def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_a_timeout(reply, monkeypatch):
+    counted = Replying(reply, monkeypatch)
+    assert DutClient(counted).command("sync") == {"cmd": ["sync"], "result": "Timeout"}
+    assert counted.decoded == 1

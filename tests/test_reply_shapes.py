@@ -127,6 +127,27 @@ def test_a_timer_bench_reply_without_an_integer_data_fails_the_overlap_case(data
     assert [c.verdict for c in cases.values()] == [PASS] * len(cases)
 
 
+# -- the DUT's timer_trace reply ----------------------------------------
+
+
+@pytest.mark.parametrize("data", ["missing", None, 127, 129, 0, "128", [128]])
+def test_a_timer_trace_reply_whose_data_is_not_the_edge_count_fails_the_accuracy_case(data):
+    def alter_data(line, fields):
+        if not line.startswith("timer_trace"):
+            return None
+        assert fields.pop("data") == 128
+        return fields if data == "missing" else {**fields, "data": data}
+
+    runner = local_runner()
+    runner.dut.transport = ReplyFilter(runner.bench.dut, alter_data)
+    cases = {c.id: c for c in runner.run_suite("gpio_timer").cases}
+    accuracy = cases.pop("timer.accuracy")
+    assert accuracy.verdict == FAIL
+    got = None if data == "missing" else data
+    assert accuracy.reason == f"timer_trace: expected data 128, got {got!r}"
+    assert [c.verdict for c in cases.values()] == [PASS] * len(cases)
+
+
 # -- a DUT reply that is JSON but no object -----------------------------
 
 

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from hilsim.sim.gpio import GpioTrace
+from hilsim.harness import RunConfig, SuiteRunner
+from hilsim.sim.gpio import GpioEvent, GpioTrace
 
 from conftest import make_bench
 
@@ -201,3 +202,44 @@ def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(metho
     assert array_bytes_poked(bench, "gpio_toggle 1") == elem
     assert len(bench.trace.trace.events) == 51
     assert published(bench) == mirror(bench, pins)
+
+
+@pytest.mark.parametrize(
+    "method,before,line,written",
+    [
+        (0, [], "gpio_toggle 1", 1),  # a rise under rising-only capture
+        (0, ["gpio_toggle 1"], "gpio_toggle 1", 0),  # a fall, which it skips
+        (1, ["timer_trace 50 20000 0"], "timer_trace 30 20000 1", 30),  # onto a partly filled window
+        (1, ["timer_trace 120 20000 0"], "timer_trace 8 20000 1", 8),  # filling it exactly
+        (1, ["timer_trace 200 20000 0"], "gpio_toggle 1", 1),  # onto a full window, which shifts
+        (0, ["timer_trace 300 20000 0"], "timer_trace 20 20000 1", 10),  # ten rises onto a full window
+    ],
+    ids=["dma-rise", "dma-fall", "train-onto-a-partial-window", "train-filling-the-window",
+         "toggle-onto-a-full-window", "dma-train-onto-a-full-window"],
+)
+def test_a_publish_pokes_exactly_the_new_elements_of_each_array(method, before, line, written, monkeypatch):
+    """Only the events a command adds are written through ``poke``; a full window's shift moves the rest."""
+    bench = make_bench(seed=5)
+    pins = PinWatch(bench, monkeypatch)
+    bench.refdev.regs.poke_param("timer.mode.capture_method", method)
+    bench.trace.reinit()
+    for earlier in before:
+        bench.dut.handle_line(earlier)
+    elem = {name: bench.refdev.regs.map.lookup(name).elem_size for name in ARRAYS}
+    assert array_bytes_poked(bench, line) == {name: written * size for name, size in elem.items()}
+    assert published(bench) == mirror(bench, pins)
+
+
+def test_recorded_and_read_back_events_are_exactly_gpio_events():
+    runner = SuiteRunner.local(RunConfig(seed=4))
+    assert runner.phil.connect().ok
+    dut = runner.bench.dut
+    dut.handle_line("timer_trace 40 20000 0")
+    dut.handle_line("gpio_toggle 1")
+    held = runner.bench.trace.trace.events
+    assert len(held) == 41
+    assert {type(event) for event in held} == {GpioEvent}
+    read = runner.read_trace()
+    assert read == held
+    assert {type(event) for event in read} == {GpioEvent}
+    assert read[-1].pin == 1 and read[-1].level == 1 and read[-1].timestamp_ns == held[-1][2]
