@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
+from hilsim.pal import dut_success_text
 from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 from hilsim.sim.clock import SimClock
 from hilsim.sim.trace import TraceUnit
@@ -48,9 +49,8 @@ DEFAULT_UART_BITRATE = 115_200
 
 METADATA = "dut_periph 0.1.0"
 
-# the reply to a command line ends in the JSON of its fields; most commands answer a plain Success
+# most commands answer a plain Success, whose reply text the PAL matches without decoding
 _SUCCESS_FIELDS = {"result": RESULT_SUCCESS}
-_SUCCESS_TAIL = ", " + json.dumps(_SUCCESS_FIELDS)[1:]
 
 
 @dataclass
@@ -155,9 +155,10 @@ class DutDevice:
                 fields_out = {"data": -exc.code, "result": RESULT_ERROR, "error_code": -exc.code}
         except Exception:
             fields_out = {"result": RESULT_ERROR, "error_code": -EINVAL}
+        if fields_out == _SUCCESS_FIELDS:
+            return dut_success_text(line)
         # byte for byte json.dumps({"cmd": [line], **fields_out}); no handler answers a "cmd" field
-        tail = _SUCCESS_TAIL if fields_out == _SUCCESS_FIELDS else ", " + json.dumps(fields_out)[1:]
-        return '{"cmd": [' + encode_basestring_ascii(line) + "]" + tail
+        return '{"cmd": [' + encode_basestring_ascii(line) + "], " + json.dumps(fields_out)[1:]
 
     def _dispatch(self, line: str) -> dict:
         parts = line.split()

@@ -345,8 +345,12 @@ class SuiteRunner:
     def timer_accuracy(self, period_ns: int, n_events: int, pin: int) -> TimingStats:
         self.clear_trace()
         response = self.dut.timer_trace(n_events, period_ns, pin)
-        # a DUT that reports another edge count than it was asked for fails, whatever the trace shows
-        self._check_response("timer_trace", response, {"result": SUCCESS, "data": n_events})
+        self._check_response("timer_trace", response, {"result": SUCCESS})
+        # a DUT that reports another edge count than it was asked for fails, whatever the trace
+        # shows; 128.0 or true is no count
+        count = response.get("data")
+        if type(count) is not int or count != n_events:
+            raise StepFailure(f"timer_trace: expected data {n_events!r}, got {count!r}")
         events = [e for e in self.read_trace() if e.pin == pin]
         try:
             # same-direction edges are two toggles apart

@@ -29,6 +29,15 @@ _SEMVER_SUFFIX = re.compile(r"[-_](\d+\.\d+\.\d+)$")
 _SUCCESS_REPLY = json.dumps({"result": 0})
 
 
+def dut_success_text(line: str) -> str:
+    """The DUT shell's reply to ``line`` when it answers a plain Success.
+
+    Byte for byte ``json.dumps({"cmd": [line], "result": "Success"})``: the DUT writes it and
+    ``DutClient.command`` matches it as text.
+    """
+    return '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}'
+
+
 class TransportError(OSError):
     pass
 
@@ -303,14 +312,14 @@ class DutClient:
     def command(self, line: str) -> dict:
         """Send one shell line; no reply, or one that is not a JSON object, counts as a timeout.
 
-        A plain success reply, the text ``json.dumps({"cmd": [line], "result": "Success"})`` would
-        give, is matched as text and answered with a fresh dict; any other reply is JSON-decoded.
+        A plain success reply, ``dut_success_text(line)``, is matched as text and answered with a
+        fresh dict; any other reply is JSON-decoded.
         """
         try:
             text = self.transport.request(line)
         except TransportError:
             return {"cmd": [line], "result": TIMEOUT}
-        if text == '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}':
+        if text == dut_success_text(line):
             return {"cmd": [line], "result": SUCCESS}
         try:
             reply = json.loads(text)

@@ -3,6 +3,8 @@ captured events and per-pin accounting into the reference device registers."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 from hilsim.refdev import RegisterFile
 from hilsim.sim.clock import SimClock
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
@@ -86,8 +88,7 @@ class TraceUnit:
 
         Only what changed since the last publish is written: the four counters, then, if a
         bounded buffer dropped its oldest events, each array shifted left by that many, then
-        the newly visible events, taken from the buffer by index (slots ``still..count-1``), so a
-        publish never walks the buffer from its head.
+        the newly visible events.
         """
         trace = self.trace
         held = len(trace.buffer)
@@ -109,8 +110,7 @@ class TraceUnit:
                 source = offset + dropped * size
                 committed[offset : offset + still * size] = committed[source : source + still * size]
         if count > still:
-            buffer = trace.buffer
-            new = [buffer[i] for i in range(still, count)]
+            new = list(islice(trace.buffer, still, count))
             sources, values, stamps = zip(*new)
             columns = (sources, values, [t & 0xFFFFFFFF for t in stamps])
             for entry, column in zip(self._arrays, columns):

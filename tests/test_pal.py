@@ -12,6 +12,7 @@ from hilsim.pal import (
     RefDeviceClient,
     SUCCESS,
     TransportError,
+    dut_success_text,
     open_transport,
 )
 from hilsim.refdev import ReferenceDevice
@@ -260,6 +261,17 @@ class Replying:
 
 def success_text(line):
     return json.dumps({"cmd": [line], "result": SUCCESS})
+
+
+@pytest.mark.parametrize("line", ["sync", "gpio_toggle 0", "i2c_init"])
+def test_the_dut_writes_its_plain_success_reply_as_the_text_the_client_matches(bench, line):
+    reply = bench.dut.handle_line(line)
+    assert reply == dut_success_text(line) == success_text(line)
+
+
+@pytest.mark.parametrize("line", ['sync "quoted"', "sync back\\slash", "sync é", "sync ☃\U0001f600"])
+def test_the_dut_success_text_is_the_json_encoding_of_the_success_reply(line):
+    assert dut_success_text(line) == success_text(line)
 
 
 def test_a_dut_success_reply_is_matched_as_text_into_a_fresh_dict(bench, monkeypatch):

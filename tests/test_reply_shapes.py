@@ -6,6 +6,7 @@ import pytest
 
 from hilsim.harness import RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL, PASS
+from hilsim.harness.runner import StepFailure
 from hilsim.pal import ERROR, TIMEOUT, DutClient
 
 
@@ -130,7 +131,7 @@ def test_a_timer_bench_reply_without_an_integer_data_fails_the_overlap_case(data
 # -- the DUT's timer_trace reply ----------------------------------------
 
 
-@pytest.mark.parametrize("data", ["missing", None, 127, 129, 0, "128", [128]])
+@pytest.mark.parametrize("data", ["missing", None, 127, 129, 0, "128", [128], 128.0])
 def test_a_timer_trace_reply_whose_data_is_not_the_edge_count_fails_the_accuracy_case(data):
     def alter_data(line, fields):
         if not line.startswith("timer_trace"):
@@ -146,6 +147,16 @@ def test_a_timer_trace_reply_whose_data_is_not_the_edge_count_fails_the_accuracy
     got = None if data == "missing" else data
     assert accuracy.reason == f"timer_trace: expected data 128, got {got!r}"
     assert [c.verdict for c in cases.values()] == [PASS] * len(cases)
+
+
+def test_a_timer_trace_reply_of_true_is_no_count_of_one_edge():
+    def true_data(line, fields):
+        return {**fields, "data": True} if line.startswith("timer_trace") else None
+
+    runner = local_runner()
+    runner.dut.transport = ReplyFilter(runner.bench.dut, true_data)
+    with pytest.raises(StepFailure, match=r"^timer_trace: expected data 1, got True$"):
+        runner.timer_accuracy(20_000, 1, 0)
 
 
 # -- a DUT reply that is JSON but no object -----------------------------
