@@ -88,7 +88,7 @@ class TraceUnit:
 
         Only what changed since the last publish is written: the four counters, then, if a
         bounded buffer dropped its oldest events, each array shifted left by that many, then
-        the newly visible events.
+        the newly visible events, taken from the buffer with one ``islice``.
         """
         trace = self.trace
         held = len(trace.buffer)
