@@ -8,12 +8,13 @@ line-oriented protocol: ``rr <index> <size>``, ``wr <index> [data]``,
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
+from collections import OrderedDict
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
+from hilsim.pal import version_reply_text
 
 # Result codes for the register protocol.
 RESULT_SUCCESS = 0
@@ -23,6 +24,8 @@ RESULT_ACCESS_VIOLATION = 3
 RESULT_INTERNAL_ERROR = 4
 
 _READ_ONLY = bytes([ACCESS_CODES["read-only"]])
+# how many accepted ``wr`` lines a device keeps: a client's reset sends the same 16 before every case
+ACCEPTED_WRITES = 64
 
 
 class AccessViolation(ValueError):
@@ -168,7 +171,10 @@ class ReferenceDevice:
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
         self.version = layout.version
-        self._version_line = format_response({"version": self.version, "result": RESULT_SUCCESS})
+        self._version_line = version_reply_text(self.version)
+        # accepted ``wr`` line -> the (offset, bytes) it stages, least recently sent first; whether
+        # a line is accepted depends only on the line, as the file's size and access mask never change
+        self._accepted: OrderedDict[str, tuple[int, bytes]] = OrderedDict()
         # module name -> offset of its init flag byte, and -> the model callback that re-reads
         # the module's configuration; one callback may serve several modules
         self._init_flags = {module: entry.offset for module, entry in layout.init_flags.items()}
@@ -201,20 +207,29 @@ class ReferenceDevice:
             hook()
 
     def handle_line(self, line: str) -> str:
-        """Dispatch one command line; always returns one JSON line."""
+        """Dispatch one command line; always returns one JSON line.
+
+        A ``wr`` line the device has accepted before stages its bytes again with one lookup.
+        """
         try:
-            return self._dispatch(line.strip())
+            staged = self._accepted.get(line)
+            if staged is not None:
+                self._accepted.move_to_end(line)
+                self.regs.staged.append(staged)
+                return _RESULT_LINES[RESULT_SUCCESS]
+            return self._dispatch(line)
         except Exception:  # protocol totality: never propagate
             return _RESULT_LINES[RESULT_INTERNAL_ERROR]
 
     def _dispatch(self, line: str) -> str:
-        # a ``wr`` line splits into command, offset and its data text, which _cmd_write decodes whole
+        # whitespace around and between words splits away; a ``wr`` line splits into command,
+        # offset and its data text, which _cmd_write decodes whole
         parts = line.split(None, 2)
         if not parts:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         cmd = parts[0]
         if cmd == "wr":
-            return self._cmd_write(parts[1:])
+            return self._cmd_write(line, parts[1:])
         if cmd == "rr":
             return self._cmd_read(line.split()[1:])
         if cmd == "ex":
@@ -240,8 +255,8 @@ class ReferenceDevice:
             return '{"data": ' + _BYTE_TEXT[data[0]] + ', "result": 0}'
         return '{"data": [' + ", ".join(map(_BYTE_TEXT.__getitem__, data)) + '], "result": 0}'
 
-    def _cmd_write(self, args: list[str]) -> str:
-        """Stage ``args``, an offset and the data text after it; range and access are checked on every call."""
+    def _cmd_write(self, line: str, args: list[str]) -> str:
+        """Stage ``args``, an offset and the data text after it, and keep ``line`` if it is accepted."""
         if len(args) < 2:
             return _RESULT_LINES[RESULT_PARSE_ERROR]
         try:
@@ -255,6 +270,10 @@ class ReferenceDevice:
             return _RESULT_LINES[RESULT_OUT_OF_RANGE]
         except AccessViolation:
             return _RESULT_LINES[RESULT_ACCESS_VIOLATION]
+        accepted = self._accepted
+        accepted[line] = self.regs.staged[-1]
+        if len(accepted) > ACCEPTED_WRITES:
+            accepted.popitem(last=False)
         return _RESULT_LINES[RESULT_SUCCESS]
 
 
@@ -265,10 +284,13 @@ def _parse_int(token: str) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=64)
 def _parse_data(text: str) -> bytes:
-    """The bytes of a ``wr`` data text, cached: a client's reset sends the same few lines before every case.
-
-    A malformed text, or a byte above 0xFF, raises ``ValueError`` on every call, as the cache keeps no exceptions.
-    """
-    return bytes(_parse_int(t) for t in text.split())
+    """The bytes of a ``wr`` data text, each token parsed as ``_parse_int`` parses it; a malformed
+    text, or a byte above 0xFF, raises ``ValueError``."""
+    tokens = text.split()
+    try:
+        # all decimal, the usual case, in one C call: int() takes what _parse_int takes without
+        # a 0x prefix, and bytes() rejects what _parse_int or the byte range would reject
+        return bytes(map(int, tokens))
+    except ValueError:
+        return bytes(_parse_int(t) for t in tokens)

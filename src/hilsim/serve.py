@@ -40,7 +40,7 @@ class LineSocket:
         self._buf = b""
 
     def send_line(self, line: str) -> None:
-        self.sock.sendall(line.encode() + b"\n")
+        self.sock.sendall((line + "\n").encode())
 
     def recv_line(self) -> bytes | None:
         """The next line without its newline, or None once the peer has closed; LineTooLong past the cap."""
@@ -74,15 +74,19 @@ def serve_stdio(device, infile=None, outfile=None) -> None:
 
 class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
+        """Answer each line of the connection: decoded once, a byte that is not UTF-8 replaced by
+        U+FFFD, a blank line skipped, the reply framed by one encode."""
         lines = LineSocket(self.request)
-        handle_line = self.server.device.handle_line
+        device = self.server.device
         try:
             while (raw := lines.recv_line()) is not None:
-                line = raw.decode("utf-8", errors="replace")
+                line = raw.decode("utf-8", "replace")
                 if not line.strip():
                     continue
                 with _LOCK:
-                    reply = handle_line(line)
+                    # looked up per line, so a wrapper installed on a live server (perfbench's
+                    # layer spans) sees every later request of an open connection
+                    reply = device.handle_line(line)
                 lines.send_line(reply)
         except LineTooLong:
             return

@@ -16,8 +16,13 @@ from hilsim.refdev import (
     RESULT_OUT_OF_RANGE,
     RESULT_PARSE_ERROR,
     RESULT_SUCCESS,
+    ACCEPTED_WRITES,
     _parse_data,
+    _parse_int,
 )
+from hilsim.harness.runner import _reset_writes
+from hilsim.memmap import LayoutedMap
+from hilsim.memmap.layout import ACCESS_CODES
 from hilsim.reference import reference_layout
 
 from conftest import golden_exchanges
@@ -168,7 +173,15 @@ def test_golden_protocol_file(device, bench):
         assert bench.refdev.handle_line(request) == expected, request
 
 
-# -- the ``wr`` data cache ------------------------------------------------
+# -- the table of accepted ``wr`` lines ------------------------------------
+
+
+def count_parsed(device):
+    """Count the lines ``device`` parses, that is, the lines its accepted-``wr`` table does not answer."""
+    parsed = []
+    dispatch = device._dispatch
+    device._dispatch = lambda line: parsed.append(line) or dispatch(line)
+    return parsed
 
 
 def test_a_repeated_write_line_stages_each_time_and_lands_in_order(device):
@@ -181,12 +194,75 @@ def test_a_repeated_write_line_stages_each_time_and_lands_in_order(device):
 
 
 def test_a_repeated_write_is_checked_for_access_and_parsed_anew_when_malformed(device):
-    _parse_data.cache_clear()
-    for _ in range(2):
-        assert json.loads(device.handle_line("wr 0 1"))["result"] == RESULT_ACCESS_VIOLATION
-        assert json.loads(device.handle_line("wr 204 300"))["result"] == RESULT_PARSE_ERROR
-    assert _parse_data.cache_info().currsize == 1  # "1"; the malformed text raised and was not kept
+    """A rejected line gets the same code on every send, stages nothing and is never kept."""
+    size = device.regs.total_size
+    rejected = {
+        "wr 204 300": RESULT_PARSE_ERROR,
+        "wr 204 x": RESULT_PARSE_ERROR,
+        "wr 204": RESULT_PARSE_ERROR,
+        f"wr {size} 1": RESULT_OUT_OF_RANGE,
+        f"wr {size - 1} 1 2": RESULT_OUT_OF_RANGE,
+        "wr 0 1": RESULT_ACCESS_VIOLATION,  # sys.sn
+        "wr 53 1 1": RESULT_ACCESS_VIOLATION,  # a writable byte, then a read-only one
+    }
+    assert device.regs.access_mask[53:55] == bytes([ACCESS_CODES["writable"], ACCESS_CODES["read-only"]])
+    parsed = count_parsed(device)
+    for _ in range(3):
+        for line, code in rejected.items():
+            assert json.loads(device.handle_line(line))["result"] == code, line
+    assert parsed == list(rejected) * 3
     assert device.regs.staged == []
+    assert not device._accepted
+
+
+def test_a_kept_line_stages_what_a_fresh_device_stages(device):
+    lines = [*_reset_writes(device.regs.map), "wr 52 1 2", "wr 0x34\t7", " wr 52 3 "]
+    for line in lines:
+        assert device.handle_line(line) == '{"result": 0}'
+    device.regs.staged.clear()
+    parsed = count_parsed(device)
+    assert [device.handle_line(line) for line in lines] == ['{"result": 0}'] * len(lines)
+    assert parsed == []
+    fresh = ReferenceDevice(reference_layout())
+    for line in lines:
+        fresh.handle_line(line)
+    assert device.regs.staged == fresh.regs.staged
+    device.handle_line("ex")
+    fresh.handle_line("ex")
+    assert device.regs.committed == fresh.regs.committed
+
+
+def test_the_reset_lines_stay_kept_among_many_one_off_writes(device):
+    """The table drops the line sent longest ago, so lines sent before every case stay in it."""
+    resets = _reset_writes(device.regs.map)
+    offset = device.regs.map.lookup("user_reg.user_reg").offset
+    for line in resets:
+        device.handle_line(line)
+    parsed = count_parsed(device)
+    one_off = [f"wr {offset} {value}" for value in range(4 * ACCEPTED_WRITES)]
+    for case in range(0, len(one_off), 5):
+        for line in one_off[case : case + 5]:
+            assert device.handle_line(line) == '{"result": 0}'
+        for line in resets:
+            assert device.handle_line(line) == '{"result": 0}'
+    assert parsed == one_off
+    assert len(device._accepted) == ACCEPTED_WRITES
+
+
+def test_two_devices_never_share_kept_lines():
+    layout = reference_layout()
+    full, twin = ReferenceDevice(layout), ReferenceDevice(layout)
+    last = layout.lookup("user_reg.user_reg")
+    short_map = LayoutedMap(layout.entries[:3], layout.entries[3].offset, layout.version)
+    short = ReferenceDevice(short_map)
+    line = f"wr {last.offset} 9"
+    assert full.handle_line(line) == '{"result": 0}'
+    assert not twin._accepted and not short._accepted
+    assert json.loads(short.handle_line(line))["result"] == RESULT_OUT_OF_RANGE
+    assert not short._accepted
+    parsed = count_parsed(twin)
+    assert twin.handle_line(line) == '{"result": 0}'
+    assert parsed == [line]
 
 
 def test_tabs_and_runs_of_spaces_split_a_write_as_single_spaces_do(device):
@@ -197,16 +273,38 @@ def test_tabs_and_runs_of_spaces_split_a_write_as_single_spaces_do(device):
 
 @pytest.mark.parametrize(
     "text,data",
-    [("0 17 255", b"\x00\x11\xff"), ("0x11 0XfF 0x0", b"\x11\xff\x00"), ("007 +5", b"\x07\x05"), ("1_0", b"\x0a")],
+    [
+        ("0 17 255", b"\x00\x11\xff"),
+        ("0x11 0XfF 0x0", b"\x11\xff\x00"),
+        ("007 +5", b"\x07\x05"),
+        ("1_0", b"\x0a"),
+        ("5 0x0A -0", b"\x05\x0a\x00"),
+    ],
 )
 def test_a_data_text_decodes_each_token_as_an_offset_decodes(text, data):
     assert _parse_data(text) == data
 
 
-@pytest.mark.parametrize("text", ["256", "0x100", "-1", "1 x", "1.0", "0x"])
+@pytest.mark.parametrize("text", ["256", "0x100", "-1", "1 x", "1.0", "0x", "-0x1", "0b1", "7 256 0x1"])
 def test_a_data_text_with_a_token_that_is_no_byte_is_a_value_error(text):
     with pytest.raises(ValueError):
         _parse_data(text)
+
+
+def test_a_data_text_parses_as_its_tokens_parse_one_by_one():
+    rng = random.Random(3)
+    pieces = ["0", "7", "255", "256", "-1", "-0", "+5", "007", "1_0", "0x1f", "0XFF", "0x100", "-0x1", "x", "1.0", "٣"]
+    for _ in range(2000):
+        text = " ".join(rng.choice(pieces) for _ in range(rng.randint(1, 4)))
+        try:
+            expected = bytes(_parse_int(t) for t in text.split())
+        except ValueError:
+            expected = ValueError
+        try:
+            got = _parse_data(text)
+        except ValueError:
+            got = ValueError
+        assert got == expected, text
 
 
 def test_a_bound_field_wraps_and_adds_at_its_width(device):
@@ -220,8 +318,9 @@ def test_a_bound_field_wraps_and_adds_at_its_width(device):
     assert device.regs.read_param("gpio0.rise_ticks") == 7
 
 
-def test_the_write_cache_keeps_at_most_64_data_texts(device):
+def test_the_write_table_keeps_at_most_64_lines(device):
     offset = device.regs.map.lookup("user_reg.user_reg").offset
     for value in range(1000):
         assert device.handle_line(f"wr {offset} {value % 256} {value // 256}") == '{"result": 0}'
-    assert _parse_data.cache_info().currsize <= 64
+    assert ACCEPTED_WRITES == 64
+    assert list(device._accepted) == [f"wr {offset} {v % 256} {v // 256}" for v in range(1000 - 64, 1000)]

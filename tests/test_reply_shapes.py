@@ -74,6 +74,11 @@ def test_a_short_rr_reply_fails_its_cases_and_the_suite_finishes():
         ("i2c.r_count", 1, []),
         ("i2c.r_count", 1, [7, 0]),
         ("trace.source", 4, [0, 0, 0]),
+        ("i2c.start_time", 1, [True] + [0] * 7),  # JSON true and false are no bytes
+        ("i2c.start_time", 1, [False] * 8),
+        ("trace.index", 1, [True, False, False, False]),
+        ("i2c.r_count", 1, [True]),
+        ("i2c.r_count", 1, [False]),
     ],
 )
 def test_read_regs_returns_an_error_for_a_reply_of_the_wrong_shape(name, count, data):

@@ -8,11 +8,11 @@ from contextlib import contextmanager
 import pytest
 
 from hilsim.harness.report import FAIL, SKIP
-from hilsim.harness.runner import RunConfig, SuiteRunner
+from hilsim.harness.runner import RunConfig, SuiteRunner, _reset_writes
 from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError
 from hilsim.serve import MAX_LINE, serve_tcp
 
-from conftest import golden_exchanges
+from conftest import golden_exchanges, make_bench
 
 
 class RecordingDevice:
@@ -142,6 +142,58 @@ def test_the_golden_file_replays_byte_for_byte_over_tcp(bench):
             sock.sendall("".join(request + "\n" for request, _ in exchanges).encode())
             expected = "".join(reply + "\n" for _, reply in exchanges).encode()
             assert recv_lines(sock, len(exchanges)) == expected
+
+
+def test_a_handler_installed_on_a_live_server_answers_the_next_line_of_an_open_connection(monkeypatch):
+    device = RecordingDevice()
+    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"-v\n")
+        assert recv_lines(sock, 1) == b'{"result": 0}\n'
+        monkeypatch.setattr(RecordingDevice, "handle_line", lambda self, line: '{"wrapped": 1}')
+        sock.sendall(b"-v\n")
+        assert recv_lines(sock, 1) == b'{"wrapped": 1}\n'
+    assert device.lines == ["-v"]
+
+
+def test_blank_and_whitespace_only_lines_get_no_reply():
+    device = RecordingDevice()
+    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"\n  \t \r\n\x1c\n-v\n")
+        assert recv_lines(sock, 1) == b'{"result": 0}\n'
+        sock.settimeout(0.2)
+        with pytest.raises(TimeoutError):
+            sock.recv(4096)
+    assert device.lines == ["-v"]
+
+
+def test_a_byte_that_is_not_utf8_is_replaced_and_the_line_answered(bench):
+    device = RecordingDevice()
+    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"rr \xff 1\nwr 52 \xc3\xa9\n")
+        assert recv_lines(sock, 2) == b'{"result": 0}\n' * 2
+    assert device.lines == ["rr \ufffd 1", "wr 52 \u00e9"]
+    with served(bench.refdev) as addr, socket.create_connection(addr, timeout=5) as sock:
+        sock.sendall(b"rr \xff 1\n")
+        assert recv_lines(sock, 1) == b'{"result": 1}\n'
+
+
+def test_a_served_reset_answers_and_commits_as_the_in_process_one():
+    """Twin benches of one seed: the reset lines and ``ex``, twice, over TCP and in process."""
+    served_bench, local_bench = make_bench(seed=11), make_bench(seed=11)
+    offset = served_bench.refdev.regs.map.lookup("user_reg.user_reg").offset
+    lines = [f"wr {offset} 1 2 3", "wr 52 7", "ex", *_reset_writes(served_bench.refdev.regs.map), "ex"] * 2
+    local = [local_bench.refdev.handle_line(line) for line in lines]
+    with served(served_bench.refdev) as addr:
+        transport = TcpTransport(*addr)
+        try:
+            remote = [transport.request(line) for line in lines]
+        finally:
+            transport.close()
+    assert remote == local
+    assert set(local) == {'{"result": 0}'}
+    assert served_bench.refdev.regs.committed == local_bench.refdev.regs.committed
+    restored = slice(offset, offset + 3)  # the reset undid the first write
+    assert served_bench.refdev.regs.committed[restored] == served_bench.refdev.regs.map.default_image[restored]
 
 
 # -- client side ----------------------------------------------------------
