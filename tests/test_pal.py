@@ -15,6 +15,7 @@ from hilsim.pal import (
     dut_success_text,
     open_transport,
     version_reply_text,
+    _SUCCESS_REPLY,
 )
 from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
@@ -335,6 +336,15 @@ def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_a_timeou
 
 
 # -- the reference device's version reply ----------------------------------
+
+
+def test_the_device_writes_its_success_reply_as_the_text_the_client_matches(layout, monkeypatch):
+    device = ReferenceDevice(layout)
+    assert {device.handle_line(line) for line in ("wr 52 1", "wr 52 1", "ex")} == {_SUCCESS_REPLY}
+    counted = Replying(device.handle_line, monkeypatch)
+    client = RefDeviceClient(counted, layout)
+    assert [client.raw(line) for line in ("wr 52 1", "ex")] == [{"result": 0}] * 2
+    assert counted.decoded == 0
 
 
 def test_the_device_writes_its_version_reply_as_the_text_the_client_matches(layout):
