@@ -38,15 +38,6 @@ def dut_success_text(line: str) -> str:
     return '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}'
 
 
-def version_reply_text(version: str) -> str:
-    """The reference device's reply to ``-v``.
-
-    Byte for byte ``json.dumps({"version": version, "result": 0})``: ``ReferenceDevice`` writes
-    it and ``RefDeviceClient.raw`` matches it as text.
-    """
-    return '{"version": ' + encode_basestring_ascii(version) + ', "result": 0}'
-
-
 class TransportError(OSError):
     pass
 
@@ -211,18 +202,13 @@ class RefDeviceClient:
 
     def raw(self, line: str) -> dict:
         """Send one line and decode its reply; a reply that is not a JSON object raises ``TransportError``."""
-        return self._decode(line, self.transport.request(line))
+        return self._decode(self.transport.request(line))
 
-    def _decode(self, line: str, reply: str) -> dict:
-        """The fields of the device's ``reply`` to ``line``.
-
-        A bare success, and the ``-v`` reply naming the bound map's version, are matched as text
-        and answered with a fresh dict; any other reply is JSON-decoded.
-        """
+    @staticmethod
+    def _decode(reply: str) -> dict:
+        """The fields of a device reply; a bare success is matched as text, any other reply JSON-decoded."""
         if reply == _SUCCESS_REPLY:
             return {"result": 0}
-        if line == "-v" and self.map is not None and reply == version_reply_text(self.map.version):
-            return {"version": self.map.version, "result": 0}
         try:
             fields = json.loads(reply)
         except json.JSONDecodeError:
@@ -261,7 +247,7 @@ class RefDeviceClient:
         size = placed[-1][1] + count * last.elem_size - start
         line = f"rr {start} {size}"
         text = self.transport.request(line)
-        reply = self._decode(line, text)
+        reply = self._decode(text)
         if reply.get("result") != 0:
             return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
         # the bare int of a one-byte read, or a list of exactly ``size`` ints in 0-255

@@ -14,7 +14,6 @@ from collections import OrderedDict
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
-from hilsim.pal import version_reply_text
 
 # Result codes for the register protocol.
 RESULT_SUCCESS = 0
@@ -171,7 +170,7 @@ class ReferenceDevice:
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
         self.version = layout.version
-        self._version_line = version_reply_text(self.version)
+        self._version_line = format_response({"version": self.version, "result": RESULT_SUCCESS})
         # accepted ``wr`` line -> the (offset, bytes) it stages, least recently sent first; whether
         # a line is accepted depends only on the line, as the file's size and access mask never change
         self._accepted: OrderedDict[str, tuple[int, bytes]] = OrderedDict()
@@ -285,12 +284,5 @@ def _parse_int(token: str) -> int:
 
 
 def _parse_data(text: str) -> bytes:
-    """The bytes of a ``wr`` data text, each token parsed as ``_parse_int`` parses it; a malformed
-    text, or a byte above 0xFF, raises ``ValueError``."""
-    tokens = text.split()
-    try:
-        # all decimal, the usual case, in one C call: int() takes what _parse_int takes without
-        # a 0x prefix, and bytes() rejects what _parse_int or the byte range would reject
-        return bytes(map(int, tokens))
-    except ValueError:
-        return bytes(_parse_int(t) for t in tokens)
+    """The bytes of a ``wr`` data text; a malformed text, or a byte above 0xFF, raises ``ValueError``."""
+    return bytes(_parse_int(t) for t in text.split())

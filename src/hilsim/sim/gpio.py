@@ -54,20 +54,13 @@ class GpioTrace:
     overrun_count: int = field(default=0, init=False)
     kept: int = field(default=0, init=False)  # events kept since construction, dropped ones included
     buffer: deque = field(init=False)  # a timer buffer keeps its newest buffer_len events
-    _random: random.Random | None = field(default=None, init=False)  # built by _rng when first drawn from
+    _rng: random.Random = field(init=False)  # seeded in __post_init__
     _last_accept_ns: dict = field(default_factory=dict, init=False)
     _last_level: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.buffer = deque(maxlen=self.method.buffer_len)
-
-    @property
-    def _rng(self) -> random.Random:
-        """The jitter generator, ``random.Random(seed)``, seeded on first use: a trace that records
-        nothing never pays for seeding, and the draws are those of a generator seeded at construction."""
-        if self._random is None:
-            self._random = random.Random(self.seed)
-        return self._random
+        self._rng = random.Random(self.seed)
 
     def record_train(self, pin: int, level: int, times) -> tuple[int, int | None, int | None]:
         """Record a train of edges on ``pin`` at ``times`` (ascending), alternating from ``level``.

@@ -14,7 +14,6 @@ from hilsim.pal import (
     TransportError,
     dut_success_text,
     open_transport,
-    version_reply_text,
     _SUCCESS_REPLY,
 )
 from hilsim.refdev import ReferenceDevice
@@ -335,7 +334,7 @@ def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_a_timeou
     assert counted.decoded == 1
 
 
-# -- the reference device's version reply ----------------------------------
+# -- the reference device's success reply ----------------------------------
 
 
 def test_the_device_writes_its_success_reply_as_the_text_the_client_matches(layout, monkeypatch):
@@ -346,53 +345,3 @@ def test_the_device_writes_its_success_reply_as_the_text_the_client_matches(layo
     assert [client.raw(line) for line in ("wr 52 1", "ex")] == [{"result": 0}] * 2
     assert counted.decoded == 0
 
-
-def test_the_device_writes_its_version_reply_as_the_text_the_client_matches(layout):
-    reply = ReferenceDevice(layout).handle_line("-v")
-    assert reply == version_reply_text(layout.version) == json.dumps({"version": layout.version, "result": 0})
-
-
-@pytest.mark.parametrize("version", ["1.2.3", 'v"quoted"', "back\\slash", "é", "☃\U0001f600"])
-def test_the_version_reply_text_is_the_json_encoding_of_the_version_reply(version):
-    assert version_reply_text(version) == json.dumps({"version": version, "result": 0})
-
-
-def test_the_bound_maps_version_reply_is_matched_as_text_into_a_fresh_dict(layout, monkeypatch):
-    counted = Replying(ReferenceDevice(layout).handle_line, monkeypatch)
-    client = RefDeviceClient(counted, layout)
-    first = client.raw("-v")
-    assert first == {"version": layout.version, "result": 0}
-    first["version"] = "changed"
-    assert client.raw("-v") == {"version": layout.version, "result": 0}
-    assert client.connect().ok
-    assert counted.decoded == 0
-
-
-@pytest.mark.parametrize(
-    "reply",
-    [
-        lambda line: json.dumps({"version": "9.9.9", "result": 0}),  # another version than the bound map's
-        lambda line: json.dumps({"version": "1.2.3", "result": 0}, separators=(",", ":")),
-        lambda line: json.dumps({"result": 0, "version": "1.2.3"}),
-        lambda line: json.dumps({"version": "1.2.3", "result": 4}),
-    ],
-    ids=["other-version", "compact", "keys-reordered", "error"],
-)
-def test_any_other_version_reply_is_json_decoded(layout, reply, monkeypatch):
-    expected = json.loads(reply("-v"))
-    counted = Replying(reply, monkeypatch)
-    assert RefDeviceClient(counted, layout).raw("-v") == expected
-    assert counted.decoded == 1
-
-
-def test_a_version_reply_text_to_another_line_is_json_decoded(layout, monkeypatch):
-    counted = Replying(lambda line: version_reply_text(layout.version), monkeypatch)
-    assert RefDeviceClient(counted, layout).raw("rr 0 1") == {"version": layout.version, "result": 0}
-    assert counted.decoded == 1
-
-
-def test_without_a_bound_map_the_version_reply_is_json_decoded(layout, tmp_path, monkeypatch):
-    counted = Replying(lambda line: version_reply_text(layout.version), monkeypatch)
-    client = RefDeviceClient(counted, tmp_path)
-    assert client.raw("-v") == {"version": layout.version, "result": 0}
-    assert counted.decoded == 1

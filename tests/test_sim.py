@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from hilsim.harness.runner import _reset_writes
 from hilsim.sim.bus import I2C_BITS_PER_BYTE, SPI_BITS_PER_BYTE, UART_BITS_PER_BYTE
 from hilsim.sim.clock import EventScheduler, SimClock
 from hilsim.sim.gpio import CAPTURE_METHODS, CaptureMethod, GpioEvent, GpioTrace
@@ -352,24 +351,6 @@ def test_trace_reinit_drops_captures_and_replays_jitter():
     assert unit.trace.events[0].timestamp_ns == first  # seeded jitter replays
 
 
-def test_a_reinit_that_captures_nothing_builds_no_generator():
-    """Not on a served reset (its ``wr`` lines raise every init flag, ``ex`` runs the hooks), a
-    bench reset or a bare re-init."""
-    bench = make_bench(seed=3)
-    for _ in range(3):
-        for line in (*_reset_writes(bench.refdev.regs.map), "ex"):
-            assert bench.refdev.handle_line(line) == '{"result": 0}'
-        first = bench.trace.trace
-        assert first._random is None
-        bench.reset()
-        bench.trace.reinit()
-        assert bench.trace.trace is not first and bench.trace.trace._random is None
-    bench.dut.handle_line("sync")
-    assert bench.trace.trace._random is None
-    bench.dut.handle_line("gpio_toggle 0")
-    assert bench.trace.trace._random is not None
-
-
 def test_reinits_then_one_capture_draw_the_stamps_of_a_fresh_trace():
     times = range(10**6, 10**6 + 200 * 1_000, 1_000)
     bench = make_bench(seed=4)
@@ -382,10 +363,3 @@ def test_reinits_then_one_capture_draw_the_stamps_of_a_fresh_trace():
     fresh.record_train(0, 1, times)
     assert unit.trace.events == fresh.events
     assert unit.trace._rng.getstate() == fresh._rng.getstate() != random.Random(4).getstate()
-
-
-def test_the_generator_is_the_one_a_seed_builds_and_is_built_once():
-    trace = GpioTrace(CAPTURE_METHODS["gpio-irq"], seed=6)
-    generator = trace._rng
-    assert generator.getstate() == random.Random(6).getstate()
-    assert trace._rng is generator
