@@ -21,7 +21,7 @@ from hilsim.memmap import (
     emit_struct_decl,
     parse_config_file,
 )
-from hilsim.pal import MapStore, RefDeviceClient
+from hilsim.pal import MapStore, RefDeviceClient, TransportError
 from hilsim.repl import DeviceShell
 from hilsim.serve import LineServer, serve_stdio, serve_tcp
 
@@ -209,7 +209,7 @@ def dump_trace(endpoint: str, maps: str, out: str) -> None:
     client = _client(endpoint, maps)
     try:
         events = read_trace(client)
-    except StepFailure as exc:
+    except (StepFailure, TransportError) as exc:  # a refused or unreadable read, or the device lost
         raise click.ClickException(str(exc)) from None
     finally:
         client.transport.close()

@@ -38,6 +38,15 @@ def dut_success_text(line: str) -> str:
     return '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}'
 
 
+def json_object(text: str) -> dict | None:
+    """The JSON object in a reply's text; None for no JSON, JSON nested too deep, or a non-object."""
+    try:
+        fields = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return fields if isinstance(fields, dict) else None
+
+
 class TransportError(OSError):
     pass
 
@@ -97,7 +106,7 @@ class TcpTransport:
         if reply is None:
             self.close()
             raise TransportError("connection closed")
-        return reply.decode()
+        return reply
 
     def close(self) -> None:
         if self._lines is not None:
@@ -206,14 +215,11 @@ class RefDeviceClient:
 
     @staticmethod
     def _decode(reply: str) -> dict:
-        """The fields of a device reply; a bare success is matched as text, any other reply JSON-decoded."""
+        """The fields of a device reply; a bare success is matched as text, any other read by ``json_object``."""
         if reply == _SUCCESS_REPLY:
             return {"result": 0}
-        try:
-            fields = json.loads(reply)
-        except json.JSONDecodeError:
-            fields = None
-        if not isinstance(fields, dict):
+        fields = json_object(reply)
+        if fields is None:
             raise TransportError(f"malformed reply {reply[:80]!r}")
         return fields
 
@@ -289,12 +295,12 @@ class RefDeviceClient:
         ok = reply.get("result") == 0
         return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
 
-    def write_and_execute(self, name: str, value, index: int = 0) -> PalResult:
+    def write_and_execute(self, name: str, value) -> PalResult:
         """Write a parameter, raise its module's ``init-trigger`` flag if any and not the write, and execute."""
         # resolved before the first write, so a module with no init flag never leaves a write staged
         init_flag = self._require_map().init_flags.get(name.split(".")[0])
         raise_flag = init_flag is not None and init_flag.name != name
-        first = self.write_reg(name, value, index=index)
+        first = self.write_reg(name, value)
         if not first.ok:
             return first
         if raise_flag:
@@ -318,10 +324,9 @@ class DutClient:
         self.transport = open_transport(endpoint)
 
     def command(self, line: str) -> dict:
-        """Send one shell line; no reply, or one that is not a JSON object, counts as a timeout.
+        """Send one shell line; no reply, or one that holds no ``json_object``, counts as a timeout.
 
-        A plain success reply, ``dut_success_text(line)``, is matched as text and answered with a
-        fresh dict; any other reply is JSON-decoded.
+        A plain success reply, ``dut_success_text(line)``, is matched as text and answered with a fresh dict.
         """
         try:
             text = self.transport.request(line)
@@ -329,11 +334,8 @@ class DutClient:
             return {"cmd": [line], "result": TIMEOUT}
         if text == dut_success_text(line):
             return {"cmd": [line], "result": SUCCESS}
-        try:
-            reply = json.loads(text)
-        except json.JSONDecodeError:
-            reply = None
-        return reply if isinstance(reply, dict) else {"cmd": [line], "result": TIMEOUT}
+        reply = json_object(text)
+        return {"cmd": [line], "result": TIMEOUT} if reply is None else reply
 
     def sync(self) -> dict:
         return self.command("sync")

@@ -29,9 +29,9 @@ class LineSocket:
     """Newline-framed lines on a connected TCP socket, with Nagle's algorithm off.
 
     A line ends at its ``\n`` and is at most ``MAX_LINE`` bytes, newline
-    included; it counts only once its newline has arrived. Bytes received
-    past a newline stay buffered for the next line, so lines sent back to
-    back are read in order.
+    included; it counts only once its newline has arrived, and reads as UTF-8
+    with U+FFFD for each byte that is not. Bytes received past a newline stay
+    buffered for the next line, so lines sent back to back are read in order.
     """
 
     def __init__(self, sock: socket.socket):
@@ -42,7 +42,7 @@ class LineSocket:
     def send_line(self, line: str) -> None:
         self.sock.sendall((line + "\n").encode())
 
-    def recv_line(self) -> bytes | None:
+    def recv_line(self) -> str | None:
         """The next line without its newline, or None once the peer has closed; LineTooLong past the cap."""
         end = self._buf.find(b"\n")
         while end < 0:
@@ -56,7 +56,7 @@ class LineSocket:
         if end >= MAX_LINE:
             raise LineTooLong(f"line of {end + 1} bytes")
         line, self._buf = self._buf[:end], self._buf[end + 1 :]
-        return line
+        return line.decode("utf-8", "replace")
 
 
 def serve_stdio(device, infile=None, outfile=None) -> None:
@@ -74,13 +74,11 @@ def serve_stdio(device, infile=None, outfile=None) -> None:
 
 class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        """Answer each line of the connection: decoded once, a byte that is not UTF-8 replaced by
-        U+FFFD, a blank line skipped, the reply framed by one encode."""
+        """Answer each line of the connection as ``LineSocket`` reads it, a blank line skipped."""
         lines = LineSocket(self.request)
         device = self.server.device
         try:
-            while (raw := lines.recv_line()) is not None:
-                line = raw.decode("utf-8", "replace")
+            while (line := lines.recv_line()) is not None:
                 if not line.strip():
                     continue
                 with _LOCK:

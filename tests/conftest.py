@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,9 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def nested_reply(fields, depth=1000):
+    """``fields`` as reply text with a ``depth``-deep array added; ``json.dumps`` refuses that depth,
+    and ``json.loads`` raises ``RecursionError`` on it."""
+    return json.dumps({**fields, "nested": []})[:-3] + "[" * depth + "]" * depth + "}"

@@ -8,6 +8,7 @@ import shlex
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,35 @@ def test_cli_dump_trace_reports_a_refused_read_in_one_line(map_dir):
         server.server_close()
     assert result.exit_code == 1, result.output
     assert result.output.strip() == "Error: read_reg trace.index: device result 4"
+
+
+def answering_v_only(device, reply):
+    """A loopback reference device that answers ``-v`` as ``device`` does and any other line with
+    the bytes ``reply``, or closes the connection if ``reply`` is None; returns its endpoint."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as requests:
+                for raw in requests:
+                    line = raw.decode().strip()
+                    if line != "-v" and reply is None:
+                        return
+                    conn.sendall((device.handle_line(line).encode() if line == "-v" else reply) + b"\n")
+
+    threading.Thread(target=run, daemon=True).start()
+    return "{}:{}".format(*listener.getsockname()[:2])
+
+
+@pytest.mark.parametrize(
+    "reply,error", [(b"garbage", "malformed reply 'garbage'"), (None, "connection closed")], ids=["garbage", "lost"]
+)
+def test_cli_dump_trace_reports_an_unreadable_reply_in_one_line(map_dir, reply, error):
+    endpoint = answering_v_only(make_bench().refdev, reply)
+    result = CliRunner().invoke(main, ["dump-trace", "--endpoint", endpoint, "--maps", str(map_dir)])
+    assert result.exit_code == 1, result.output
+    assert result.output.strip() == f"Error: {error}"
 
 
 def test_cli_serve_mutually_exclusive_flags():

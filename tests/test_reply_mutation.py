@@ -14,6 +14,8 @@ import pytest
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL, PASS, SKIP
 
+from conftest import nested_reply
+
 SEED = 9
 
 
@@ -21,8 +23,12 @@ def _data_list(data):
     return data if isinstance(data, list) else [data]
 
 
-# each alteration takes a reply's fields and returns the JSON value sent instead; the "data"
-# ones apply to replies that carry data, the "result" ones to replies that carry a result
+class RawText(str):
+    """Reply text an alteration sends as it is, not JSON-encoded."""
+
+
+# each alteration takes a reply's fields and returns the JSON value sent instead, or ``RawText``;
+# the "data" ones apply to replies that carry data, the "result" ones to replies that carry a result
 ALTERATIONS = {
     "data shortened": lambda f: {**f, "data": _data_list(f["data"])[:-1]},
     "data lengthened": lambda f: {**f, "data": _data_list(f["data"]) + [0]},
@@ -33,6 +39,9 @@ ALTERATIONS = {
     "result of the wrong type": lambda f: {**f, "result": [f["result"]]},
     "empty object": lambda f: {},
     "JSON non-object": lambda f: [f],
+    "nested past the recursion limit": lambda f: RawText(nested_reply(f)),
+    "data as floats": lambda f: {**f, "data": [float(v) if type(v) is int else v for v in _data_list(f["data"])]},
+    "data as bools": lambda f: {**f, "data": [bool(v) for v in _data_list(f["data"])]},
 }
 
 
@@ -61,7 +70,8 @@ class Mutating:
         fields = json.loads(reply)
         if len(self.replies) == self.k:
             self.altered = self.case
-            reply = json.dumps(self.alter(fields))
+            sent = self.alter(fields)
+            reply = sent if isinstance(sent, RawText) else json.dumps(sent)
         self.replies.append((self.case, fields))
         return reply
 

@@ -7,7 +7,9 @@ import pytest
 from hilsim.harness import RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL, PASS
 from hilsim.harness.runner import StepFailure
-from hilsim.pal import ERROR, TIMEOUT, DutClient
+from hilsim.pal import ERROR, SUCCESS, TIMEOUT, DutClient
+
+from conftest import nested_reply
 
 
 class ReplyFilter:
@@ -193,3 +195,123 @@ def test_a_dut_reply_that_is_no_json_object_fails_its_cases_and_the_suite_finish
     report = runner.run_suite("i2c")
     assert [c.verdict for c in report.cases] == [FAIL] * len(report.cases)
     assert report.cases[0].reason == "i2c_init: expected result 'Success', got 'Timeout'"
+
+
+# -- a reply nested past the recursion limit ------------------------------
+
+
+class FirstAnswered(Answering):
+    """Answers only the first line starting with ``word`` with the text ``reply``; ``device`` answers the rest."""
+
+    def request(self, line):
+        if line.split()[0] != self.word:
+            return self.device.handle_line(line)
+        self.word = None
+        return self.reply
+
+
+def verdicts(report):
+    return {c.id: (c.verdict, c.reason) for c in report.cases}
+
+
+@pytest.fixture(scope="module")
+def unaltered_spi():
+    return verdicts(local_runner().run_suite("spi"))
+
+
+def test_a_nested_reply_is_no_json_object():
+    assert len(nested_reply({"result": 0})) < 2100
+    with pytest.raises(RecursionError):
+        json.loads(nested_reply({"result": 0}))
+    assert DutClient(Answering(None, "sync", nested_reply({"result": SUCCESS}))).sync() == {
+        "cmd": ["sync"],
+        "result": TIMEOUT,
+    }
+
+
+@pytest.mark.parametrize(
+    "endpoint,word,fields,reason",
+    [
+        ("dut", "spi_transfer", {"cmd": ["spi_transfer 133 42"], "result": SUCCESS, "data": [0, 0]},
+         lambda reply: "spi_transfer 133 42: expected result 'Success', got 'Timeout'"),
+        ("ref", "rr", {"result": 0, "data": 1},
+         lambda reply: f"reference device lost: malformed reply {reply[:80]!r}"),
+    ],
+    ids=["dut", "ref"],
+)
+def test_a_reply_nested_past_the_recursion_limit_fails_only_its_case(unaltered_spi, endpoint, word, fields, reason):
+    runner = local_runner()
+    reply = nested_reply(fields)
+    if endpoint == "dut":
+        runner.dut.transport = FirstAnswered(runner.bench.dut, word, reply)
+    else:
+        runner.phil.transport = FirstAnswered(runner.bench.refdev, word, reply)
+    got = verdicts(runner.run_suite("spi"))
+    assert got.pop("spi.usage.roundtrip") == (FAIL, reason(reply))
+    assert got == {k: v for k, v in unaltered_spi.items() if k != "spi.usage.roundtrip"}
+
+
+# -- values of another JSON type --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line,key,value,wanted,case_id",
+    [
+        ("spi_transfer 5 0", "data", [0.0, 42.0], [0, 42], "spi.usage.roundtrip"),
+        ("spi_transfer 5 0", "data", [False, 42], [0, 42], "spi.usage.roundtrip"),
+        ("spi_transfer 133 42", "data", [0, 1], [0, 0], "spi.usage.roundtrip"),  # the write frame's reply
+        ("spi_transfer 133 42", "data", [0.0, 0.0], [0, 0], "spi.usage.roundtrip"),
+        ("spi_init 7", "error_code", -22.0, -22, "spi.negative.bad_mode"),
+    ],
+)
+def test_a_reply_value_of_another_json_type_fails_only_its_case(unaltered_spi, line, key, value, wanted, case_id):
+    altered = []
+
+    def alter(sent, fields):
+        if sent != line or altered:
+            return None
+        altered.append(sent)
+        return {**fields, key: value}
+
+    runner = local_runner()
+    runner.dut.transport = ReplyFilter(runner.bench.dut, alter)
+    got = verdicts(runner.run_suite("spi"))
+    assert altered == [line]
+    assert got.pop(case_id) == (FAIL, f"{line}: expected {key} {wanted!r}, got {value!r}")
+    assert got == {k: v for k, v in unaltered_spi.items() if k != case_id}
+
+
+DATA_EQUALS_REF = {
+    "id": "dut_data_equals_ref.one_byte",
+    "steps": [
+        {"op": "ref_write_execute", "name": "user_reg.user_reg", "value": 1},
+        {"op": "dut", "cmd": "i2c_init"},
+        {"op": "dut_data_equals_ref", "cmd": "i2c_read_reg", "args": [85, 0, 1], "name": "user_reg.user_reg"},
+    ],
+}
+
+
+def run_data_equals_ref(data):
+    """Run the one-byte ``dut_data_equals_ref`` case with the DUT's read data replaced by ``data``."""
+
+    def alter(line, fields):
+        return {**fields, "data": data} if line.startswith("i2c_read_reg") else None
+
+    runner = local_runner()
+    runner.dut.transport = ReplyFilter(runner.bench.dut, alter)
+    result = runner.run_case(DATA_EQUALS_REF)
+    return result.verdict, result.reason
+
+
+@pytest.mark.parametrize("data", [[1], 1])
+def test_dut_data_equals_ref_passes_the_same_integer(data):
+    assert run_data_equals_ref(data) == (PASS, "")
+
+
+@pytest.mark.parametrize("data", [[True], True, [1.0], 1.0])
+def test_dut_data_equals_ref_fails_a_value_of_another_json_type(data):
+    shown = data if isinstance(data, list) else [data]
+    assert run_data_equals_ref(data) == (
+        FAIL,
+        f"i2c_read_reg 85 0 1: DUT data {shown} != reference [1] (user_reg.user_reg)",
+    )

@@ -305,3 +305,67 @@ def test_a_malformed_reply_fails_only_its_case_and_the_suite_runs_on(bench):
     run = [case for case in report.cases if case.verdict != SKIP]
     assert run
     assert {(case.verdict, case.reason) for case in run} == {(FAIL, "reference device lost: malformed reply 'not json'")}
+
+
+# -- a reply byte that is not UTF-8 ----------------------------------------
+
+
+def forwarding(device, word, reply):
+    """A ``fake_server`` script: the first line starting with ``word`` gets the bytes ``reply``,
+    every other line ``device``'s answer."""
+
+    def script(conn, _):
+        pending = True
+        with conn.makefile("rb") as requests:
+            for raw in requests:
+                line = raw.decode().rstrip("\n")
+                if pending and line.split()[0] == word:
+                    pending = False
+                    conn.sendall(reply + b"\n")
+                else:
+                    conn.sendall(device.handle_line(line).encode() + b"\n")
+
+    return script
+
+
+@pytest.mark.parametrize("client", ["dut", "ref"])
+def test_a_reply_byte_that_is_not_utf8_is_read_as_u_fffd(bench, client):
+    def script(conn, _):
+        recv_lines(conn, 1)
+        conn.sendall(b'{"result": 0, "version": "1.2.\xff"}\n')
+        recv_lines(conn, 1)
+
+    with fake_server(script) as transport:
+        if client == "dut":
+            reply = DutClient(transport).command("-v")
+        else:
+            reply = RefDeviceClient(transport, bench.refdev.regs.map).raw("-v")
+    assert reply == {"result": 0, "version": "1.2.\ufffd"}
+
+
+@pytest.mark.parametrize(
+    "endpoint,word,reply,reason",
+    [
+        ("dut", "i2c_init", b'{"cmd": ["i2c_init"], "result": "Succ\xffss"}',
+         "i2c_init: expected result 'Success', got 'Succ\ufffdss'"),
+        ("ref", "rr", b'{"result": 0, "data": [\xff]}',
+         "reference device lost: malformed reply '{\"result\": 0, \"data\": [\ufffd]}'"),
+    ],
+    ids=["dut", "ref"],
+)
+def test_a_served_reply_byte_that_is_not_utf8_fails_only_its_case(endpoint, word, reply, reason):
+    expected = {c.id: (c.verdict, c.reason) for c in SuiteRunner.local(RunConfig(seed=7)).run_suite("i2c").cases}
+    bench = make_bench(seed=7)
+    device = bench.dut if endpoint == "dut" else bench.refdev
+    with fake_server(forwarding(device, word, reply)) as transport:
+        runner = SuiteRunner(
+            DutClient(transport if endpoint == "dut" else bench.dut),
+            RefDeviceClient(transport if endpoint == "ref" else bench.refdev, bench.refdev.regs.map),
+            config=RunConfig(seed=7),
+        )
+        report = runner.run_suite("i2c")
+    got = {c.id: (c.verdict, c.reason) for c in report.cases}
+    failed = [case_id for case_id, (verdict, _) in got.items() if verdict != expected[case_id][0]]
+    assert len(failed) == 1
+    assert got.pop(failed[0]) == (FAIL, reason)
+    assert got == {k: v for k, v in expected.items() if k != failed[0]}
