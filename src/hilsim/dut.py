@@ -13,14 +13,10 @@ import json
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from hilsim.pal import dut_success_text
+from hilsim.pal import ERROR, SUCCESS, TIMEOUT, dut_success_text
 from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 from hilsim.sim.clock import SimClock
 from hilsim.sim.trace import TraceUnit
-
-RESULT_SUCCESS = "Success"
-RESULT_ERROR = "Error"
-RESULT_TIMEOUT = "Timeout"
 
 # errno-style codes returned in data/error_code
 EIO = 5
@@ -50,7 +46,7 @@ DEFAULT_UART_BITRATE = 115_200
 METADATA = "dut_periph 0.1.0"
 
 # most commands answer a plain Success, whose reply text the PAL matches without decoding
-_SUCCESS_FIELDS = {"result": RESULT_SUCCESS}
+_SUCCESS_FIELDS = {"result": SUCCESS}
 
 
 @dataclass
@@ -77,9 +73,6 @@ class FaultConfig:
         if unknown:
             raise ValueError(f"unknown fault flags: {sorted(unknown)}")
         return cls(**{k: bool(v) for k, v in doc.items()})
-
-    def enabled(self) -> list[str]:
-        return [name for name in self.flag_names() if getattr(self, name)]
 
 
 class _Hang(Exception):
@@ -147,14 +140,14 @@ class DutDevice:
             fields_out = self._dispatch(line)
         except _Hang:
             self.clock.advance(COMMAND_DEADLINE_NS)
-            fields_out = {"result": RESULT_TIMEOUT}
+            fields_out = {"result": TIMEOUT}
         except _DutError as exc:
             if self.faults.swallow_error_return:
-                fields_out = {"data": 0, "result": RESULT_SUCCESS}
+                fields_out = {"data": 0, "result": SUCCESS}
             else:
-                fields_out = {"data": -exc.code, "result": RESULT_ERROR, "error_code": -exc.code}
+                fields_out = {"data": -exc.code, "result": ERROR, "error_code": -exc.code}
         except Exception:
-            fields_out = {"result": RESULT_ERROR, "error_code": -EINVAL}
+            fields_out = {"result": ERROR, "error_code": -EINVAL}
         if fields_out == _SUCCESS_FIELDS:
             return dut_success_text(line)
         # byte for byte json.dumps({"cmd": [line], **fields_out}); no handler answers a "cmd" field
@@ -166,20 +159,20 @@ class DutDevice:
             raise _DutError(EINVAL)
         handler = _COMMANDS.get(parts[0])
         if handler is None:
-            return {"result": RESULT_ERROR, "error_code": -EINVAL, "data": -EINVAL}
+            return {"result": ERROR, "error_code": -EINVAL, "data": -EINVAL}
         return handler(self, [_to_int(a) for a in parts[1:]])
 
     # -- infrastructure -------------------------------------------------
 
     def _cmd_sync(self, args) -> dict:
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_reset(self, args) -> dict:
         self.reset()
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_get_metadata(self, args) -> dict:
-        return {"data": METADATA, "result": RESULT_SUCCESS}
+        return {"data": METADATA, "result": SUCCESS}
 
     # -- I2C ------------------------------------------------------------
 
@@ -195,7 +188,7 @@ class DutDevice:
         self._i2c_bitrate = args[0] if args else DEFAULT_I2C_BITRATE
         self._i2c_ready = True
         self._write_streak = 0
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_i2c_read_reg(self, args) -> dict:
         addr, reg = args[0], args[1]
@@ -208,7 +201,7 @@ class DutDevice:
         result = self.i2c.read_reg(addr, reg, wire_length, self._i2c_bitrate)
         if result.status == "addr-nack" and self.faults.missing_error_cleanup:
             self._hung = True
-        return {"data": list(_bus_data(result)[:length]), "result": RESULT_SUCCESS}
+        return {"data": list(_bus_data(result)[:length]), "result": SUCCESS}
 
     def _cmd_i2c_write_reg(self, args) -> dict:
         addr, reg, data = args[0], args[1], bytes(args[2:])
@@ -223,7 +216,7 @@ class DutDevice:
             # status poll predicate is inverted: the ready state looks busy
             raise _DutError(EINVAL)
         _bus_data(self.i2c.write_reg(addr, reg, data, self._i2c_bitrate))
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_i2c_read_bytes(self, args) -> dict:
         addr, length = args[0], args[1]
@@ -232,13 +225,13 @@ class DutDevice:
             raise _DutError(EINVAL)
         self._write_streak = 0
         data = _bus_data(self.i2c.read_bytes(addr, length, self._i2c_bitrate))
-        return {"data": list(data), "result": RESULT_SUCCESS}
+        return {"data": list(data), "result": SUCCESS}
 
     def _cmd_i2c_write_bytes(self, args) -> dict:
         addr, data = args[0], bytes(args[1:])
         self._i2c_guard()
         _bus_data(self.i2c.write_bytes(addr, data, self._i2c_bitrate))
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     # -- SPI ------------------------------------------------------------
 
@@ -249,26 +242,26 @@ class DutDevice:
         self._spi_mode = mode
         self._spi_bitrate = args[1] if len(args) > 1 else DEFAULT_SPI_BITRATE
         self._spi_ready = True
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_spi_transfer(self, args) -> dict:
         if not self._spi_ready:
             raise _DutError(ENODEV)
         data = _bus_data(self.spi.transfer(bytes(args), self._spi_bitrate, self._spi_mode))
-        return {"data": list(data), "result": RESULT_SUCCESS}
+        return {"data": list(data), "result": SUCCESS}
 
     # -- UART -----------------------------------------------------------
 
     def _cmd_uart_init(self, args) -> dict:
         self._uart_bitrate = args[0] if args else DEFAULT_UART_BITRATE
         self._uart_ready = True
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_uart_write(self, args) -> dict:
         if not self._uart_ready:
             raise _DutError(ENODEV)
         data = _bus_data(self.uart.process(bytes(args), self._uart_bitrate))
-        return {"data": list(data), "result": RESULT_SUCCESS}
+        return {"data": list(data), "result": SUCCESS}
 
     # -- GPIO / timers --------------------------------------------------
 
@@ -287,14 +280,14 @@ class DutDevice:
             raise _DutError(EINVAL)
         self._drive_pin(pin, level)
         self.trace.publish()
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_gpio_toggle(self, args) -> dict:
         pin = args[0]
         level = 1 - self._pin_levels.get(pin, 0)
         self._drive_pin(pin, level)
         self.trace.publish()
-        return {"result": RESULT_SUCCESS}
+        return {"result": SUCCESS}
 
     def _cmd_timer_bench(self, args) -> dict:
         """Fire n virtual timers at one target time, toggling a pin per handler.
@@ -307,7 +300,7 @@ class DutDevice:
             raise _DutError(EINVAL)
         target = self.clock.now + self._dut_interval(period_ns)
         self._toggle_train(pin, [target + (i + 1) * HANDLER_OVERHEAD_NS for i in range(n_timers)])
-        return {"result": RESULT_SUCCESS, "data": target}
+        return {"result": SUCCESS, "data": target}
 
     def _cmd_timer_trace(self, args) -> dict:
         """Toggle a pin every period for n edges, timed by the DUT clock."""
@@ -317,7 +310,7 @@ class DutDevice:
         base = self.clock.now + HANDLER_OVERHEAD_NS
         scale = 1.0 + self.clock_ppm_error / 1e6  # _dut_interval's factor, computed once per train
         self._toggle_train(pin, [base + round(k * period_ns * scale) for k in range(1, n_edges + 1)])
-        return {"result": RESULT_SUCCESS, "data": n_edges}
+        return {"result": SUCCESS, "data": n_edges}
 
     def _toggle_train(self, pin: int, times: list[int]) -> None:
         """Toggle ``pin`` once at each of ``times``, as timer handlers firing at those times would.

@@ -9,7 +9,6 @@ timer accuracy, overlap delay).
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -21,8 +20,7 @@ from hilsim.dut import HANDLER_OVERHEAD_NS
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult, TestReport
 from hilsim.harness.stats import TimingStats, compute_timing_stats, fit_slope
 from hilsim.memmap import LayoutedMap, emit_csv
-from hilsim.memmap.layout import ACCESS_CODES
-from hilsim.pal import DutClient, RefDeviceClient, SUCCESS, TransportError
+from hilsim.pal import DutClient, PalResult, RefDeviceClient, SUCCESS, TIMEOUT, TransportError
 from hilsim.reference import reference_layout
 from hilsim.sim.gpio import GpioEvent, as_event
 
@@ -53,10 +51,6 @@ class RunConfig(BenchConfig):
     unsupported_modes: tuple = ()
 
 
-# a run of map bytes a client may write: any access code but read-only
-_WRITABLE_RUN = re.compile(b"[^%c]+" % ACCESS_CODES["read-only"])
-
-
 class StepFailure(Exception):
     """A step's expectation was not met. May carry measurements taken so far."""
 
@@ -65,20 +59,11 @@ class StepFailure(Exception):
         self.measured = measured or {}
 
 
-@lru_cache(maxsize=8)
-def _reset_writes(name_map: LayoutedMap) -> tuple[str, ...]:
-    """One ``wr`` of the default image per contiguous non-read-only span, init flags set to 1.
-
-    Followed by ``ex``, these restore what a local reset restores in every
-    byte a client may write.
-    """
-    image = bytearray(name_map.default_image)
-    for entry in name_map.init_flags.values():
-        image[entry.offset : entry.offset + entry.elem_size] = entry.pack(1)
-    return tuple(
-        f"wr {run.start()} {' '.join(map(str, image[run.start() : run.end()]))}"
-        for run in _WRITABLE_RUN.finditer(name_map.access_mask)
-    )
+def _checked(result: PalResult, what: str):
+    """The data of a PAL result; a failed one fails the step with ``what`` and the result's error."""
+    if not result.ok:
+        raise StepFailure(f"{what}: {result.error}")
+    return result.data
 
 
 def json_equal(got, wanted) -> bool:
@@ -90,10 +75,7 @@ def json_equal(got, wanted) -> bool:
 
 def _read(client: RefDeviceClient, name: str, index: int = 0, count: int | None = None) -> list[int]:
     """Read elements of a parameter, as ``RefDeviceClient.read_reg``; a failed read fails the step."""
-    result = client.read_reg(name, index, count)
-    if not result.ok:
-        raise StepFailure(f"read_reg {name}: {result.error}")
-    return result.data
+    return _checked(client.read_reg(name, index, count), f"read_reg {name}")
 
 
 def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
@@ -105,9 +87,7 @@ def read_trace(client: RefDeviceClient) -> list[GpioEvent]:
     if count == 0:
         return []
     arrays = client.read_regs(("trace.source", "trace.value", "trace.tick"), count)
-    if not arrays.ok:
-        raise StepFailure(f"read_regs trace arrays: {arrays.error}")
-    return list(map(as_event, zip(*arrays.data)))
+    return list(map(as_event, zip(*_checked(arrays, "read_regs trace arrays"))))
 
 
 def load_manifest(suite: str) -> dict:
@@ -199,27 +179,18 @@ class SuiteRunner:
 
     def _setup(self) -> None:
         """Per-case setup: reset both devices, reconnect, verify version."""
-        connected = self.phil.connect()
-        if not connected.ok:
-            raise StepFailure(f"reference device connect failed: {connected.error}")
+        _checked(self.phil.connect(), "reference device connect failed")
         if self.bench is not None:
             self.bench.reset()
         else:
             # remote endpoints: restore defaults through the wire protocol
             if self.dut.command("reset").get("result") != SUCCESS:
                 raise StepFailure("DUT reset failed")
-            self._soft_reset_ref()
+            restored = self.phil.restore_defaults()
+            if not restored.ok:
+                raise StepFailure(f"soft reset {restored.error}")
         if self.dut.sync().get("result") != SUCCESS:
             raise StepFailure("DUT sync failed")
-
-    def _soft_reset_ref(self) -> None:
-        """Write the default image back, raising every init flag, and execute."""
-        for line in _reset_writes(self.phil.map):
-            reply = self.phil.raw(line)
-            if reply.get("result") != 0:
-                raise StepFailure(f"soft reset write at {line.split()[1]}: device result {reply.get('result')}")
-        if not self.phil.execute().ok:
-            raise StepFailure("soft reset execute failed")
 
     # -- step interpreter -----------------------------------------------
 
@@ -248,18 +219,15 @@ class SuiteRunner:
             raise StepFailure(f"{step['name']}: expected {step['expect']}, got {data}")
 
     def _step_ref_write(self, step: dict) -> None:
-        result = self.phil.write_reg(step["name"], step["value"], step.get("index", 0))
-        if not result.ok:
-            raise StepFailure(f"write_reg {step['name']}: {result.error}")
+        written = self.phil.write_reg(step["name"], step["value"], step.get("index", 0))
+        _checked(written, f"write_reg {step['name']}")
 
     def _step_ref_execute(self, step: dict) -> None:
         if not self.phil.execute().ok:
             raise StepFailure("execute failed")
 
     def _step_ref_write_execute(self, step: dict) -> None:
-        result = self.phil.write_and_execute(step["name"], step["value"])
-        if not result.ok:
-            raise StepFailure(f"write_and_execute {step['name']}: {result.error}")
+        _checked(self.phil.write_and_execute(step["name"], step["value"]), f"write_and_execute {step['name']}")
 
     def _step_dut_data_equals_ref(self, step: dict) -> None:
         """Compare DUT command data against a reference-device parameter."""
@@ -323,9 +291,7 @@ class SuiteRunner:
         return read_trace(self.phil)
 
     def clear_trace(self) -> None:
-        result = self.phil.write_and_execute("trace.mode.init", 1)
-        if not result.ok:
-            raise StepFailure(f"trace clear failed: {result.error}")
+        _checked(self.phil.write_and_execute("trace.mode.init", 1), "trace clear failed")
 
     def wiring_check(self, pins: list[int]) -> str:
         """Toggle each pin and require exactly its commanded edges in the trace."""
@@ -393,7 +359,8 @@ def run_suite(
     """Run one suite against a local bench or remote endpoints.
 
     Raises ``ValueError`` for an unknown suite, an endpoint that is not host:port,
-    or remote endpoints without ``map_dir``; an unreachable endpoint is an infrastructure error.
+    or remote endpoints without ``map_dir``; an unreachable endpoint (a ``Timeout`` on the DUT's
+    ``sync`` or the reference device's ``-v``) is an infrastructure error.
     """
     config = config or RunConfig()
     try:
@@ -410,10 +377,11 @@ def run_suite(
     except OSError as exc:
         return TestReport(suite=suite, infrastructure_error=str(exc))
     try:
-        runner.dut.sync()
+        if runner.dut.sync().get("result") == TIMEOUT:
+            return TestReport(suite=suite, infrastructure_error=f"DUT {dut_endpoint}: no reply to sync")
         connected = runner.phil.connect()
     except OSError as exc:
         return TestReport(suite=suite, infrastructure_error=str(exc))
-    if connected.result == "Timeout":
+    if connected.result == TIMEOUT:
         return TestReport(suite=suite, infrastructure_error=str(connected.error))
     return runner.run_suite(suite)

@@ -13,10 +13,11 @@ import re
 import socket
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from hilsim.memmap.layout import LayoutedMap
+from hilsim.memmap.layout import ACCESS_CODES, LayoutedMap
 from hilsim.memmap.schema import STRUCT_CODES
 from hilsim.serve import LineSocket, LineTooLong
 
@@ -25,8 +26,11 @@ ERROR = "Error"
 TIMEOUT = "Timeout"
 
 _SEMVER_SUFFIX = re.compile(r"[-_](\d+\.\d+\.\d+)$")
-# the reference device's reply to every accepted ``wr`` and ``ex``, matched as text
-_SUCCESS_REPLY = json.dumps({"result": 0})
+# a run of map bytes a client may write: any access code but read-only
+_WRITABLE_RUN = re.compile(b"[^%c]+" % ACCESS_CODES["read-only"])
+# the reference device's reply to every accepted ``wr`` and ``ex``, byte for byte
+# ``json.dumps({"result": 0})``: the device writes it and ``RefDeviceClient`` matches it as text
+REF_SUCCESS_REPLY = '{"result": 0}'
 
 
 def dut_success_text(line: str) -> str:
@@ -45,6 +49,12 @@ def json_object(text: str) -> dict | None:
     except (ValueError, RecursionError):
         return None
     return fields if isinstance(fields, dict) else None
+
+
+def _device_error(reply: dict) -> str | None:
+    """The error of a failed reference reply; None for success, which is a ``result`` of the JSON integer 0 only."""
+    result = reply.get("result")
+    return None if type(result) is int and result == 0 else f"device result {result}"
 
 
 class TransportError(OSError):
@@ -182,6 +192,22 @@ class PalResult:
         return self.result == SUCCESS
 
 
+@lru_cache(maxsize=8)
+def _reset_writes(name_map: LayoutedMap) -> tuple[str, ...]:
+    """One ``wr`` of the default image per contiguous non-read-only span, init flags set to 1.
+
+    Followed by ``ex``, these restore what a local reset restores in every
+    byte a client may write.
+    """
+    image = bytearray(name_map.default_image)
+    for entry in name_map.init_flags.values():
+        image[entry.offset : entry.offset + entry.elem_size] = entry.pack(1)
+    return tuple(
+        f"wr {run.start()} {' '.join(map(str, image[run.start() : run.end()]))}"
+        for run in _WRITABLE_RUN.finditer(name_map.access_mask)
+    )
+
+
 class RefDeviceClient:
     """Name-based access to a reference device."""
 
@@ -191,12 +217,15 @@ class RefDeviceClient:
         self.map: LayoutedMap | None = self.store if isinstance(self.store, LayoutedMap) else None
 
     def connect(self) -> PalResult:
-        """Read the device version and bind the matching map."""
+        """Read the device version and bind the matching map; only a failed transport is a ``Timeout``."""
         try:
-            reply = self.raw("-v")
+            text = self.transport.request("-v")
         except TransportError:
             return PalResult(cmd=["-v"], result=TIMEOUT, error="endpoint unreachable")
+        reply = json_object(text) or {}
         version = reply.get("version")
+        if _device_error(reply) or type(version) is not str:
+            return PalResult(cmd=["-v"], result=ERROR, error=f"no version in reply {text[:80]!r}")
         if self.map is not None and self.map.version == version:
             return PalResult(cmd=["-v"], data=version)
         if not isinstance(self.store, MapStore) or version not in self.store.versions():
@@ -216,7 +245,7 @@ class RefDeviceClient:
     @staticmethod
     def _decode(reply: str) -> dict:
         """The fields of a device reply; a bare success is matched as text, any other read by ``json_object``."""
-        if reply == _SUCCESS_REPLY:
+        if reply == REF_SUCCESS_REPLY:
             return {"result": 0}
         fields = json_object(reply)
         if fields is None:
@@ -254,8 +283,9 @@ class RefDeviceClient:
         line = f"rr {start} {size}"
         text = self.transport.request(line)
         reply = self._decode(text)
-        if reply.get("result") != 0:
-            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
+        error = _device_error(reply)
+        if error:
+            return PalResult(cmd=[line], result=ERROR, error=error)
         # the bare int of a one-byte read, or a list of exactly ``size`` ints in 0-255
         data = reply.get("data")
         if size == 1 and type(data) is int:
@@ -284,16 +314,27 @@ class RefDeviceClient:
             data = entry.pack(value)
         except ValueError as exc:
             return PalResult(result=ERROR, error=str(exc))
-        line = "wr {} {}".format(offset, " ".join(map(str, data)))
-        reply = self.raw(line)
-        if reply.get("result") != 0:
-            return PalResult(cmd=[line], result=ERROR, error=f"device result {reply.get('result')}")
-        return PalResult(cmd=[line])
+        return self._send("wr {} {}".format(offset, " ".join(map(str, data))))
 
     def execute(self) -> PalResult:
-        reply = self.raw("ex")
-        ok = reply.get("result") == 0
-        return PalResult(cmd=["ex"], result=SUCCESS if ok else ERROR)
+        return self._send("ex")
+
+    def _send(self, line: str) -> PalResult:
+        """Send a ``wr`` or ``ex`` line; the result is an error unless the device answered success."""
+        error = _device_error(self.raw(line))
+        return PalResult(cmd=[line], result=ERROR if error else SUCCESS, error=error)
+
+    def restore_defaults(self) -> PalResult:
+        """Send the ``_reset_writes`` lines, then ``ex``: over the wire, what a local bench reset
+        restores. The first refused line ends it."""
+        for line in _reset_writes(self._require_map()):
+            error = _device_error(self.raw(line))
+            if error:
+                return PalResult(cmd=[line], result=ERROR, error=f"write at {line.split()[1]}: {error}")
+        final = self.execute()
+        if not final.ok:
+            final.error = "execute failed"
+        return final
 
     def write_and_execute(self, name: str, value) -> PalResult:
         """Write a parameter, raise its module's ``init-trigger`` flag if any and not the write, and execute."""

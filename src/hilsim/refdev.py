@@ -14,6 +14,7 @@ from collections import OrderedDict
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
+from hilsim.pal import REF_SUCCESS_REPLY
 
 # Result codes for the register protocol.
 RESULT_SUCCESS = 0
@@ -153,14 +154,9 @@ class RegisterFile:
         self.poke(entry.element_offset(index, count), entry.pack(value))
 
 
-def format_response(fields: dict) -> str:
-    """Serialize a response dictionary to its single-line wire form."""
-    return json.dumps(fields)
-
-
-# the bare result-code replies, formatted once
-_RESULT_LINES = [format_response({"result": code}) for code in range(RESULT_INTERNAL_ERROR + 1)]
-# each byte's decimal text: an ``rr`` reply is written from these, byte for byte as format_response writes it
+# the bare result-code replies, formatted once; success is the text the client matches
+_RESULT_LINES = [REF_SUCCESS_REPLY, *(json.dumps({"result": code}) for code in range(1, RESULT_INTERNAL_ERROR + 1))]
+# each byte's decimal text: an ``rr`` reply is written from these, byte for byte as ``json.dumps`` writes it
 _BYTE_TEXT = [str(i) for i in range(256)]
 
 
@@ -170,7 +166,7 @@ class ReferenceDevice:
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
         self.version = layout.version
-        self._version_line = format_response({"version": self.version, "result": RESULT_SUCCESS})
+        self._version_line = json.dumps({"version": self.version, "result": RESULT_SUCCESS})
         # accepted ``wr`` line -> the (offset, bytes) it stages, least recently sent first; whether
         # a line is accepted depends only on the line, as the file's size and access mask never change
         self._accepted: OrderedDict[str, tuple[int, bytes]] = OrderedDict()

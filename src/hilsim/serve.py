@@ -60,10 +60,11 @@ class LineSocket:
 
 
 def serve_stdio(device, infile=None, outfile=None) -> None:
-    """Serve line requests on stdin/stdout until EOF."""
-    infile = infile if infile is not None else sys.stdin
+    """Serve line requests on stdin/stdout until EOF; each line of bytes reads as ``LineSocket`` reads one."""
+    infile = infile if infile is not None else sys.stdin.buffer
     outfile = outfile if outfile is not None else sys.stdout
-    for line in infile:
+    for raw in infile:
+        line = raw.removesuffix(b"\n").decode("utf-8", "replace")
         if not line.strip():
             continue
         with _LOCK:

@@ -41,10 +41,22 @@ def map_dir(tmp_path_factory):
 
 def test_serve_stdio_round_trip(bench):
     out = io.StringIO()
-    serve_stdio(bench.refdev, infile=io.StringIO("-v\n\nrr 204 1\n"), outfile=out)
+    serve_stdio(bench.refdev, infile=io.BytesIO(b"-v\n\nrr 204 1\n"), outfile=out)
     lines = out.getvalue().splitlines()
     assert json.loads(lines[0]) == {"version": "1.2.3", "result": 0}
     assert json.loads(lines[1]) == {"data": 85, "result": 0}
+
+
+def test_serve_stdio_reads_a_byte_that_is_not_utf8_as_u_fffd():
+    src = str(Path(hilsim.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(
+        [sys.executable, "-m", "hilsim.cli", "serve", "--stdio"],
+        input=b"rr \xff 1\n-v\n", capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [{"result": 1}, {"version": "1.2.3", "result": 0}]
 
 
 def test_cli_import_and_serve_load_no_numpy():

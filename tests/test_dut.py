@@ -181,7 +181,7 @@ def test_timer_bench_reports_target_time(bench):
 
 def test_fault_config_parsing():
     faults = FaultConfig.from_json('{"extra_read_byte": true}')
-    assert faults.enabled() == ["extra_read_byte"]
+    assert faults == FaultConfig(extra_read_byte=True)
     with pytest.raises(ValueError, match="unknown fault"):
         FaultConfig.from_json('{"bogus": true}')
     assert len(FaultConfig.flag_names()) == 5

@@ -10,11 +10,11 @@ from hilsim.pal import (
     DutClient,
     MapStore,
     RefDeviceClient,
+    REF_SUCCESS_REPLY,
     SUCCESS,
     TransportError,
     dut_success_text,
     open_transport,
-    _SUCCESS_REPLY,
 )
 from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
@@ -339,7 +339,7 @@ def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_a_timeou
 
 def test_the_device_writes_its_success_reply_as_the_text_the_client_matches(layout, monkeypatch):
     device = ReferenceDevice(layout)
-    assert {device.handle_line(line) for line in ("wr 52 1", "wr 52 1", "ex")} == {_SUCCESS_REPLY}
+    assert {device.handle_line(line) for line in ("wr 52 1", "wr 52 1", "ex")} == {REF_SUCCESS_REPLY}
     counted = Replying(device.handle_line, monkeypatch)
     client = RefDeviceClient(counted, layout)
     assert [client.raw(line) for line in ("wr 52 1", "ex")] == [{"result": 0}] * 2

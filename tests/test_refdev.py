@@ -19,9 +19,9 @@ from hilsim.refdev import (
     ACCEPTED_WRITES,
     _parse_data,
 )
-from hilsim.harness.runner import _reset_writes
 from hilsim.memmap import LayoutedMap
 from hilsim.memmap.layout import ACCESS_CODES
+from hilsim.pal import _reset_writes
 from hilsim.reference import reference_layout
 
 from conftest import golden_exchanges

@@ -42,6 +42,8 @@ ALTERATIONS = {
     "nested past the recursion limit": lambda f: RawText(nested_reply(f)),
     "data as floats": lambda f: {**f, "data": [float(v) if type(v) is int else v for v in _data_list(f["data"])]},
     "data as bools": lambda f: {**f, "data": [bool(v) for v in _data_list(f["data"])]},
+    "result as float": lambda f: {**f, "result": 0.0},
+    "result as bool": lambda f: {**f, "result": False},
 }
 
 

@@ -1,15 +1,19 @@
 """A reply of a shape the harness cannot use fails its own case, never the whole suite run."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
-from hilsim.harness import RunConfig, SuiteRunner
+from hilsim.harness import RunConfig, SuiteRunner, run_suite
 from hilsim.harness.report import FAIL, PASS
 from hilsim.harness.runner import StepFailure
-from hilsim.pal import ERROR, SUCCESS, TIMEOUT, DutClient
+from hilsim.memmap import emit_csv
+from hilsim.pal import ERROR, SUCCESS, TIMEOUT, DutClient, RefDeviceClient, _reset_writes
+from hilsim.reference import reference_layout
+from hilsim.serve import serve_tcp
 
-from conftest import nested_reply
+from conftest import make_bench, nested_reply
 
 
 class ReplyFilter:
@@ -178,6 +182,8 @@ class Answering:
     def request(self, line):
         return self.reply if line.split()[0] == self.word else self.device.handle_line(line)
 
+    handle_line = request  # so a line server can serve it
+
     def close(self):
         pass
 
@@ -315,3 +321,101 @@ def test_dut_data_equals_ref_fails_a_value_of_another_json_type(data):
         FAIL,
         f"i2c_read_reg 85 0 1: DUT data {shown} != reference [1] (user_reg.user_reg)",
     )
+
+
+# -- a reference result that is no JSON integer 0 ---------------------------
+
+NOT_INTEGER_ZERO = [False, 0.0, "0"]
+
+REFERENCE_CALLS = {
+    "read_reg": lambda client: client.read_reg("i2c.r_count"),
+    "write_reg": lambda client: client.write_reg("user_reg.user_reg", 1),
+    "execute": lambda client: client.execute(),
+    "write_and_execute": lambda client: client.write_and_execute("i2c.mode.nack_data", 1),
+}
+
+
+@pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
+@pytest.mark.parametrize("call", REFERENCE_CALLS)
+def test_a_result_that_is_no_json_integer_0_fails_a_reference_call(call, result):
+    runner = local_runner()
+    runner.phil.transport = ReplyFilter(runner.bench.refdev, lambda line, fields: {**fields, "result": result})
+    got = REFERENCE_CALLS[call](runner.phil)
+    assert (got.result, got.error) == (ERROR, f"device result {result}")
+
+
+@pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
+def test_a_result_that_is_no_json_integer_0_fails_connect(result):
+    runner = local_runner()
+    runner.phil.transport = ReplyFilter(runner.bench.refdev, lambda line, fields: {**fields, "result": result})
+    sent = json.dumps({"version": "1.2.3", "result": result})
+    got = runner.phil.connect()
+    assert (got.result, got.error) == (ERROR, f"no version in reply {sent!r}")
+
+
+@pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
+def test_a_served_reset_fails_its_case_on_a_write_result_that_is_no_json_integer_0(result):
+    runner = local_runner()
+
+    def alter(line, fields):
+        return {**fields, "result": result} if line.startswith("wr") else None
+
+    phil = RefDeviceClient(ReplyFilter(runner.bench.refdev, alter), runner.phil.map)
+    served = SuiteRunner(runner.dut, phil)  # no bench, so each case resets both devices over the wire
+    case = served.run_case({"id": "reset.only", "steps": []})
+    first = _reset_writes(phil.map)[0].split()[1]
+    assert (case.verdict, case.reason) == (FAIL, f"soft reset write at {first}: device result {result}")
+
+
+# -- a -v reply that names no version -----------------------------------------
+
+UNUSABLE_VERSION_REPLIES = [
+    nested_reply({"version": "1.2.3", "result": 0}),
+    '{"version": "1.2.3", "result": 4}',
+    '{"version": 123, "result": 0}',
+    "garbage",
+]
+
+
+@pytest.mark.parametrize("reply", UNUSABLE_VERSION_REPLIES, ids=["nested", "result 4", "version 123", "garbage"])
+def test_a_version_reply_without_a_usable_version_is_an_error_not_a_timeout(reply):
+    runner = local_runner()
+    runner.phil.transport = Answering(runner.bench.refdev, "-v", reply)
+    got = runner.phil.connect()
+    assert (got.result, got.error) == (ERROR, f"no version in reply {reply[:80]!r}")
+
+
+@contextmanager
+def served(device):
+    """A background ``serve_tcp`` server for ``device``; yields its endpoint."""
+    server = serve_tcp(device)
+    server.serve_background()
+    try:
+        yield server.endpoint
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture(scope="module")
+def map_dir(tmp_path_factory):
+    layout = reference_layout()
+    path = tmp_path_factory.mktemp("maps")
+    (path / f"ref_device_{layout.version}.csv").write_text(emit_csv(layout), "utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("reply", UNUSABLE_VERSION_REPLIES, ids=["nested", "result 4", "version 123", "garbage"])
+def test_run_suite_fails_every_case_of_a_device_without_a_usable_version(map_dir, reply):
+    bench = make_bench(seed=5)
+    with served(bench.dut) as dut, served(Answering(bench.refdev, "-v", reply)) as ref:
+        report = run_suite("infrastructure", dut, ref, map_dir)
+    assert (report.infrastructure_error, report.exit_code()) == ("", 1)
+    reason = f"reference device connect failed: no version in reply {reply[:80]!r}"
+    assert [c.reason for c in report.cases] == [reason] * 3
+
+
+def test_run_suite_with_an_unreachable_dut_is_an_infrastructure_error_naming_it(map_dir):
+    with served(make_bench(seed=5).refdev) as ref:
+        report = run_suite("infrastructure", "127.0.0.1:1", ref, map_dir)
+    assert (report.infrastructure_error, report.exit_code()) == ("DUT 127.0.0.1:1: no reply to sync", 2)

@@ -3,9 +3,8 @@
 import pytest
 
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
-from hilsim.harness.runner import _reset_writes
 from hilsim.memmap import LayoutedMap, emit_csv
-from hilsim.pal import DutClient, RefDeviceClient
+from hilsim.pal import DutClient, RefDeviceClient, _reset_writes
 from hilsim.refdev import RangeViolation
 from hilsim.reference import reference_layout
 from hilsim.serve import serve_tcp

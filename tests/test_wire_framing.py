@@ -8,8 +8,8 @@ from contextlib import contextmanager
 import pytest
 
 from hilsim.harness.report import FAIL, SKIP
-from hilsim.harness.runner import RunConfig, SuiteRunner, _reset_writes
-from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError
+from hilsim.harness.runner import RunConfig, SuiteRunner
+from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError, _reset_writes
 from hilsim.serve import MAX_LINE, serve_tcp
 
 from conftest import golden_exchanges, make_bench
