@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
 
-from hilsim.pal import ERROR, SUCCESS, TIMEOUT, dut_success_text
 from hilsim.sim.bus import BusResult, I2cSlaveModel, SpiSlaveModel, UartModel
 from hilsim.sim.clock import SimClock
 from hilsim.sim.trace import TraceUnit
+from hilsim.wire import ERROR, SUCCESS, TIMEOUT, dut_reply
 
 # errno-style codes returned in data/error_code
 EIO = 5
@@ -44,9 +43,6 @@ DEFAULT_SPI_BITRATE = 1_000_000
 DEFAULT_UART_BITRATE = 115_200
 
 METADATA = "dut_periph 0.1.0"
-
-# most commands answer a plain Success, whose reply text the PAL matches without decoding
-_SUCCESS_FIELDS = {"result": SUCCESS}
 
 
 @dataclass
@@ -148,10 +144,7 @@ class DutDevice:
                 fields_out = {"data": -exc.code, "result": ERROR, "error_code": -exc.code}
         except Exception:
             fields_out = {"result": ERROR, "error_code": -EINVAL}
-        if fields_out == _SUCCESS_FIELDS:
-            return dut_success_text(line)
-        # byte for byte json.dumps({"cmd": [line], **fields_out}); no handler answers a "cmd" field
-        return '{"cmd": [' + encode_basestring_ascii(line) + "], " + json.dumps(fields_out)[1:]
+        return dut_reply(line, fields_out)
 
     def _dispatch(self, line: str) -> dict:
         parts = line.split()

@@ -42,6 +42,8 @@ PPM_THRESHOLD = 170
 OVERLAP_N_MAX = 10
 # the overlap-delay slope must lie within this fraction of the DUT's handler overhead
 SLOPE_TOLERANCE = 0.10
+# the trace.tick registers hold the simulated time modulo this
+TICK_WRAP = 1 << 32
 
 
 @dataclass
@@ -318,6 +320,12 @@ class SuiteRunner:
         # a DUT that reports another edge count than it was asked for fails, whatever the trace shows
         self._check_response("timer_trace", response, {"result": SUCCESS, "data": n_events})
         events = [e for e in self.read_trace() if e.pin == pin]
+        # each 32-bit tick unwrapped against the one before, as prev + (tick - prev) mod 2^32, so a
+        # capture may span any number of wraps; a tick at or past the one before stays as it is
+        for i in range(1, len(events)):
+            prev, (_, level, tick) = events[i - 1].timestamp_ns, events[i]
+            if tick < prev:
+                events[i] = as_event((pin, level, prev + (tick - prev) % TICK_WRAP))
         try:
             # same-direction edges are two toggles apart
             return compute_timing_stats(events, 2 * period_ns)
@@ -340,7 +348,9 @@ class SuiteRunner:
                     f"timer_bench n={n}: expected {n} edges, saw {len(events)} "
                     f"(overruns {_read(self.phil, 'trace.overrun_count')[0]})"
                 )
-            delays.append(max(e.timestamp_ns for e in events) - target)
+            # each 32-bit tick less the 64-bit target, as the signed difference mod 2^32
+            half = TICK_WRAP // 2
+            delays.append(max((e.timestamp_ns - target + half) % TICK_WRAP for e in events) - half)
         slope = fit_slope(range(1, n_max + 1), delays) if n_max > 1 else delays[0]
         return delays, slope
 

@@ -14,47 +14,22 @@ import socket
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from hilsim.memmap.layout import ACCESS_CODES, LayoutedMap
 from hilsim.memmap.schema import STRUCT_CODES
-from hilsim.serve import LineSocket, LineTooLong
-
-SUCCESS = "Success"
-ERROR = "Error"
-TIMEOUT = "Timeout"
+from hilsim.wire import ERROR, REF_SUCCESS_REPLY, SUCCESS, TIMEOUT, LineSocket, LineTooLong
+from hilsim.wire import dut_success_text, json_object
 
 _SEMVER_SUFFIX = re.compile(r"[-_](\d+\.\d+\.\d+)$")
 # a run of map bytes a client may write: any access code but read-only
 _WRITABLE_RUN = re.compile(b"[^%c]+" % ACCESS_CODES["read-only"])
-# the reference device's reply to every accepted ``wr`` and ``ex``, byte for byte
-# ``json.dumps({"result": 0})``: the device writes it and ``RefDeviceClient`` matches it as text
-REF_SUCCESS_REPLY = '{"result": 0}'
-
-
-def dut_success_text(line: str) -> str:
-    """The DUT shell's reply to ``line`` when it answers a plain Success.
-
-    Byte for byte ``json.dumps({"cmd": [line], "result": "Success"})``: the DUT writes it and
-    ``DutClient.command`` matches it as text.
-    """
-    return '{"cmd": [' + encode_basestring_ascii(line) + '], "result": "Success"}'
-
-
-def json_object(text: str) -> dict | None:
-    """The JSON object in a reply's text; None for no JSON, JSON nested too deep, or a non-object."""
-    try:
-        fields = json.loads(text)
-    except (ValueError, RecursionError):
-        return None
-    return fields if isinstance(fields, dict) else None
 
 
 def _device_error(reply: dict) -> str | None:
     """The error of a failed reference reply; None for success, which is a ``result`` of the JSON integer 0 only."""
     result = reply.get("result")
-    return None if type(result) is int and result == 0 else f"device result {result}"
+    return None if type(result) is int and result == 0 else f"device result {result!r}"
 
 
 class TransportError(OSError):
@@ -77,7 +52,7 @@ class InProcessTransport:
 class TcpTransport:
     """Connects lazily so an unreachable endpoint surfaces as a request error.
 
-    Lines are framed by ``LineSocket``, the server's own framing. A failed
+    Lines are framed by ``LineSocket``, as the server frames them. A failed
     request drops the connection, and the next request opens a new one.
     Once connected, the socket blocks and the kernel holds ``timeout`` as its
     send and receive limit, so a request is one ``send`` and one ``recv``
@@ -365,7 +340,7 @@ class DutClient:
         self.transport = open_transport(endpoint)
 
     def command(self, line: str) -> dict:
-        """Send one shell line; no reply, or one that holds no ``json_object``, counts as a timeout.
+        """Send one shell line; only a failed transport is a ``Timeout``, a reply with no ``json_object`` an ``Error``.
 
         A plain success reply, ``dut_success_text(line)``, is matched as text and answered with a fresh dict.
         """
@@ -376,7 +351,9 @@ class DutClient:
         if text == dut_success_text(line):
             return {"cmd": [line], "result": SUCCESS}
         reply = json_object(text)
-        return {"cmd": [line], "result": TIMEOUT} if reply is None else reply
+        if reply is None:
+            return {"cmd": [line], "result": ERROR, "error": f"malformed reply {text[:80]!r}"}
+        return reply
 
     def sync(self) -> dict:
         return self.command("sync")

@@ -14,14 +14,8 @@ from collections import OrderedDict
 from typing import Callable
 
 from hilsim.memmap.layout import ACCESS_CODES, ELEMENT, LayoutedMap, LayoutEntry
-from hilsim.pal import REF_SUCCESS_REPLY
-
-# Result codes for the register protocol.
-RESULT_SUCCESS = 0
-RESULT_PARSE_ERROR = 1
-RESULT_OUT_OF_RANGE = 2
-RESULT_ACCESS_VIOLATION = 3
-RESULT_INTERNAL_ERROR = 4
+from hilsim.wire import RESULT_ACCESS_VIOLATION, RESULT_INTERNAL_ERROR, RESULT_LINES
+from hilsim.wire import RESULT_OUT_OF_RANGE, RESULT_PARSE_ERROR, RESULT_SUCCESS
 
 _READ_ONLY = bytes([ACCESS_CODES["read-only"]])
 # how many accepted ``wr`` lines a device keeps: a client's reset sends the same 16 before every case
@@ -154,8 +148,6 @@ class RegisterFile:
         self.poke(entry.element_offset(index, count), entry.pack(value))
 
 
-# the bare result-code replies, formatted once; success is the text the client matches
-_RESULT_LINES = [REF_SUCCESS_REPLY, *(json.dumps({"result": code}) for code in range(1, RESULT_INTERNAL_ERROR + 1))]
 # each byte's decimal text: an ``rr`` reply is written from these, byte for byte as ``json.dumps`` writes it
 _BYTE_TEXT = [str(i) for i in range(256)]
 
@@ -211,17 +203,17 @@ class ReferenceDevice:
             if staged is not None:
                 self._accepted.move_to_end(line)
                 self.regs.staged.append(staged)
-                return _RESULT_LINES[RESULT_SUCCESS]
+                return RESULT_LINES[RESULT_SUCCESS]
             return self._dispatch(line)
         except Exception:  # protocol totality: never propagate
-            return _RESULT_LINES[RESULT_INTERNAL_ERROR]
+            return RESULT_LINES[RESULT_INTERNAL_ERROR]
 
     def _dispatch(self, line: str) -> str:
         # whitespace around and between words splits away; a ``wr`` line splits into command,
         # offset and its data text, which _cmd_write decodes whole
         parts = line.split(None, 2)
         if not parts:
-            return _RESULT_LINES[RESULT_PARSE_ERROR]
+            return RESULT_LINES[RESULT_PARSE_ERROR]
         cmd = parts[0]
         if cmd == "wr":
             return self._cmd_write(line, parts[1:])
@@ -229,22 +221,22 @@ class ReferenceDevice:
             return self._cmd_read(line.split()[1:])
         if cmd == "ex":
             self.execute()
-            return _RESULT_LINES[RESULT_SUCCESS]
+            return RESULT_LINES[RESULT_SUCCESS]
         if cmd == "-v":
             return self._version_line
-        return _RESULT_LINES[RESULT_PARSE_ERROR]
+        return RESULT_LINES[RESULT_PARSE_ERROR]
 
     def _cmd_read(self, args: list[str]) -> str:
         if len(args) != 2:
-            return _RESULT_LINES[RESULT_PARSE_ERROR]
+            return RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             offset, size = (_parse_int(a) for a in args)
         except ValueError:
-            return _RESULT_LINES[RESULT_PARSE_ERROR]
+            return RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             data = self.regs.read(offset, size)
         except RangeViolation:
-            return _RESULT_LINES[RESULT_OUT_OF_RANGE]
+            return RESULT_LINES[RESULT_OUT_OF_RANGE]
         # bare integer for single-byte reads, list otherwise
         if size == 1:
             return '{"data": ' + _BYTE_TEXT[data[0]] + ', "result": 0}'
@@ -253,23 +245,23 @@ class ReferenceDevice:
     def _cmd_write(self, line: str, args: list[str]) -> str:
         """Stage ``args``, an offset and the data text after it, and keep ``line`` if it is accepted."""
         if len(args) < 2:
-            return _RESULT_LINES[RESULT_PARSE_ERROR]
+            return RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             offset = _parse_int(args[0])
             data = _parse_data(args[1])
         except ValueError:
-            return _RESULT_LINES[RESULT_PARSE_ERROR]
+            return RESULT_LINES[RESULT_PARSE_ERROR]
         try:
             self.regs.stage_write(offset, data)
         except RangeViolation:
-            return _RESULT_LINES[RESULT_OUT_OF_RANGE]
+            return RESULT_LINES[RESULT_OUT_OF_RANGE]
         except AccessViolation:
-            return _RESULT_LINES[RESULT_ACCESS_VIOLATION]
+            return RESULT_LINES[RESULT_ACCESS_VIOLATION]
         accepted = self._accepted
         accepted[line] = self.regs.staged[-1]
         if len(accepted) > ACCEPTED_WRITES:
             accepted.popitem(last=False)
-        return _RESULT_LINES[RESULT_SUCCESS]
+        return RESULT_LINES[RESULT_SUCCESS]
 
 
 def _parse_int(token: str) -> int:

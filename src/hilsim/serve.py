@@ -4,89 +4,42 @@ One request line in, one JSON response line out. The TCP server accepts
 multiple sequential clients; each connection gets its own read loop but
 all of them talk to the same device instance. One lock serialises the
 requests of every server in the process, as its devices may share a bench.
-``LineSocket`` is the framing of both ends of the TCP wire.
 """
 
-from __future__ import annotations
-
-import socket
 import socketserver
 import sys
 import threading
+from functools import partial
 
-# a ``wr`` of the whole map is about 8 KiB; a longer request line closes its connection
-MAX_LINE = 64 * 1024
-_RECV_BYTES = 8192  # the buffer size of the socket file objects this framing replaced
+from hilsim.wire import LineSocket, LineTooLong, decode_line
 
 _LOCK = threading.Lock()
 
 
-class LineTooLong(ValueError):
-    """A line ran past ``MAX_LINE`` bytes before its newline."""
-
-
-class LineSocket:
-    """Newline-framed lines on a connected TCP socket, with Nagle's algorithm off.
-
-    A line ends at its ``\n`` and is at most ``MAX_LINE`` bytes, newline
-    included; it counts only once its newline has arrived, and reads as UTF-8
-    with U+FFFD for each byte that is not. Bytes received past a newline stay
-    buffered for the next line, so lines sent back to back are read in order.
-    """
-
-    def __init__(self, sock: socket.socket):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock = sock
-        self._buf = b""
-
-    def send_line(self, line: str) -> None:
-        self.sock.sendall((line + "\n").encode())
-
-    def recv_line(self) -> str | None:
-        """The next line without its newline, or None once the peer has closed; LineTooLong past the cap."""
-        end = self._buf.find(b"\n")
-        while end < 0:
-            if len(self._buf) >= MAX_LINE:
-                raise LineTooLong(f"no newline in {len(self._buf)} bytes")
-            chunk = self.sock.recv(_RECV_BYTES)
-            if not chunk:
-                return None
-            self._buf += chunk
-            end = self._buf.find(b"\n", len(self._buf) - len(chunk))  # only the new bytes can hold it
-        if end >= MAX_LINE:
-            raise LineTooLong(f"line of {end + 1} bytes")
-        line, self._buf = self._buf[:end], self._buf[end + 1 :]
-        return line.decode("utf-8", "replace")
+def _answer(device, lines, send) -> None:
+    """``send`` the device's reply to each line of ``lines`` that is not blank, taken under the process lock."""
+    for line in lines:
+        if line.strip():
+            with _LOCK:
+                # looked up per line, so a wrapper installed on a live server sees the open connections' requests
+                reply = device.handle_line(line)
+            send(reply)
 
 
 def serve_stdio(device, infile=None, outfile=None) -> None:
     """Serve line requests on stdin/stdout until EOF; each line of bytes reads as ``LineSocket`` reads one."""
     infile = infile if infile is not None else sys.stdin.buffer
     outfile = outfile if outfile is not None else sys.stdout
-    for raw in infile:
-        line = raw.removesuffix(b"\n").decode("utf-8", "replace")
-        if not line.strip():
-            continue
-        with _LOCK:
-            reply = device.handle_line(line)
-        outfile.write(reply + "\n")
-        outfile.flush()
+    lines = (decode_line(raw.removesuffix(b"\n")) for raw in infile)
+    _answer(device, lines, partial(print, file=outfile, flush=True))
 
 
 class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        """Answer each line of the connection as ``LineSocket`` reads it, a blank line skipped."""
+        """Answer each line of the connection as ``LineSocket`` reads it."""
         lines = LineSocket(self.request)
-        device = self.server.device
         try:
-            while (line := lines.recv_line()) is not None:
-                if not line.strip():
-                    continue
-                with _LOCK:
-                    # looked up per line, so a wrapper installed on a live server (perfbench's
-                    # layer spans) sees every later request of an open connection
-                    reply = device.handle_line(line)
-                lines.send_line(reply)
+            _answer(self.server.device, iter(lines.recv_line, None), lines.send_line)
         except LineTooLong:
             return
 

@@ -289,6 +289,42 @@ def test_overlap_delay_scales_linearly():
     assert slope == pytest.approx(30_000, rel=0.10)
 
 
+# -- 32-bit trace ticks across a wrap -----------------------------------
+
+U32 = 1 << 32
+
+
+def runner_at(clock_ns=None):
+    """A set-up local runner, its clock advanced to ``clock_ns`` if given."""
+    runner = SuiteRunner.local(RunConfig(seed=4))
+    runner._setup()
+    if clock_ns is not None:
+        runner.bench.clock.advance_to(clock_ns)
+    return runner
+
+
+def test_timer_accuracy_across_a_tick_wrap_reads_what_a_fresh_bench_reads():
+    stats = runner_at(U32 - 50_000_000).timer_accuracy(1_000_000, 128, 0)
+    assert abs(stats.ppm_error) < 1
+    assert stats.mean_period_ns == pytest.approx(2_000_000, abs=2)
+
+
+def test_overlap_delays_across_a_tick_wrap_grow_by_one_handler_per_timer():
+    delays, slope = runner_at(U32 - 3_000).overlap_delay_test(5, 1_000_000, 0)
+    assert delays == sorted(delays)
+    assert 20_000 <= delays[0] <= 40_000
+    assert slope == pytest.approx(30_000, rel=0.10)
+
+
+def test_a_capture_spanning_more_than_one_tick_wrap_reads_its_mean_period():
+    runner = runner_at()
+    stats = runner.timer_accuracy(40_000_000, 128, 0)  # 127 toggles of 40 ms: 5.08 s, past 2^32 ns
+    events = [e for e in runner.bench.trace.trace.events if e.pin == 0 and e.level == 1]
+    assert events[-1].timestamp_ns - events[0].timestamp_ns > U32
+    assert stats.mean_period_ns == (events[-1].timestamp_ns - events[0].timestamp_ns) / (len(events) - 1)
+    assert abs(stats.ppm_error) < 1
+
+
 # -- reports ------------------------------------------------------------
 
 

@@ -10,14 +10,12 @@ from hilsim.pal import (
     DutClient,
     MapStore,
     RefDeviceClient,
-    REF_SUCCESS_REPLY,
-    SUCCESS,
     TransportError,
-    dut_success_text,
     open_transport,
 )
 from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
+from hilsim.wire import REF_SUCCESS_REPLY, SUCCESS, dut_success_text
 
 
 @pytest.fixture(scope="module")
@@ -328,9 +326,10 @@ def test_any_other_dut_reply_is_json_decoded(reply, monkeypatch):
     ],
     ids=["in-a-list", "trailing-text", "cut-short", "as-a-string"],
 )
-def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_a_timeout(reply, monkeypatch):
+def test_a_dut_reply_near_the_success_text_that_is_not_a_json_object_is_an_error_quoting_it(reply, monkeypatch):
     counted = Replying(reply, monkeypatch)
-    assert DutClient(counted).command("sync") == {"cmd": ["sync"], "result": "Timeout"}
+    error = f"malformed reply {reply('sync')!r}"
+    assert DutClient(counted).command("sync") == {"cmd": ["sync"], "result": "Error", "error": error}
     assert counted.decoded == 1
 
 

@@ -11,11 +11,6 @@ from hilsim.refdev import (
     RangeViolation,
     ReferenceDevice,
     RegisterFile,
-    RESULT_ACCESS_VIOLATION,
-    RESULT_INTERNAL_ERROR,
-    RESULT_OUT_OF_RANGE,
-    RESULT_PARSE_ERROR,
-    RESULT_SUCCESS,
     ACCEPTED_WRITES,
     _parse_data,
 )
@@ -23,6 +18,13 @@ from hilsim.memmap import LayoutedMap
 from hilsim.memmap.layout import ACCESS_CODES
 from hilsim.pal import _reset_writes
 from hilsim.reference import reference_layout
+from hilsim.wire import (
+    RESULT_ACCESS_VIOLATION,
+    RESULT_INTERNAL_ERROR,
+    RESULT_OUT_OF_RANGE,
+    RESULT_PARSE_ERROR,
+    RESULT_SUCCESS,
+)
 
 from conftest import golden_exchanges
 

@@ -9,7 +9,7 @@ from hilsim.harness import RunConfig, SuiteRunner, run_suite
 from hilsim.harness.report import FAIL, PASS
 from hilsim.harness.runner import StepFailure
 from hilsim.memmap import emit_csv
-from hilsim.pal import ERROR, SUCCESS, TIMEOUT, DutClient, RefDeviceClient, _reset_writes
+from hilsim.pal import ERROR, SUCCESS, DutClient, RefDeviceClient, _reset_writes
 from hilsim.reference import reference_layout
 from hilsim.serve import serve_tcp
 
@@ -189,9 +189,9 @@ class Answering:
 
 
 @pytest.mark.parametrize("reply", ["[1]", '"x"', "7", "null", "true"])
-def test_a_dut_reply_that_is_no_json_object_is_a_timeout(reply):
+def test_a_dut_reply_that_is_no_json_object_is_an_error_quoting_it(reply):
     dut = DutClient(Answering(None, "i2c_init", reply))
-    assert dut.command("i2c_init") == {"cmd": ["i2c_init"], "result": TIMEOUT}
+    assert dut.command("i2c_init") == {"cmd": ["i2c_init"], "result": ERROR, "error": f"malformed reply {reply!r}"}
 
 
 @pytest.mark.parametrize("reply", ["[1]", '"x"', "7", "null"])
@@ -200,7 +200,7 @@ def test_a_dut_reply_that_is_no_json_object_fails_its_cases_and_the_suite_finish
     runner.dut.transport = Answering(runner.bench.dut, "i2c_init", reply)
     report = runner.run_suite("i2c")
     assert [c.verdict for c in report.cases] == [FAIL] * len(report.cases)
-    assert report.cases[0].reason == "i2c_init: expected result 'Success', got 'Timeout'"
+    assert report.cases[0].reason == "i2c_init: expected result 'Success', got 'Error'"
 
 
 # -- a reply nested past the recursion limit ------------------------------
@@ -229,9 +229,11 @@ def test_a_nested_reply_is_no_json_object():
     assert len(nested_reply({"result": 0})) < 2100
     with pytest.raises(RecursionError):
         json.loads(nested_reply({"result": 0}))
-    assert DutClient(Answering(None, "sync", nested_reply({"result": SUCCESS}))).sync() == {
+    reply = nested_reply({"result": SUCCESS})
+    assert DutClient(Answering(None, "sync", reply)).sync() == {
         "cmd": ["sync"],
-        "result": TIMEOUT,
+        "result": ERROR,
+        "error": f"malformed reply {reply[:80]!r}",
     }
 
 
@@ -239,7 +241,7 @@ def test_a_nested_reply_is_no_json_object():
     "endpoint,word,fields,reason",
     [
         ("dut", "spi_transfer", {"cmd": ["spi_transfer 133 42"], "result": SUCCESS, "data": [0, 0]},
-         lambda reply: "spi_transfer 133 42: expected result 'Success', got 'Timeout'"),
+         lambda reply: "spi_transfer 133 42: expected result 'Success', got 'Error'"),
         ("ref", "rr", {"result": 0, "data": 1},
          lambda reply: f"reference device lost: malformed reply {reply[:80]!r}"),
     ],
@@ -341,7 +343,7 @@ def test_a_result_that_is_no_json_integer_0_fails_a_reference_call(call, result)
     runner = local_runner()
     runner.phil.transport = ReplyFilter(runner.bench.refdev, lambda line, fields: {**fields, "result": result})
     got = REFERENCE_CALLS[call](runner.phil)
-    assert (got.result, got.error) == (ERROR, f"device result {result}")
+    assert (got.result, got.error) == (ERROR, f"device result {result!r}")
 
 
 @pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
@@ -364,7 +366,7 @@ def test_a_served_reset_fails_its_case_on_a_write_result_that_is_no_json_integer
     served = SuiteRunner(runner.dut, phil)  # no bench, so each case resets both devices over the wire
     case = served.run_case({"id": "reset.only", "steps": []})
     first = _reset_writes(phil.map)[0].split()[1]
-    assert (case.verdict, case.reason) == (FAIL, f"soft reset write at {first}: device result {result}")
+    assert (case.verdict, case.reason) == (FAIL, f"soft reset write at {first}: device result {result!r}")
 
 
 # -- a -v reply that names no version -----------------------------------------
@@ -419,3 +421,11 @@ def test_run_suite_with_an_unreachable_dut_is_an_infrastructure_error_naming_it(
     with served(make_bench(seed=5).refdev) as ref:
         report = run_suite("infrastructure", "127.0.0.1:1", ref, map_dir)
     assert (report.infrastructure_error, report.exit_code()) == ("DUT 127.0.0.1:1: no reply to sync", 2)
+
+
+def test_run_suite_fails_every_case_of_a_reachable_dut_that_answers_sync_with_garbage(map_dir):
+    bench = make_bench(seed=5)
+    with served(Answering(bench.dut, "sync", "garbage")) as dut, served(bench.refdev) as ref:
+        report = run_suite("infrastructure", dut, ref, map_dir)
+    assert (report.infrastructure_error, report.exit_code()) == ("", 1)
+    assert [c.reason for c in report.cases] == ["DUT sync failed"] * 3

@@ -4,7 +4,8 @@ import socket
 import threading
 import time
 
-from hilsim.serve import MAX_LINE, serve_tcp
+from hilsim.serve import serve_tcp
+from hilsim.wire import MAX_LINE
 
 
 class OverlapProbe:

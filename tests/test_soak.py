@@ -1,8 +1,8 @@
 """Soak: a served bench that runs suite after suite over TCP holds no more memory as it goes.
 
 The reference device and the DUT of one bench are served in-thread by ``serve_tcp`` and reached
-through ``TcpTransport``, as a long-lived bench is. The verdict half of the soak (every case
-equal to a fresh local runner's) waits on unwrapping 32-bit trace ticks.
+through ``TcpTransport``, as a long-lived bench is. Every served case also gets the verdict,
+reason and ``measured`` of a fresh local runner with the same seed, past the 32-bit tick wrap too.
 """
 
 import gc
@@ -38,7 +38,14 @@ def held_by_hilsim() -> int:
     return sum(stat.size for stat in snapshot.statistics("filename"))
 
 
+def outcomes(report) -> list[tuple]:
+    return [(c.id, c.verdict, c.reason, c.measured) for c in report.cases]
+
+
 def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two():
+    # computed before tracing starts; each served report is compared as it arrives and not kept
+    fresh = {suite: outcomes(SuiteRunner.local(RunConfig(seed=3)).run_suite(suite)) for suite in SUITE_NAMES}
+    differing = []  # (pass, suite) of each served suite run whose cases differ from the fresh run
     bench = Bench(BenchConfig(seed=3))
     layout = bench.refdev.regs.map
     name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
@@ -51,7 +58,8 @@ def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two(
     try:
         for done in range(1, PASSES + 1):
             for suite in SUITE_NAMES:
-                runner.run_suite(suite)
+                if outcomes(runner.run_suite(suite)) != fresh[suite]:
+                    differing.append((done, suite))
             if done == 2:
                 second = held_by_hilsim()
         last = held_by_hilsim()
@@ -63,4 +71,5 @@ def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two(
             server.shutdown()
             server.server_close()
     assert bench.clock.now > 2**32  # the passes took the clock past one 32-bit tick wrap
+    assert differing == []
     assert last - second <= ALLOWANCE, (second, last)

@@ -10,7 +10,8 @@ import pytest
 from hilsim.harness.report import FAIL, SKIP
 from hilsim.harness.runner import RunConfig, SuiteRunner
 from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError, _reset_writes
-from hilsim.serve import MAX_LINE, serve_tcp
+from hilsim.serve import serve_tcp
+from hilsim.wire import MAX_LINE
 
 from conftest import golden_exchanges, make_bench
 
