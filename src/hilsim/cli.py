@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 from pathlib import Path
 
 import click
 
+# only what generate and the servers need: shell, run-suite and dump-trace import the
+# harness, the PAL and the REPL themselves, so a served device never loads them
 from hilsim.bench import Bench, BenchConfig
 from hilsim.dut import FaultConfig
-from hilsim.harness import RunConfig, SUITE_NAMES, emit_report, run_suite
-from hilsim.harness.runner import StepFailure, read_trace
 from hilsim.memmap import (
     compute_layout,
     emit_csv,
@@ -21,8 +20,6 @@ from hilsim.memmap import (
     emit_struct_decl,
     parse_config_file,
 )
-from hilsim.pal import MapStore, RefDeviceClient, TransportError
-from hilsim.repl import DeviceShell
 from hilsim.serve import LineServer, serve_stdio, serve_tcp
 
 
@@ -148,7 +145,10 @@ def dut_serve(listen: str | None, stdio: bool, faults: str | None, ppm: float, s
 # -- shell ---------------------------------------------------------------
 
 
-def _client(endpoint: str, maps: str) -> RefDeviceClient:
+def _client(endpoint: str, maps: str):
+    """A ``RefDeviceClient`` that has read ``endpoint``'s map version, or a one-line error."""
+    from hilsim.pal import MapStore, RefDeviceClient
+
     client = RefDeviceClient(endpoint, MapStore(maps))
     result = client.connect()
     if not result.ok:
@@ -163,6 +163,8 @@ def _client(endpoint: str, maps: str) -> RefDeviceClient:
               help="directory of installed CSV register maps")
 def shell(endpoint: str, maps: str) -> None:
     """Interactive name-based shell against a reference device."""
+    from hilsim.repl import DeviceShell
+
     client = _client(endpoint, maps)
     click.echo(f"connected, map version {client.map.version}")
     DeviceShell(client).cmdloop()
@@ -172,7 +174,8 @@ def shell(endpoint: str, maps: str) -> None:
 
 
 @main.command(name="run-suite")
-@click.option("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or a manifest path")
+# the names of harness.SUITE_NAMES, spelled out: importing the harness here would load it for every command
+@click.option("--suite", required=True, help="one of infrastructure, i2c, spi, uart, gpio_timer, or a manifest path")
 @click.option("--dut", "dut_endpoint", default="local", show_default=True, help="DUT endpoint or 'local'")
 @click.option("--ref", "ref_endpoint", default="local", show_default=True, help="reference endpoint or 'local'")
 @click.option("--maps", default=None, type=click.Path(file_okay=False), help="map directory (remote endpoints)")
@@ -183,6 +186,8 @@ def shell(endpoint: str, maps: str) -> None:
 @click.option("--ppm", default=0.0, show_default=True, help="DUT clock error in PPM (local bench only)")
 def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, seed, faults, ppm) -> None:
     """Run a test suite and emit a verdict report. Exits 0/1/2."""
+    from hilsim.harness import RunConfig, emit_report, run_suite
+
     config = RunConfig(seed=seed, faults=_load_faults(faults), dut_clock_ppm_error=ppm)
     try:
         report = run_suite(suite, dut_endpoint, ref_endpoint, maps, config)
@@ -206,6 +211,9 @@ def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, see
 @click.option("--out", default="-", show_default=True, help="output CSV path, '-' for stdout")
 def dump_trace(endpoint: str, maps: str, out: str) -> None:
     """Dump the capture trace buffer as CSV."""
+    from hilsim.harness.runner import StepFailure, read_trace
+    from hilsim.pal import TransportError
+
     client = _client(endpoint, maps)
     try:
         events = read_trace(client)

@@ -387,11 +387,15 @@ def run_suite(
     except OSError as exc:
         return TestReport(suite=suite, infrastructure_error=str(exc))
     try:
-        if runner.dut.sync().get("result") == TIMEOUT:
-            return TestReport(suite=suite, infrastructure_error=f"DUT {dut_endpoint}: no reply to sync")
-        connected = runner.phil.connect()
-    except OSError as exc:
-        return TestReport(suite=suite, infrastructure_error=str(exc))
-    if connected.result == TIMEOUT:
-        return TestReport(suite=suite, infrastructure_error=str(connected.error))
-    return runner.run_suite(suite)
+        try:
+            if runner.dut.sync().get("result") == TIMEOUT:
+                return TestReport(suite=suite, infrastructure_error=f"DUT {dut_endpoint}: no reply to sync")
+            connected = runner.phil.connect()
+        except OSError as exc:
+            return TestReport(suite=suite, infrastructure_error=str(exc))
+        if connected.result == TIMEOUT:
+            return TestReport(suite=suite, infrastructure_error=str(connected.error))
+        return runner.run_suite(suite)
+    finally:
+        runner.dut.transport.close()
+        runner.phil.transport.close()

@@ -10,7 +10,6 @@ end of a map never moves existing entries. Total size is padded up to
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import struct
 from dataclasses import dataclass, field
@@ -151,6 +150,8 @@ class LayoutedMap:
     @property
     def map_hash(self) -> str:
         """Digest of each entry's name, offset, size and type; descriptions and defaults do not affect it."""
+        import hashlib  # here, not at the top: it loads OpenSSL, which a served device never uses
+
         digest = hashlib.sha256()
         for e in self.entries:
             digest.update(f"{e.name}:{e.offset}:{e.size}:{e.type}\n".encode())

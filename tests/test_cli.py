@@ -18,6 +18,7 @@ import hilsim
 from hilsim.cli import main
 from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.dut import METADATA
+from hilsim.harness import SUITE_NAMES
 from hilsim.pal import RefDeviceClient, TransportError
 from hilsim.reference import reference_config_text, reference_layout
 from hilsim.repl import DeviceShell
@@ -59,10 +60,15 @@ def test_serve_stdio_reads_a_byte_that_is_not_utf8_as_u_fffd():
     assert [json.loads(line) for line in done.stdout.splitlines()] == [{"result": 1}, {"version": "1.2.3", "result": 0}]
 
 
-def test_cli_import_and_serve_load_no_numpy():
+# what a served device never runs: numpy, OpenSSL (the map digest), and the harness, PAL and REPL
+NOT_SERVED = ("numpy", "_hashlib", "hilsim.harness", "hilsim.pal", "hilsim.repl")
+
+
+def test_cli_import_and_serve_load_only_the_device():
     code = (
-        "import sys, hilsim.cli; assert 'numpy' not in sys.modules; "
-        "hilsim.cli.main(['serve', '--stdio'], standalone_mode=False); assert 'numpy' not in sys.modules"
+        f"import sys, hilsim.cli; loaded = lambda: sorted(set({NOT_SERVED!r}) & set(sys.modules)); "
+        "assert not loaded(), loaded(); "
+        "hilsim.cli.main(['serve', '--stdio'], standalone_mode=False); assert not loaded(), loaded()"
     )
     src = str(Path(hilsim.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -198,7 +204,8 @@ def test_cli_generate(tmp_path):
         "ref_device_map.md",
         "ref_device_version.txt",
     }
-    assert (tmp_path / "out" / "ref_device_version.txt").read_text("utf-8").startswith("1.2.3 ")
+    # the bundled map's published identity: a change to it is a change to every installed map
+    assert (tmp_path / "out" / "ref_device_version.txt").read_text("utf-8") == "1.2.3 10599e7c71bd08ab\n"
 
 
 def test_cli_generate_rejects_bad_config(tmp_path):
@@ -224,6 +231,12 @@ def test_readme_dut_serve_example_serves_one_request_on_stdio(tmp_path):
     result = CliRunner().invoke(main, args, input="get_metadata\n")
     assert result.exit_code == 0, result.output
     assert json.loads(result.output) == {"cmd": ["get_metadata"], "data": METADATA, "result": "Success"}
+
+
+def test_cli_run_suite_help_names_every_packaged_suite():
+    result = CliRunner().invoke(main, ["run-suite", "--help"])
+    assert result.exit_code == 0, result.output
+    assert f"--suite TEXT one of {', '.join(SUITE_NAMES)}, or a manifest path" in " ".join(result.output.split())
 
 
 def test_cli_run_suite_local_json():

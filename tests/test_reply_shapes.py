@@ -1,6 +1,8 @@
 """A reply of a shape the harness cannot use fails its own case, never the whole suite run."""
 
+import gc
 import json
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -429,3 +431,22 @@ def test_run_suite_fails_every_case_of_a_reachable_dut_that_answers_sync_with_ga
         report = run_suite("infrastructure", dut, ref, map_dir)
     assert (report.infrastructure_error, report.exit_code()) == ("", 1)
     assert [c.reason for c in report.cases] == ["DUT sync failed"] * 3
+
+
+def resource_warnings(call):
+    """``call()``'s result and the ``ResourceWarning``s of what it left for the garbage collector."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = call()
+        gc.collect()
+    return result, [str(w.message) for w in caught if w.category is ResourceWarning]
+
+
+@pytest.mark.parametrize("reachable", [True, False], ids=["served", "unreachable reference device"])
+def test_run_suite_closes_the_connections_it_opens(map_dir, reachable):
+    bench = make_bench(seed=5)
+    with served(bench.dut) as dut, served(bench.refdev) as ref:
+        ref = ref if reachable else "127.0.0.1:1"
+        report, unclosed = resource_warnings(lambda: run_suite("infrastructure", dut, ref, map_dir))
+    assert (report.exit_code(), unclosed) == (0 if reachable else 2, [])
