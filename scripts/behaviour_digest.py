@@ -124,7 +124,8 @@ def streams_digest() -> str:
             else:
                 replies = [bench.dut.handle_line(random_command(rng))]
             digest.update("\n".join(replies).encode())
-        digest.update(bytes(bench.refdev.regs.committed))
+        regs = bench.refdev.regs
+        digest.update(regs.read(0, regs.total_size))
         digest.update(str(bench.clock.now).encode())
     return digest.hexdigest()
 
@@ -154,7 +155,8 @@ def trace_digest() -> str:
     for seed in range(12):
         rng = random.Random(seed)
         bench = Bench(BenchConfig(seed=seed))
-        layout = bench.refdev.regs.map
+        regs = bench.refdev.regs
+        layout = regs.map
         for _ in range(40):
             for line in capture_commands(rng, layout):
                 if line == "reset":
@@ -165,7 +167,7 @@ def trace_digest() -> str:
                 else:
                     reply = bench.dut.handle_line(line)
                 digest.update(reply.encode())
-                digest.update(bytes(bench.refdev.regs.committed))
+                digest.update(regs.read(0, regs.total_size))
     return digest.hexdigest()
 
 

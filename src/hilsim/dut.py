@@ -272,14 +272,12 @@ class DutDevice:
         if level not in (0, 1):
             raise _DutError(EINVAL)
         self._drive_pin(pin, level)
-        self.trace.publish()
         return {"result": SUCCESS}
 
     def _cmd_gpio_toggle(self, args) -> dict:
         pin = args[0]
         level = 1 - self._pin_levels.get(pin, 0)
         self._drive_pin(pin, level)
-        self.trace.publish()
         return {"result": SUCCESS}
 
     def _cmd_timer_bench(self, args) -> dict:

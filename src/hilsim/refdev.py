@@ -73,6 +73,8 @@ class RegisterFile:
 
     Models ``bind`` the registers they publish once, when they are built; a binding stays
     valid for the file's life, because ``reset`` restores it in place and its size is fixed.
+    A model that defers its writes sets ``pending`` to its publish, which must clear it; the
+    file runs it before ``read`` and ``commit``, so no reply and no re-init sees a stale image.
     """
 
     def __init__(self, layout: LayoutedMap):
@@ -83,11 +85,14 @@ class RegisterFile:
         self._view = memoryview(self.committed)
         self.access_mask = layout.access_mask
         self.staged: list[tuple[int, bytes]] = []
+        self.pending: Callable[[], None] | None = None
 
     def reset(self) -> None:
-        """Restore the default image in place and drop staged writes."""
+        """Restore the default image in place and drop staged writes and a pending publish;
+        the models' re-init hooks then drop what it would have written."""
         self.committed[:] = self.map.default_image
         self.staged.clear()
+        self.pending = None
 
     def restore(self, *modules: str) -> None:
         """Return every read-only register of ``modules`` to its default-image bytes."""
@@ -101,7 +106,9 @@ class RegisterFile:
         return len(self.committed)
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read committed bytes. Staged writes are not visible."""
+        """Read committed bytes, once a pending publish has run. Staged writes are not visible."""
+        if self.pending is not None:
+            self.pending()
         if size < 1 or offset < 0 or offset + size > self.total_size:
             raise RangeViolation(f"read of {size} bytes at {offset} out of range")
         return bytes(self.committed[offset : offset + size])
@@ -116,7 +123,13 @@ class RegisterFile:
         self.staged.append((offset, bytes(data)))
 
     def commit(self) -> None:
-        """Apply all staged writes atomically, in submission order."""
+        """Run a pending publish, then apply all staged writes atomically, in submission order.
+
+        The publish comes first because ``ReferenceDevice.execute`` restores registers after
+        the commit: edges recorded before an ``ex`` must be in the image that restore resets.
+        """
+        if self.pending is not None:
+            self.pending()
         for offset, data in self.staged:
             self.committed[offset : offset + len(data)] = data
         self.staged.clear()

@@ -158,8 +158,13 @@ def test_published_trace_equals_a_from_scratch_mirror_after_every_command(monkey
 
 
 def array_bytes_poked(bench, line: str) -> dict:
-    """Bytes written inside each trace array while ``line`` runs."""
+    """Bytes written inside each trace array while ``line`` runs and the image is next read.
+
+    A toggle's registers are written when the image is next read, so a read runs the publish
+    of the earlier lines before the recording starts and that of ``line`` inside it.
+    """
     regs = bench.refdev.regs
+    regs.read(0, 1)
     entries = {name: regs.map.lookup(name) for name in ARRAYS}
     spans = {name: range(e.offset, e.offset + e.size) for name, e in entries.items()}
     written = dict.fromkeys(ARRAYS, 0)
@@ -173,6 +178,7 @@ def array_bytes_poked(bench, line: str) -> dict:
     regs.poke = recording_poke
     try:
         bench.dut.handle_line(line)
+        regs.read(0, 1)
     finally:
         del regs.poke
     return written
