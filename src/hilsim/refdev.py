@@ -74,7 +74,7 @@ class RegisterFile:
     Models ``bind`` the registers they publish once, when they are built; a binding stays
     valid for the file's life, because ``reset`` restores it in place and its size is fixed.
     A model that defers its writes sets ``pending`` to its publish, which must clear it; the
-    file runs it before ``read`` and ``commit``, so no reply and no re-init sees a stale image.
+    file runs it before ``read``, so no reply sees a stale image.
     """
 
     def __init__(self, layout: LayoutedMap):
@@ -88,11 +88,9 @@ class RegisterFile:
         self.pending: Callable[[], None] | None = None
 
     def reset(self) -> None:
-        """Restore the default image in place and drop staged writes and a pending publish;
-        the models' re-init hooks then drop what it would have written."""
+        """Restore the default image in place and drop staged writes."""
         self.committed[:] = self.map.default_image
         self.staged.clear()
-        self.pending = None
 
     def restore(self, *modules: str) -> None:
         """Return every read-only register of ``modules`` to its default-image bytes."""
@@ -123,13 +121,7 @@ class RegisterFile:
         self.staged.append((offset, bytes(data)))
 
     def commit(self) -> None:
-        """Run a pending publish, then apply all staged writes atomically, in submission order.
-
-        The publish comes first because ``ReferenceDevice.execute`` restores registers after
-        the commit: edges recorded before an ``ex`` must be in the image that restore resets.
-        """
-        if self.pending is not None:
-            self.pending()
+        """Apply all staged writes atomically, in submission order."""
         for offset, data in self.staged:
             self.committed[offset : offset + len(data)] = data
         self.staged.clear()

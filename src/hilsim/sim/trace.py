@@ -43,15 +43,12 @@ class TraceUnit:
 
     def reinit(self) -> None:
         """Re-init the timer and trace modules: apply the capture method, drop every capture and
-        the pin accounting published for it or waiting for a publish."""
+        the pin accounting published for it."""
         method = CAPTURE_METHODS[_METHOD_BY_CODE.get(self._method_code.get(), "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
         # the arrays show events _shown_first.._shown_first+_shown-1, numbered as the capture kept
         # them; the reference device zeroes the arrays before it runs this hook
         self._shown_first = self._shown = 0
-        # each pin driven since the last publish -> what the next publish adds: the last edge's
-        # level, kept and dropped edges, and the last kept rise and fall times (None if none)
-        self._unpublished: dict[int, list] = {}
         self.regs.restore(*GPIO_MODULES)
         self._min_tick.set(method.t_min_ns)
         self._min_holdoff.set(method.t_jitter_ns)
@@ -64,43 +61,43 @@ class TraceUnit:
         """Record a train of edges on ``pin`` at ``times`` (ascending, at least one), alternating
         from ``level``; returns how many the capture kept.
 
-        No register is written here: the pin's accounting waits in ``_unpublished`` and ``regs``
-        is marked with ``publish``, which the register file runs before its image is next read
-        or committed. So a burst of edges is published once, as per-edge writes would have left
-        it: ``status.level`` follows the last edge, kept or not, ``edge_count`` counts kept edges
+        The pin's registers are written once, with what per-edge writes would have left:
+        ``status.level`` follows the last edge, kept or not, ``edge_count`` counts kept edges
         and ``overrun_count`` dropped ones, each wrapping at its width, and
         ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall time, wrapped at their width.
+        The trace counters and arrays wait: ``regs`` is marked with ``publish``, which the
+        register file runs before its image is next read, so a burst of edges publishes them
+        once. A commit need not run it: they are read-only, and an ``ex`` that restores them
+        re-inits this unit, whose capture then holds nothing.
         """
         trace = self.trace
         overruns_before = trace.overrun_count
         kept, rise_t, fall_t = trace.record_train(pin, level, times)
         if pin < len(self._pins):
-            last = level ^ (len(times) - 1) & 1  # the last edge's level
-            missed = trace.overrun_count - overruns_before
-            state = self._unpublished.get(pin)
-            if state is None:
-                self._unpublished[pin] = [last, kept, missed, rise_t, fall_t]
-            else:
-                state[0] = last
-                state[1] += kept
-                state[2] += missed
+            status, edges, dropped, rise, fall = self._pins[pin]
+            status.set(level ^ (len(times) - 1) & 1)  # the last edge's level
+            if kept:
+                edges.add(kept)
                 if rise_t is not None:
-                    state[3] = rise_t
+                    rise.wrap(rise_t)
                 if fall_t is not None:
-                    state[4] = fall_t
+                    fall.wrap(fall_t)
+            overruns = trace.overrun_count - overruns_before
+            if overruns:
+                dropped.add(overruns)
         # looked up per call, so a wrapper installed on the class is what runs
         self.regs.pending = self.publish
         return kept
 
     def publish(self) -> None:
         """Mirror the first ``slots`` held events into the trace arrays, the rest counting as
-        overruns, and each pin's accounting into its registers; then clear the pending mark.
+        overruns; then clear the pending mark.
 
         The DUT calls this at the end of a timer train; after single edges the register file
-        calls it, before the next ``read`` or ``commit``. Only what changed since the last
-        publish is written: the four counters, then, if a bounded buffer dropped its oldest
-        events, each array shifted left by that many, then the newly visible events, taken from
-        the buffer with one ``islice``, then the registers of each pin driven since.
+        calls it, before the next ``read``. Only what changed since the last publish is
+        written: the four counters, then, if a bounded buffer dropped its oldest events, each
+        array shifted left by that many, then the newly visible events, taken from the buffer
+        with one ``islice``.
         """
         trace = self.trace
         held = len(trace.buffer)
@@ -129,16 +126,4 @@ class TraceUnit:
                 self.regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
         self._shown_first = first
         self._shown = count
-        for pin, (level, kept, missed, rise_t, fall_t) in self._unpublished.items():
-            status, edges, misses, rise, fall = self._pins[pin]
-            status.set(level)
-            if kept:
-                edges.add(kept)
-            if missed:
-                misses.add(missed)
-            if rise_t is not None:
-                rise.wrap(rise_t)
-            if fall_t is not None:
-                fall.wrap(fall_t)
-        self._unpublished.clear()
         self.regs.pending = None

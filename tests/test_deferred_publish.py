@@ -1,8 +1,9 @@
-"""A toggle burst publishes once, when the register image is next read or committed.
+"""A toggle burst publishes its trace once, when the register image is next read.
 
-Single edges leave the trace unit's registers unwritten and mark the register file with the
-unit's ``publish``; ``RegisterFile.read`` and ``commit`` run it. Every reply and every image a
-client can see equals that of a bench that publishes after each DUT line.
+Single edges write their pin's registers but leave the trace counters and arrays unwritten,
+and mark the register file with the trace unit's ``publish``; ``RegisterFile.read`` runs it.
+Every reply and every image a client can see equals that of a bench that publishes after
+each DUT line.
 """
 
 import os
@@ -84,7 +85,7 @@ def test_a_deferred_bench_answers_and_reads_as_one_that_publishes_after_every_du
         assert deferred.clock.now == eager.clock.now
 
 
-def test_a_toggle_burst_writes_no_register_until_the_next_read(monkeypatch):
+def test_a_toggle_burst_writes_no_trace_counter_or_array_until_the_next_read(monkeypatch):
     bench = make_bench(seed=2)
     regs = bench.refdev.regs
     layout = regs.map
@@ -111,14 +112,16 @@ def test_a_toggle_burst_writes_no_register_until_the_next_read(monkeypatch):
     lines = [f"gpio_toggle {i % 3}" for i in range(60)] + ["gpio_set 1 1", "gpio_set 1 0"]
     for line in lines:
         assert '"result": "Success"' in bench.dut.handle_line(line)
-    assert (pokes, sets, publishes) == ([], Counter(), 0)
+    # each edge writes its pin's registers; the trace waits
+    assert (pokes, publishes) == ([], 0)
+    assert {name.split(".")[0] for name in sets} == {"gpio0", "gpio1", "gpio2"}
+    sets.clear()
 
     assert regs.read_param("trace.index") == len(lines)
     assert publishes == 1
-    # each array element written once, in one poke per array
+    # each array element written once, in one poke per array, and each counter once
     assert sorted(pokes) == [(layout.lookup(name).offset, len(lines) * layout.lookup(name).elem_size) for name in ARRAYS]
-    pin_registers = [f"gpio{pin}.{name}" for pin in range(3) for name in ("status.level", "edge_count", "rise_ticks", "fall_ticks")]
-    assert sets == Counter(COUNTERS + tuple(pin_registers))
+    assert sets == Counter(COUNTERS)
 
     regs.read(0, regs.total_size)
     assert publishes == 1

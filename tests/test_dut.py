@@ -83,9 +83,9 @@ def test_a_bad_level_or_period_is_einval_before_any_edge(bad):
     bench = make_bench()
     regs = bench.refdev.regs
     for _ in range(2):
-        image = bytes(regs.committed)
+        image = regs.read(0, regs.total_size)
         assert cmd(bench, bad)["error_code"] == -22
-        assert bytes(regs.committed) == image
+        assert regs.read(0, regs.total_size) == image
         assert cmd(bench, "timer_trace 4 1000000 0")["result"] == "Success"
     assert cmd(bench, "gpio_set 0 0")["result"] == "Success"
 
@@ -98,10 +98,10 @@ def test_a_count_past_the_bound_is_einval_before_any_edge_or_bus_activity(templa
     bench = make_bench()
     regs = bench.refdev.regs
     assert cmd(bench, "i2c_init")["result"] == "Success"
-    image, now = bytes(regs.committed), bench.clock.now
+    image, now = regs.read(0, regs.total_size), bench.clock.now
     assert cmd(bench, template.format(MAX_COMMAND_COUNT + 1))["error_code"] == -22
     # no edge, count or bus time: only the command's own overhead
-    assert bytes(regs.committed) == image
+    assert regs.read(0, regs.total_size) == image
     assert bench.clock.now == now + COMMAND_OVERHEAD_NS
 
 

@@ -52,7 +52,8 @@ def test_every_read_only_register_moves_or_is_listed_with_its_reason(monkeypatch
         def handle(self, line):
             nonlocal moved
             reply = handle_line(self, line)
-            moved |= int.from_bytes(regs_of(self).committed, "little") ^ default
+            regs = regs_of(self)
+            moved |= int.from_bytes(regs.read(0, regs.total_size), "little") ^ default
             return reply
 
         return handle

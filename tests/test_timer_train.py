@@ -42,7 +42,8 @@ def fire_times(command: str, now: int, n: int, period_ns: int, ppm: float) -> li
 
 def state(bench) -> tuple:
     capture = bench.trace.trace
-    return bytes(bench.refdev.regs.committed), capture.events, capture.overrun_count, capture.kept, bench.clock.now
+    regs = bench.refdev.regs
+    return regs.read(0, regs.total_size), capture.events, capture.overrun_count, capture.kept, bench.clock.now
 
 
 @pytest.mark.parametrize("ppm", PPMS)
@@ -73,9 +74,10 @@ def test_a_timer_train_leaves_what_recording_its_edges_one_by_one_leaves(method,
 def test_a_train_due_before_now_is_einval_and_leaves_nothing_behind():
     # a DUT clock running backwards puts the later handlers of this train in the past
     bench = make_bench(dut_clock_ppm_error=-1.5e6)
-    image, now = bytes(bench.refdev.regs.committed), bench.clock.now
+    regs = bench.refdev.regs
+    image, now = regs.read(0, regs.total_size), bench.clock.now
     assert cmd(bench, "timer_trace 200 1000 0")["error_code"] == -22
-    assert bytes(bench.refdev.regs.committed) == image
+    assert regs.read(0, regs.total_size) == image
     assert bench.clock.now == now + COMMAND_OVERHEAD_NS
     assert bench.trace.trace.kept == 0
     # a train the same clock can time still runs, on its own

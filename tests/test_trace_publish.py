@@ -160,7 +160,7 @@ def test_published_trace_equals_a_from_scratch_mirror_after_every_command(monkey
 def array_bytes_poked(bench, line: str) -> dict:
     """Bytes written inside each trace array while ``line`` runs and the image is next read.
 
-    A toggle's registers are written when the image is next read, so a read runs the publish
+    A toggle's trace arrays are written when the image is next read, so a read runs the publish
     of the earlier lines before the recording starts and that of ``line`` inside it.
     """
     regs = bench.refdev.regs
