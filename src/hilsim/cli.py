@@ -146,13 +146,16 @@ def dut_serve(listen: str | None, stdio: bool, faults: str | None, ppm: float, s
 
 
 def _client(endpoint: str, maps: str):
-    """A ``RefDeviceClient`` that has read ``endpoint``'s map version, or a one-line error."""
+    """A connected ``RefDeviceClient``, whose transport closes when the command ends, or a one-line error."""
     from hilsim.pal import MapStore, RefDeviceClient
 
-    client = RefDeviceClient(endpoint, MapStore(maps))
-    result = client.connect()
+    try:
+        client = RefDeviceClient(endpoint, MapStore(maps))
+        click.get_current_context().call_on_close(client.transport.close)
+        result = client.connect()
+    except ValueError as exc:  # an endpoint that is not host:port, or a version file or map that does not parse
+        raise BadInput(str(exc)) from None
     if not result.ok:
-        client.transport.close()
         raise click.ClickException(result.error)
     return client
 
@@ -219,8 +222,6 @@ def dump_trace(endpoint: str, maps: str, out: str) -> None:
         events = read_trace(client)
     except (StepFailure, TransportError) as exc:  # a refused or unreadable read, or the device lost
         raise click.ClickException(str(exc)) from None
-    finally:
-        client.transport.close()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["index", "pin", "level", "tick_ns"])

@@ -61,6 +61,13 @@ class StepFailure(Exception):
         self.measured = measured or {}
 
 
+class ManifestEntry(dict):
+    """A case or step of a manifest: reading a key it lacks fails its case, naming the key and the entry."""
+
+    def __missing__(self, key):
+        raise StepFailure(f"missing {key!r} in {json.dumps(self)[:80]}")
+
+
 def _checked(result: PalResult, what: str):
     """The data of a PAL result; a failed one fails the step with ``what`` and the result's error."""
     if not result.ok:
@@ -166,8 +173,8 @@ class SuiteRunner:
             return result
         try:
             self._setup()
-            for step in case["steps"]:
-                measured = self._run_step(step)
+            for step in ManifestEntry(case)["steps"]:
+                measured = self._run_step(ManifestEntry(step))
                 if measured:
                     result.measured.update(measured)
         except StepFailure as exc:

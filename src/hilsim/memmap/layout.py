@@ -89,26 +89,34 @@ class LayoutedMap:
         self.by_name = {e.name: e for e in self.entries}
 
     @classmethod
-    def from_csv(cls, text: str, version: str) -> "LayoutedMap":
-        """Parse ``emit_csv`` rows into a map ending at its last entry; a one-element list default becomes a scalar."""
+    def from_csv(cls, text: str, version: str, source: str = "CSV map") -> "LayoutedMap":
+        """Parse ``emit_csv`` rows into a map ending at its last entry; a one-element list default becomes a
+        scalar. A missing column, unknown type or access, or bad number raises ``ValueError`` naming the row."""
         entries = []
-        for row in csv.DictReader(io.StringIO(text)):
-            size = int(row["size"])
-            default = row.get("default") or "0"
-            flags = row.get("flags") or ""
-            entries.append(
-                LayoutEntry(
-                    name=row["name"],
-                    offset=int(row["offset"]),
-                    size=size,
-                    type=row["type"],
-                    array_len=size // ELEMENT[row["type"]].size,
-                    access=row["access"],
-                    default=[int(v) for v in default.split(";")] if ";" in default else int(default),
-                    flags=tuple(flags.split("|")) if flags else (),
-                    description=row["description"],
+        for line, row in enumerate(csv.DictReader(io.StringIO(text)), start=2):
+            try:
+                if row["type"] not in ELEMENT or row["access"] not in ACCESS_CODES:
+                    raise ValueError(f"unknown type {row['type']!r} or access {row['access']!r}")
+                size = int(row["size"])
+                default = row.get("default") or "0"
+                flags = row.get("flags") or ""
+                entries.append(
+                    LayoutEntry(
+                        name=row["name"],
+                        offset=int(row["offset"]),
+                        size=size,
+                        type=row["type"],
+                        array_len=size // ELEMENT[row["type"]].size,
+                        access=row["access"],
+                        default=[int(v) for v in default.split(";")] if ";" in default else int(default),
+                        flags=tuple(flags.split("|")) if flags else (),
+                        description=row["description"],
+                    )
                 )
-            )
+            except KeyError as exc:  # a column the header lacks
+                raise ValueError(f"{source}, row {line}: no {exc} column") from None
+            except ValueError as exc:
+                raise ValueError(f"{source}, row {line}: {exc}") from None
         end = entries[-1].offset + entries[-1].size if entries else 0
         return cls(tuple(entries), end, version)
 

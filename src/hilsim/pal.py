@@ -141,7 +141,10 @@ class MapStore:
         if path.stem.endswith("_map"):
             sibling = path.with_name(path.stem[: -len("_map")] + "_version.txt")
             if sibling.exists():
-                return sibling.read_text("utf-8").split()[0]
+                words = sibling.read_text("utf-8").split()
+                if not words:
+                    raise ValueError(f"{sibling}: no version")
+                return words[0]
         return None
 
     def versions(self) -> list[str]:
@@ -150,7 +153,7 @@ class MapStore:
     def get(self, version: str) -> LayoutedMap:
         if version not in self._index:
             raise KeyError(f"no installed map for version {version!r}")
-        return LayoutedMap.from_csv(self._index[version].read_text("utf-8"), version)
+        return LayoutedMap.from_csv(self._index[version].read_text("utf-8"), version, str(self._index[version]))
 
 
 @dataclass

@@ -25,7 +25,6 @@ class TraceUnit:
         self.seed = seed
         self.slots = regs.map.lookup("trace.source").array_len
         self._arrays = [regs.map.lookup(name) for name in ("trace.source", "trace.value", "trace.tick")]
-        self._spans = [(entry.offset, entry.elem_size) for entry in self._arrays]  # where a full window shifts
         # bound once: the capture method and the two timing registers a re-init reads and writes,
         # each pin's level, edge and overrun counts and last rise and fall ticks, and the four counters
         self._method_code, self._min_tick, self._min_holdoff = (
@@ -46,9 +45,6 @@ class TraceUnit:
         the pin accounting published for it."""
         method = CAPTURE_METHODS[_METHOD_BY_CODE.get(self._method_code.get(), "timer-capture-irq")]
         self.trace = GpioTrace(method, seed=self.seed)
-        # the arrays show events _shown_first.._shown_first+_shown-1, numbered as the capture kept
-        # them; the reference device zeroes the arrays before it runs this hook
-        self._shown_first = self._shown = 0
         self.regs.restore(*GPIO_MODULES)
         self._min_tick.set(method.t_min_ns)
         self._min_holdoff.set(method.t_jitter_ns)
@@ -66,9 +62,9 @@ class TraceUnit:
         and ``overrun_count`` dropped ones, each wrapping at its width, and
         ``rise_ticks``/``fall_ticks`` hold the last kept rise/fall time, wrapped at their width.
         The trace counters and arrays wait: ``regs`` is marked with ``publish``, which the
-        register file runs before its image is next read, so a burst of edges publishes them
-        once. A commit need not run it: they are read-only, and an ``ex`` that restores them
-        re-inits this unit, whose capture then holds nothing.
+        register file runs before its image is next read, so a burst of edges rewrites them
+        once, the arrays whole. A commit need not run it: they are read-only, and an ``ex`` that
+        restores them re-inits this unit, whose capture then holds nothing.
         """
         trace = self.trace
         overruns_before = trace.overrun_count
@@ -93,15 +89,11 @@ class TraceUnit:
         """Mirror the first ``slots`` held events into the trace arrays, the rest counting as
         overruns; then clear the pending mark.
 
-        The DUT calls this at the end of a timer train; after single edges the register file
-        calls it, before the next ``read``. Only what changed since the last publish is
-        written: the four counters, then, if a bounded buffer dropped its oldest events, each
-        array shifted left by that many, then the newly visible events, taken from the buffer
-        with one ``islice``.
+        The DUT runs it after a timer train, the register file before a ``read`` after single edges.
+        It writes the window whole: it only grows within a capture, and a re-init zeroes the rest.
         """
         trace = self.trace
         held = len(trace.buffer)
-        first = trace.kept - held
         count = min(held, self.slots)
         overruns = trace.overrun_count + held - count
         index, trace_overruns, event_count, timer_overruns = self._counters
@@ -109,21 +101,9 @@ class TraceUnit:
         trace_overruns.set(overruns)
         event_count.set(count)
         timer_overruns.set(overruns)
-        dropped = first - self._shown_first
-        still = self._shown - dropped  # shown events that stay visible
-        if still < 0:
-            still = 0
-        if dropped and still:
-            committed = self.regs.committed
-            for offset, size in self._spans:
-                source = offset + dropped * size
-                committed[offset : offset + still * size] = committed[source : source + still * size]
-        if count > still:
-            new = list(islice(trace.buffer, still, count))
-            sources, values, stamps = zip(*new)
+        if count:
+            sources, values, stamps = zip(*islice(trace.buffer, count))
             columns = (sources, values, [t & 0xFFFFFFFF for t in stamps])
             for entry, column in zip(self._arrays, columns):
-                self.regs.poke(entry.element_offset(still, len(new)), entry.pack(column))
-        self._shown_first = first
-        self._shown = count
+                self.regs.poke(entry.offset, entry.pack(column))
         self.regs.pending = None

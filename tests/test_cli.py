@@ -258,6 +258,20 @@ def test_cli_run_suite_detects_faults(tmp_path):
     assert doc["totals"]["fail"] >= 1
 
 
+def test_cli_run_suite_fails_only_the_cases_that_lack_a_key(tmp_path):
+    suite = tmp_path / "suite.json"
+    sync = {"op": "dut", "cmd": "sync"}
+    cases = [{"id": "no-cmd", "steps": [{"op": "dut"}]}, {"id": "no-steps"}, {"id": "fine", "steps": [sync]}]
+    suite.write_text(json.dumps({"suite": "partial", "cases": cases}), "utf-8")
+    result = CliRunner().invoke(main, ["run-suite", "--suite", str(suite), "--format", "json"])
+    assert result.exit_code == 1, result.output
+    assert [(c["id"], c["verdict"], c["reason"]) for c in json.loads(result.output)["cases"]] == [
+        ("no-cmd", "fail", """missing 'cmd' in {"op": "dut"}"""),
+        ("no-steps", "fail", """missing 'steps' in {"id": "no-steps"}"""),
+        ("fine", "pass", ""),
+    ]
+
+
 def assert_bad_input(result, needle):
     """Exit 2, which is not the exit 1 of failed tests, with one line that says why."""
     assert result.exit_code == 2, result.output
@@ -409,6 +423,65 @@ def test_cli_dump_trace_reports_an_unreadable_reply_in_one_line(map_dir, reply, 
     result = CliRunner().invoke(main, ["dump-trace", "--endpoint", endpoint, "--maps", str(map_dir)])
     assert result.exit_code == 1, result.output
     assert result.output.strip() == f"Error: {error}"
+
+
+REFERENCE_CSV = emit_csv(reference_layout())
+HEADER, FIRST_ROW = REFERENCE_CSV.splitlines()[:2]
+
+
+@pytest.fixture
+def served_bench():
+    """The reference and DUT endpoints of one bench, each served over TCP."""
+    bench = make_bench()
+    servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+    for server in servers:
+        server.serve_background()
+    yield [server.endpoint for server in servers]
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+MALFORMED_MAPS = {
+    "empty-version-file": (
+        {"ref_device_map.csv": REFERENCE_CSV, "ref_device_version.txt": ""}, "ref_device_version.txt: no version"
+    ),
+    "unknown-type": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace(",u32,", ",u33,", 1)}, "ref_device_1.2.3.csv, row 4: unknown type 'u33'"
+    ),
+    "unknown-access": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace(",read-only,", ",ro,", 1)}, "ref_device_1.2.3.csv, row 2: unknown type 'u8' or access 'ro'"
+    ),
+    "short-row": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace(FIRST_ROW, FIRST_ROW.split(",u8,")[0])}, "ref_device_1.2.3.csv, row 2: unknown type None"
+    ),
+    "bad-number": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("sys.sn,0,", "sys.sn,x,", 1)}, "ref_device_1.2.3.csv, row 2: invalid literal"
+    ),
+    "missing-column": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace(HEADER, HEADER.replace(",description", ""))}, "ref_device_1.2.3.csv, row 2: no 'description' column"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["dump-trace", "shell", "run-suite"])
+@pytest.mark.parametrize("files,error", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS)
+def test_a_malformed_map_directory_is_bad_input_in_one_line(command, files, error, served_bench, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, "utf-8")
+    ref, dut = served_bench
+    if command == "run-suite":
+        args = ["run-suite", "--suite", "infrastructure", "--ref", ref, "--dut", dut]
+    else:
+        args = [command, "--endpoint", ref]
+    result = CliRunner().invoke(main, args + ["--maps", str(tmp_path)], input="")
+    assert_bad_input(result, error)
+
+
+@pytest.mark.parametrize("command", ["dump-trace", "shell"])
+def test_a_client_command_rejects_an_endpoint_without_a_port(command, map_dir):
+    result = CliRunner().invoke(main, [command, "--endpoint", "nohost", "--maps", str(map_dir)], input="")
+    assert_bad_input(result, "bad endpoint 'nohost'")
 
 
 def test_cli_serve_mutually_exclusive_flags():

@@ -146,7 +146,7 @@ def test_read_trace_takes_two_requests_and_reads_what_per_entry_reads_read(metho
 @pytest.mark.parametrize("method", ["timer-capture-dma", "timer-capture-irq"])
 def test_a_shifted_full_window_reads_back_as_the_latest_held_events(method):
     runner = capture(method, 300)
-    for edges in (1, 2, 31, 128):  # each train's publish shifts the full window left
+    for edges in (1, 2, 31, 128):  # each train moves the full window on: its oldest events drop out
         assert runner.dut.timer_trace(edges, 20_000, 1)["result"] == "Success"
         assert runner.dut.gpio_toggle(2)["result"] == "Success"
     held = runner.bench.trace.trace.events
@@ -204,3 +204,19 @@ def test_an_unknown_step_op_fails_its_case(op):
     runner = SuiteRunner.local(RunConfig(seed=1))
     result = runner.run_case({"id": "unknown", "steps": [{"op": op}]})
     assert (result.verdict, result.reason) == (FAIL, f"unknown step op {op!r}")
+
+
+@pytest.mark.parametrize(
+    "case,reason",
+    [
+        ({"id": "c", "steps": [{"op": "dut", "args": [0]}]}, """missing 'cmd' in {"op": "dut", "args": [0]}"""),
+        ({"id": "c", "steps": [{"op": "ref_read", "count": 1}]}, """missing 'name' in {"op": "ref_read", "count": 1}"""),
+        ({"id": "c", "steps": [{"cmd": "sync"}]}, """missing 'op' in {"cmd": "sync"}"""),
+        ({"id": "c", "category": "usage"}, """missing 'steps' in {"id": "c", "category": "usage"}"""),
+    ],
+    ids=["dut-without-cmd", "ref-read-without-name", "step-without-op", "case-without-steps"],
+)
+def test_a_manifest_entry_without_a_key_fails_its_case_naming_the_key(case, reason):
+    runner = SuiteRunner.local(RunConfig(seed=1))
+    result = runner.run_case(case)
+    assert (result.verdict, result.reason) == (FAIL, reason)

@@ -1,5 +1,5 @@
 """Trace publish: the arrays, counters and per-pin registers always mirror the capture, and a
-publish writes only new slots."""
+publish writes the shown window whole, one poke per array from its first element."""
 
 import random
 from collections import Counter
@@ -157,22 +157,25 @@ def test_published_trace_equals_a_from_scratch_mirror_after_every_command(monkey
     assert min(most_held.values()) >= 128 and most_held["gpio-irq"] > 128
 
 
-def array_bytes_poked(bench, line: str) -> dict:
-    """Bytes written inside each trace array while ``line`` runs and the image is next read.
+def array_pokes(bench, line: str) -> dict:
+    """The pokes into each trace array while ``line`` runs and the image is next read, each as
+    its (first element, element count) within the array.
 
     A toggle's trace arrays are written when the image is next read, so a read runs the publish
     of the earlier lines before the recording starts and that of ``line`` inside it.
     """
     regs = bench.refdev.regs
     regs.read(0, 1)
-    entries = {name: regs.map.lookup(name) for name in ARRAYS}
-    spans = {name: range(e.offset, e.offset + e.size) for name, e in entries.items()}
-    written = dict.fromkeys(ARRAYS, 0)
+    entries = [regs.map.lookup(name) for name in ARRAYS]
+    pokes = {name: [] for name in ARRAYS}
     poke = regs.poke
 
     def recording_poke(offset, data):
-        for name, span in spans.items():
-            written[name] += len(range(max(offset, span.start), min(offset + len(data), span.stop)))
+        for entry in entries:
+            start, stop = max(offset, entry.offset), min(offset + len(data), entry.offset + entry.size)
+            if start < stop:
+                first = (start - entry.offset) // entry.elem_size
+                pokes[entry.name].append((first, (stop - start) // entry.elem_size))
         poke(offset, data)
 
     regs.poke = recording_poke
@@ -181,58 +184,62 @@ def array_bytes_poked(bench, line: str) -> dict:
         regs.read(0, 1)
     finally:
         del regs.poke
-    return written
+    return pokes
 
 
-def test_a_toggle_on_a_full_gpio_irq_capture_writes_no_array_bytes(monkeypatch):
+def whole_window(bench) -> dict:
+    """One poke per array from its first element, of the ``min(held, slots)`` events shown."""
+    shown = min(len(bench.trace.trace.buffer), bench.trace.slots)
+    return {name: [(0, shown)] for name in ARRAYS}
+
+
+def test_a_toggle_on_a_full_gpio_irq_capture_rewrites_the_shown_window(monkeypatch):
     bench = make_bench(seed=3)
     pins = PinWatch(bench, monkeypatch)
     bench.refdev.regs.poke_param("timer.mode.capture_method", GPIO_IRQ)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 200 20000 0")
     assert len(bench.trace.trace.events) == 200
-    assert array_bytes_poked(bench, "gpio_toggle 1") == dict.fromkeys(ARRAYS, 0)
+    assert array_pokes(bench, "gpio_toggle 1") == whole_window(bench) == {name: [(0, 128)] for name in ARRAYS}
     assert len(bench.trace.trace.events) == 201
     assert published(bench) == mirror(bench, pins)
 
 
 @pytest.mark.parametrize("method", [1, GPIO_IRQ])
-def test_a_toggle_on_a_trace_that_is_not_full_writes_one_element_per_array(method, monkeypatch):
+def test_a_toggle_on_a_trace_that_is_not_full_rewrites_the_shown_window(method, monkeypatch):
     bench = make_bench(seed=3)
     pins = PinWatch(bench, monkeypatch)
     bench.refdev.regs.poke_param("timer.mode.capture_method", method)
     bench.trace.reinit()
     bench.dut.handle_line("timer_trace 50 20000 0")
     assert len(bench.trace.trace.events) == 50
-    elem = {name: bench.refdev.regs.map.lookup(name).elem_size for name in ARRAYS}
-    assert array_bytes_poked(bench, "gpio_toggle 1") == elem
+    assert array_pokes(bench, "gpio_toggle 1") == whole_window(bench) == {name: [(0, 51)] for name in ARRAYS}
     assert len(bench.trace.trace.events) == 51
     assert published(bench) == mirror(bench, pins)
 
 
 @pytest.mark.parametrize(
-    "method,before,line,written",
+    "method,before,line,shown",
     [
         (0, [], "gpio_toggle 1", 1),  # a rise under rising-only capture
-        (0, ["gpio_toggle 1"], "gpio_toggle 1", 0),  # a fall, which it skips
-        (1, ["timer_trace 50 20000 0"], "timer_trace 30 20000 1", 30),  # onto a partly filled window
-        (1, ["timer_trace 120 20000 0"], "timer_trace 8 20000 1", 8),  # filling it exactly
-        (1, ["timer_trace 200 20000 0"], "gpio_toggle 1", 1),  # onto a full window, which shifts
-        (0, ["timer_trace 300 20000 0"], "timer_trace 20 20000 1", 10),  # ten rises onto a full window
+        (0, ["gpio_toggle 1"], "gpio_toggle 1", 1),  # a fall, which it skips
+        (1, ["timer_trace 50 20000 0"], "timer_trace 30 20000 1", 80),  # onto a partly filled window
+        (1, ["timer_trace 120 20000 0"], "timer_trace 8 20000 1", 128),  # filling it exactly
+        (1, ["timer_trace 200 20000 0"], "gpio_toggle 1", 128),  # onto a full window, which moves on by one
+        (0, ["timer_trace 300 20000 0"], "timer_trace 20 20000 1", 128),  # ten rises onto a full window
     ],
     ids=["dma-rise", "dma-fall", "train-onto-a-partial-window", "train-filling-the-window",
          "toggle-onto-a-full-window", "dma-train-onto-a-full-window"],
 )
-def test_a_publish_pokes_exactly_the_new_elements_of_each_array(method, before, line, written, monkeypatch):
-    """Only the events a command adds are written through ``poke``; a full window's shift moves the rest."""
+def test_a_publish_pokes_the_whole_shown_window_of_each_array(method, before, line, shown, monkeypatch):
+    """A publish writes each array's shown window whole, in one ``poke`` from its first element."""
     bench = make_bench(seed=5)
     pins = PinWatch(bench, monkeypatch)
     bench.refdev.regs.poke_param("timer.mode.capture_method", method)
     bench.trace.reinit()
     for earlier in before:
         bench.dut.handle_line(earlier)
-    elem = {name: bench.refdev.regs.map.lookup(name).elem_size for name in ARRAYS}
-    assert array_bytes_poked(bench, line) == {name: written * size for name, size in elem.items()}
+    assert array_pokes(bench, line) == whole_window(bench) == {name: [(0, shown)] for name in ARRAYS}
     assert published(bench) == mirror(bench, pins)
 
 
