@@ -10,7 +10,7 @@ hashes the DUT and reference-device replies, the final register image and the
 simulated clock of 20 seeded random command streams of 300 steps over every
 bus command and ``gpio_toggle``, with occasional bus-mode re-inits. ``served``
 hashes the same reports of the five fault-free suites for seeds 0-7, run over
-TCP: an in-thread ``serve_tcp`` pair on one bench per seed, reached through
+TCP: an in-thread ``LineServer`` pair on one bench per seed, reached through
 ``TcpTransport``. ``trace`` hashes the DUT and reference-device replies and
 the whole register image after every command of 12 seeded capture streams:
 ``gpio_toggle`` bursts, ``gpio_set``, ``timer_trace`` of up to 300 edges and
@@ -32,7 +32,7 @@ from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
 from hilsim.memmap import LayoutedMap, emit_csv, emit_docs, emit_struct_decl
 from hilsim.pal import DutClient, RefDeviceClient
 from hilsim.reference import reference_layout
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 
 I2C_RATES = (10_000, 100_000, 400_000, 1_000_000)  # the last is out of range
 SPI_RATES = (100_000, 1_000_000, 5_000_000)
@@ -63,7 +63,7 @@ def served_digest() -> str:
         bench = Bench(BenchConfig(seed=seed))
         layout = bench.refdev.regs.map
         name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
-        servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+        servers = [LineServer(bench.refdev), LineServer(bench.dut)]
         for server in servers:
             server.serve_background()
         ref, dut = (server.endpoint for server in servers)

@@ -20,7 +20,7 @@ from hilsim.memmap import (
     emit_struct_decl,
     parse_config_file,
 )
-from hilsim.serve import LineServer, serve_stdio, serve_tcp
+from hilsim.serve import LineServer, serve_stdio
 
 
 @click.group()
@@ -92,7 +92,7 @@ def _serve_address(listen: str | None, stdio: bool) -> tuple[str, int] | None:
 
 def _listen(device, address: tuple[str, int]) -> LineServer:
     try:
-        return serve_tcp(device, *address)
+        return LineServer(device, *address)
     except OSError as exc:
         raise BadInput(f"cannot listen on {address[0]}:{address[1]}: {exc.strerror or exc}") from None
 

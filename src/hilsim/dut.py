@@ -68,7 +68,10 @@ class FaultConfig:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown fault flags: {sorted(unknown)}")
-        return cls(**{k: bool(v) for k, v in doc.items()})
+        for name, value in doc.items():
+            if not isinstance(value, bool):
+                raise ValueError(f"fault flag {name!r} must be true or false, not {json.dumps(value)}")
+        return cls(**doc)
 
 
 class _Hang(Exception):
@@ -120,12 +123,6 @@ class DutDevice:
         self._hung = False
         self._write_streak = 0
         self._pin_levels: dict[int, int] = {}
-
-    # -- DUT-local clock model ------------------------------------------
-
-    def _dut_interval(self, interval_ns: int) -> int:
-        """Map a DUT-clock interval onto the simulated clock."""
-        return round(interval_ns * (1.0 + self.clock_ppm_error / 1e6))
 
     # -- shell ----------------------------------------------------------
 
@@ -289,7 +286,7 @@ class DutDevice:
         n_timers, period_ns, pin = args[0], args[1], args[2]
         if not 1 <= n_timers <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
-        target = self.clock.now + self._dut_interval(period_ns)
+        target = self.clock.now + round(period_ns * (1.0 + self.clock_ppm_error / 1e6))  # on the DUT clock
         self._toggle_train(pin, [target + (i + 1) * HANDLER_OVERHEAD_NS for i in range(n_timers)])
         return {"result": SUCCESS, "data": target}
 
@@ -299,7 +296,7 @@ class DutDevice:
         if not 1 <= n_edges <= MAX_COMMAND_COUNT or period_ns < 0:
             raise _DutError(EINVAL)
         base = self.clock.now + HANDLER_OVERHEAD_NS
-        scale = 1.0 + self.clock_ppm_error / 1e6  # _dut_interval's factor, computed once per train
+        scale = 1.0 + self.clock_ppm_error / 1e6  # _cmd_timer_bench's factor, computed once per train
         self._toggle_train(pin, [base + round(k * period_ns * scale) for k in range(1, n_edges + 1)])
         return {"result": SUCCESS, "data": n_edges}
 

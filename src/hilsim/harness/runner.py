@@ -76,10 +76,14 @@ def _checked(result: PalResult, what: str):
 
 
 def json_equal(got, wanted) -> bool:
-    """Equal in value and in JSON type, lists element by element: ``1.0`` and ``true`` are no ``1``."""
-    if type(got) is list and type(wanted) is list:
+    """Equal in value and in JSON type, lists item by item, objects key by key: ``1.0`` and ``true`` are no ``1``."""
+    if type(got) is not type(wanted):
+        return False
+    if type(got) is list:
         return len(got) == len(wanted) and all(map(json_equal, got, wanted))
-    return type(got) is type(wanted) and got == wanted
+    if type(got) is dict:
+        return got.keys() == wanted.keys() and all(json_equal(got[k], wanted[k]) for k in got)
+    return got == wanted
 
 
 def _read(client: RefDeviceClient, name: str, index: int = 0, count: int | None = None) -> list[int]:
@@ -107,7 +111,11 @@ def load_manifest(suite: str) -> dict:
     """
     path = Path(suite)
     if path.suffix == ".json" and path.exists():
-        return json.loads(path.read_text("utf-8"))
+        manifest = json.loads(path.read_text("utf-8"))
+        cases = manifest.get("cases") if isinstance(manifest, dict) else None
+        if not (isinstance(cases, list) and all(isinstance(case, dict) for case in cases)):
+            raise ValueError(f"{suite}: not a JSON object holding a 'cases' list of objects")
+        return manifest
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     return json.loads(_packaged_manifest(suite))
@@ -161,19 +169,16 @@ class SuiteRunner:
         return report
 
     def run_case(self, case: dict) -> CaseResult:
-        result = CaseResult(
-            id=case["id"],
-            suite=case.get("suite", ""),
-            category=case.get("category", ""),
-            verdict=PASS,
-        )
-        if case.get("requires") in self.config.unsupported_modes:
-            result.verdict = SKIP
-            result.reason = f"unsupported mode {case['requires']}"
-            return result
+        case = ManifestEntry(case)
+        result = CaseResult(id="", suite=case.get("suite", ""), category=case.get("category", ""), verdict=PASS)
         try:
+            result.id = case["id"]
+            if case.get("requires") in self.config.unsupported_modes:
+                result.verdict = SKIP
+                result.reason = f"unsupported mode {case['requires']}"
+                return result
             self._setup()
-            for step in ManifestEntry(case)["steps"]:
+            for step in case["steps"]:
                 measured = self._run_step(ManifestEntry(step))
                 if measured:
                     result.measured.update(measured)
@@ -375,9 +380,9 @@ def run_suite(
 ) -> TestReport:
     """Run one suite against a local bench or remote endpoints.
 
-    Raises ``ValueError`` for an unknown suite, an endpoint that is not host:port,
-    or remote endpoints without ``map_dir``; an unreachable endpoint (a ``Timeout`` on the DUT's
-    ``sync`` or the reference device's ``-v``) is an infrastructure error.
+    Raises ``ValueError`` for an unknown suite, a manifest without a ``cases`` list, an endpoint
+    that is not host:port, or remote endpoints without ``map_dir``; an unreachable endpoint (a
+    ``Timeout`` on the DUT's ``sync`` or the reference device's ``-v``) is an infrastructure error.
     """
     config = config or RunConfig()
     try:

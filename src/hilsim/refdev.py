@@ -162,8 +162,7 @@ class ReferenceDevice:
 
     def __init__(self, layout: LayoutedMap):
         self.regs = RegisterFile(layout)
-        self.version = layout.version
-        self._version_line = json.dumps({"version": self.version, "result": RESULT_SUCCESS})
+        self._version_line = json.dumps({"version": layout.version, "result": RESULT_SUCCESS})
         # accepted ``wr`` line -> the (offset, bytes) it stages, least recently sent first; whether
         # a line is accepted depends only on the line, as the file's size and access mask never change
         self._accepted: OrderedDict[str, tuple[int, bytes]] = OrderedDict()

@@ -6,18 +6,14 @@ from functools import lru_cache
 from importlib import resources
 
 from hilsim.memmap.layout import LayoutedMap, compute_layout
-from hilsim.memmap.schema import MemoryMapSpec, parse_config
+from hilsim.memmap.schema import parse_config
 
 
 def reference_config_text() -> str:
     return resources.files("hilsim").joinpath("data/reference_map.json").read_text("utf-8")
 
 
-def reference_spec() -> MemoryMapSpec:
-    return parse_config(reference_config_text())
-
-
 @lru_cache(maxsize=1)
 def reference_layout() -> LayoutedMap:
     """The bundled map's layout; cached, treat as immutable."""
-    return compute_layout(reference_spec())
+    return compute_layout(parse_config(reference_config_text()))

@@ -64,8 +64,3 @@ class LineServer(socketserver.ThreadingTCPServer):
         thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         thread.start()
         return thread
-
-
-def serve_tcp(device, host: str = "127.0.0.1", port: int = 0) -> LineServer:
-    """Bind a TCP line server; call serve_forever() or serve_background()."""
-    return LineServer(device, host, port)

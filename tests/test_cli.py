@@ -22,7 +22,7 @@ from hilsim.harness import SUITE_NAMES
 from hilsim.pal import RefDeviceClient, TransportError
 from hilsim.reference import reference_config_text, reference_layout
 from hilsim.repl import DeviceShell
-from hilsim.serve import serve_stdio, serve_tcp
+from hilsim.serve import LineServer, serve_stdio
 
 from conftest import make_bench
 
@@ -80,7 +80,7 @@ def test_cli_import_and_serve_load_only_the_device():
 
 
 def test_serve_tcp_with_pal_client(bench, map_dir):
-    server = serve_tcp(bench.refdev)
+    server = LineServer(bench.refdev)
     server.serve_background()
     try:
         client = RefDeviceClient(server.endpoint, str(map_dir))
@@ -97,7 +97,7 @@ def test_serve_tcp_with_pal_client(bench, map_dir):
 
 
 def test_serve_tcp_sequential_clients(bench, map_dir):
-    server = serve_tcp(bench.refdev)
+    server = LineServer(bench.refdev)
     server.serve_background()
     try:
         first = RefDeviceClient(server.endpoint, str(map_dir))
@@ -261,13 +261,19 @@ def test_cli_run_suite_detects_faults(tmp_path):
 def test_cli_run_suite_fails_only_the_cases_that_lack_a_key(tmp_path):
     suite = tmp_path / "suite.json"
     sync = {"op": "dut", "cmd": "sync"}
-    cases = [{"id": "no-cmd", "steps": [{"op": "dut"}]}, {"id": "no-steps"}, {"id": "fine", "steps": [sync]}]
+    cases = [
+        {"id": "no-cmd", "steps": [{"op": "dut"}]},
+        {"id": "no-steps"},
+        {"steps": []},
+        {"id": "fine", "steps": [sync]},
+    ]
     suite.write_text(json.dumps({"suite": "partial", "cases": cases}), "utf-8")
     result = CliRunner().invoke(main, ["run-suite", "--suite", str(suite), "--format", "json"])
     assert result.exit_code == 1, result.output
     assert [(c["id"], c["verdict"], c["reason"]) for c in json.loads(result.output)["cases"]] == [
         ("no-cmd", "fail", """missing 'cmd' in {"op": "dut"}"""),
         ("no-steps", "fail", """missing 'steps' in {"id": "no-steps"}"""),
+        ("", "fail", """missing 'id' in {"steps": []}"""),
         ("fine", "pass", ""),
     ]
 
@@ -291,6 +297,24 @@ def test_cli_run_suite_rejects_an_unknown_fault_flag(tmp_path):
     faults.write_text('{"no_such_flag": true}', "utf-8")
     result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", "--faults", str(faults)])
     assert_bad_input(result, "no_such_flag")
+
+
+def test_cli_run_suite_rejects_a_fault_flag_that_is_no_boolean(tmp_path):
+    faults = tmp_path / "faults.json"
+    faults.write_text('{"extra_read_byte": "false"}', "utf-8")
+    result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", "--faults", str(faults)])
+    assert_bad_input(result, "fault flag 'extra_read_byte' must be true or false")
+
+
+@pytest.mark.parametrize(
+    "manifest", [{"suite": "no-cases"}, [], {"cases": {}}, {"cases": [{"id": "c", "steps": []}, "c2"]}],
+    ids=["no-cases", "a-list", "cases-an-object", "a-case-no-object"],
+)
+def test_cli_run_suite_rejects_a_manifest_without_a_cases_list(tmp_path, manifest):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(manifest), "utf-8")
+    result = CliRunner().invoke(main, ["run-suite", "--suite", str(suite)])
+    assert_bad_input(result, "not a JSON object holding a 'cases' list of objects")
 
 
 def test_cli_run_suite_rejects_an_endpoint_without_a_port(map_dir):
@@ -356,7 +380,7 @@ def test_cli_dump_trace(map_dir):
     bench = make_bench()
     bench.dut.handle_line("gpio_toggle 0")
     bench.dut.handle_line("gpio_toggle 0")
-    server = serve_tcp(bench.refdev)
+    server = LineServer(bench.refdev)
     server.serve_background()
     try:
         result = CliRunner().invoke(
@@ -383,7 +407,7 @@ class RefusingReads:
 
 
 def test_cli_dump_trace_reports_a_refused_read_in_one_line(map_dir):
-    server = serve_tcp(RefusingReads(make_bench().refdev))
+    server = LineServer(RefusingReads(make_bench().refdev))
     server.serve_background()
     try:
         result = CliRunner().invoke(
@@ -433,7 +457,7 @@ HEADER, FIRST_ROW = REFERENCE_CSV.splitlines()[:2]
 def served_bench():
     """The reference and DUT endpoints of one bench, each served over TCP."""
     bench = make_bench()
-    servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
     for server in servers:
         server.serve_background()
     yield [server.endpoint for server in servers]

@@ -1,6 +1,7 @@
 """DUT shell behavior, errno mapping, and the seeded fault library."""
 
 import json
+import re
 
 import pytest
 
@@ -185,6 +186,13 @@ def test_fault_config_parsing():
     with pytest.raises(ValueError, match="unknown fault"):
         FaultConfig.from_json('{"bogus": true}')
     assert len(FaultConfig.flag_names()) == 5
+
+
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null", "[]"])
+def test_a_fault_flag_takes_only_a_json_boolean(value):
+    with pytest.raises(ValueError, match=f"^fault flag 'extra_read_byte' must be true or false, not {re.escape(value)}$"):
+        FaultConfig.from_json(f'{{"swallow_error_return": false, "extra_read_byte": {value}}}')
+    assert FaultConfig.from_json('{"extra_read_byte": false}') == FaultConfig()
 
 
 def test_extra_read_byte_inflates_r_count():

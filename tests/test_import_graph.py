@@ -26,3 +26,8 @@ def test_a_device_loads_neither_the_client_nor_the_server(module):
 
 def test_the_wire_loads_no_other_hilsim_module():
     assert {m for m in modules_loaded_by("hilsim.wire") if m.startswith("hilsim.")} == {"hilsim.wire"}
+
+
+@pytest.mark.parametrize("module", ["hilsim.sim.clock", "hilsim.sim.gpio"])
+def test_a_sim_model_loads_no_other_hilsim_module(module):
+    assert {m for m in modules_loaded_by(module) if m.startswith("hilsim")} == {"hilsim", "hilsim.sim", module}

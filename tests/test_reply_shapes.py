@@ -9,11 +9,11 @@ import pytest
 
 from hilsim.harness import RunConfig, SuiteRunner, run_suite
 from hilsim.harness.report import FAIL, PASS
-from hilsim.harness.runner import StepFailure
+from hilsim.harness.runner import StepFailure, json_equal
 from hilsim.memmap import emit_csv
 from hilsim.pal import ERROR, SUCCESS, DutClient, RefDeviceClient, _reset_writes
 from hilsim.reference import reference_layout
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 
 from conftest import make_bench, nested_reply
 
@@ -291,6 +291,22 @@ def test_a_reply_value_of_another_json_type_fails_only_its_case(unaltered_spi, l
     assert got == {k: v for k, v in unaltered_spi.items() if k != case_id}
 
 
+@pytest.mark.parametrize(
+    "got,wanted,equal",
+    [
+        ({"a": True}, {"a": 1}, False),
+        ({"a": 1.0}, {"a": 1}, False),
+        ({"a": [0, 1]}, {"a": [0, True]}, False),
+        ({"a": 1}, {"a": 1, "b": 2}, False),
+        ({"a": 1, "b": [2]}, {"b": [2], "a": 1}, True),
+        ([{"a": 1}], [{"a": 1}], True),
+    ],
+)
+def test_json_equal_compares_objects_key_by_key(got, wanted, equal):
+    assert json_equal(got, wanted) is equal
+    assert json_equal(wanted, got) is equal
+
+
 DATA_EQUALS_REF = {
     "id": "dut_data_equals_ref.one_byte",
     "steps": [
@@ -391,8 +407,8 @@ def test_a_version_reply_without_a_usable_version_is_an_error_not_a_timeout(repl
 
 @contextmanager
 def served(device):
-    """A background ``serve_tcp`` server for ``device``; yields its endpoint."""
-    server = serve_tcp(device)
+    """A background ``LineServer`` for ``device``; yields its endpoint."""
+    server = LineServer(device)
     server.serve_background()
     try:
         yield server.endpoint

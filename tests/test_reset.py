@@ -7,7 +7,7 @@ from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, RefDeviceClient, _reset_writes
 from hilsim.refdev import RangeViolation
 from hilsim.reference import reference_layout
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 
 from conftest import make_bench
 
@@ -142,7 +142,7 @@ def local_verdicts():
 
 def test_served_verdicts_equal_local_verdicts_in_any_order(local_verdicts):
     bench = make_bench(seed=SEED)
-    servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
     for server in servers:
         server.serve_background()
     ref_server, dut_server = servers

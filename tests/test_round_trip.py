@@ -16,7 +16,7 @@ from hilsim.harness.report import FAIL
 from hilsim.harness.runner import read_trace
 from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import RefDeviceClient
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 from hilsim.sim.gpio import GpioEvent
 
 TRACE_ARRAYS = ("trace.source", "trace.value", "trace.tick")
@@ -182,7 +182,7 @@ def test_read_regs_from_an_index_decodes_each_entry_from_its_own_element(bench):
 def test_the_tcp_read_back_equals_the_in_process_one():
     runner = capture("timer-capture-irq", 300)
     layout = runner.bench.refdev.regs.map
-    server = serve_tcp(runner.bench.refdev)
+    server = LineServer(runner.bench.refdev)
     server.serve_background()
     try:
         remote = RefDeviceClient(server.endpoint, LayoutedMap.from_csv(emit_csv(layout), layout.version))
@@ -213,8 +213,9 @@ def test_an_unknown_step_op_fails_its_case(op):
         ({"id": "c", "steps": [{"op": "ref_read", "count": 1}]}, """missing 'name' in {"op": "ref_read", "count": 1}"""),
         ({"id": "c", "steps": [{"cmd": "sync"}]}, """missing 'op' in {"cmd": "sync"}"""),
         ({"id": "c", "category": "usage"}, """missing 'steps' in {"id": "c", "category": "usage"}"""),
+        ({"category": "usage", "steps": []}, """missing 'id' in {"category": "usage", "steps": []}"""),
     ],
-    ids=["dut-without-cmd", "ref-read-without-name", "step-without-op", "case-without-steps"],
+    ids=["dut-without-cmd", "ref-read-without-name", "step-without-op", "case-without-steps", "case-without-id"],
 )
 def test_a_manifest_entry_without_a_key_fails_its_case_naming_the_key(case, reason):
     runner = SuiteRunner.local(RunConfig(seed=1))

@@ -4,7 +4,7 @@ import socket
 import threading
 import time
 
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 from hilsim.wire import MAX_LINE
 
 
@@ -34,7 +34,7 @@ def ask(endpoint, line):
 
 def test_two_servers_over_one_bench_never_handle_requests_at_once():
     probe = OverlapProbe()
-    servers = [serve_tcp(probe), serve_tcp(probe)]
+    servers = [LineServer(probe), LineServer(probe)]
     for server in servers:
         server.serve_background()
     try:
@@ -54,7 +54,7 @@ def test_two_servers_over_one_bench_never_handle_requests_at_once():
 
 
 def test_an_over_long_line_closes_only_its_connection(bench):
-    server = serve_tcp(bench.refdev)
+    server = LineServer(bench.refdev)
     server.serve_background()
     host, port = server.endpoint.rsplit(":", 1)
     try:

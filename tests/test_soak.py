@@ -1,6 +1,6 @@
 """Soak: a served bench that runs suite after suite over TCP holds no more memory as it goes.
 
-The reference device and the DUT of one bench are served in-thread by ``serve_tcp`` and reached
+The reference device and the DUT of one bench are served in-thread by ``LineServer`` and reached
 through ``TcpTransport``, as a long-lived bench is. Every served case also gets the verdict,
 reason and ``measured`` of a fresh local runner with the same seed, past the 32-bit tick wrap too.
 """
@@ -15,7 +15,7 @@ from hilsim.bench import Bench, BenchConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
 from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, RefDeviceClient
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 
 PASSES = 20
 # Bytes hilsim may hold after the last pass beyond what it held after the second: room for a
@@ -49,7 +49,7 @@ def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two(
     bench = Bench(BenchConfig(seed=3))
     layout = bench.refdev.regs.map
     name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
-    servers = [serve_tcp(bench.refdev), serve_tcp(bench.dut)]
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
     for server in servers:
         server.serve_background()
     ref, dut = (server.endpoint for server in servers)

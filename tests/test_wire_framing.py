@@ -1,4 +1,4 @@
-"""Line framing on both ends of the TCP wire: ``serve_tcp`` and ``TcpTransport``."""
+"""Line framing on both ends of the TCP wire: ``LineServer`` and ``TcpTransport``."""
 
 import socket
 import threading
@@ -10,7 +10,7 @@ import pytest
 from hilsim.harness.report import FAIL, SKIP
 from hilsim.harness.runner import RunConfig, SuiteRunner
 from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError, _reset_writes
-from hilsim.serve import serve_tcp
+from hilsim.serve import LineServer
 from hilsim.wire import MAX_LINE
 
 from conftest import golden_exchanges, make_bench
@@ -29,8 +29,8 @@ class RecordingDevice:
 
 @contextmanager
 def served(device):
-    """A background ``serve_tcp`` server for ``device``; yields its (host, port)."""
-    server = serve_tcp(device)
+    """A background ``LineServer`` for ``device``; yields its (host, port)."""
+    server = LineServer(device)
     server.serve_background()
     try:
         yield server.server_address[:2]
