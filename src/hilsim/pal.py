@@ -43,7 +43,11 @@ class InProcessTransport:
         self._handler = handler
 
     def request(self, line: str) -> str:
-        return self._handler(line)
+        """The handler's reply; an exception it raises fails the request, as a served one drops its connection."""
+        try:
+            return self._handler(line)
+        except Exception as exc:
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
 
     def close(self) -> None:
         pass

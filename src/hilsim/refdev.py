@@ -172,8 +172,8 @@ class ReferenceDevice:
         self._init_hooks: dict[str, Callable[[], None]] = {}
 
     def register_init_hook(self, module: str, hook: Callable[[], None]) -> None:
-        """Run ``hook`` on each re-init of ``module``, once the device has restored the read-only
-        registers of every module ``hook`` serves; ``hook`` only re-reads configuration."""
+        """Run ``hook`` on each re-init of ``module``, once the device has restored the read-only registers
+        of every module ``hook`` serves. ``hook`` re-reads configuration; the trace unit's also restores gpio0-2."""
         if module not in self._init_flags:
             raise KeyError(f"module {module!r} has no init-trigger parameter")
         self._init_hooks[module] = hook

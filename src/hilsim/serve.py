@@ -1,9 +1,9 @@
 """Line servers exposing a device's handle_line over stdio or TCP.
 
-One request line in, one JSON response line out. The TCP server accepts
-multiple sequential clients; each connection gets its own read loop but
-all of them talk to the same device instance. One lock serialises the
-requests of every server in the process, as its devices may share a bench.
+One request line in, one JSON response line out. A TCP server answers one
+connection at a time, so one client owns its device until it disconnects.
+One lock serialises the requests of every server in the process, as its
+devices may share a bench (``serve --dut-listen`` serves two from two threads).
 """
 
 import socketserver
@@ -21,7 +21,7 @@ def _answer(device, lines, send) -> None:
     for line in lines:
         if line.strip():
             with _LOCK:
-                # looked up per line, so a wrapper installed on a live server sees the open connections' requests
+                # looked up per line, so a wrapper installed on a live server sees the open connection's requests
                 reply = device.handle_line(line)
             send(reply)
 
@@ -44,11 +44,10 @@ class _LineHandler(socketserver.BaseRequestHandler):
             return
 
 
-class LineServer(socketserver.ThreadingTCPServer):
-    """TCP server answering one JSON line per request line."""
+class LineServer(socketserver.TCPServer):
+    """TCP server answering a connection to its end, later ones waiting; ``shutdown()`` waits for it to close."""
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, device, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _LineHandler)

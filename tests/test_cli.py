@@ -97,18 +97,22 @@ def test_serve_tcp_with_pal_client(bench, map_dir):
 
 
 def test_serve_tcp_sequential_clients(bench, map_dir):
+    """Clients take turns on one device: a write the first stages before it closes, the second commits."""
     server = LineServer(bench.refdev)
     server.serve_background()
     try:
         first = RefDeviceClient(server.endpoint, str(map_dir))
-        second = RefDeviceClient(server.endpoint, str(map_dir))
         try:
-            assert first.connect().ok and second.connect().ok
-            first.write_reg("user_reg.user_reg", 42)
-            second.execute()  # same device: staged write commits
-            assert first.read_reg("user_reg.user_reg").data == [42]
+            assert first.connect().ok
+            assert first.write_reg("user_reg.user_reg", 42).ok
         finally:
             first.transport.close()
+        second = RefDeviceClient(server.endpoint, str(map_dir))
+        try:
+            assert second.connect().ok
+            assert second.execute().ok  # same device: the first client's staged write commits
+            assert second.read_reg("user_reg.user_reg").data == [42]
+        finally:
             second.transport.close()
     finally:
         server.shutdown()

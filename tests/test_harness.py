@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hilsim.dut import FaultConfig
+from hilsim import dut
+from hilsim.dut import HANDLER_OVERHEAD_NS, SUCCESS, DutDevice, FaultConfig
 from hilsim.harness import (
     FAULT_CATEGORY,
     RunConfig,
@@ -17,8 +18,13 @@ from hilsim.harness import (
     run_suite,
 )
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult
+from hilsim.memmap import emit_csv
 from hilsim.pal import TransportError
+from hilsim.reference import reference_layout
+from hilsim.serve import LineServer
 from hilsim.sim.gpio import GpioEvent
+
+from conftest import make_bench
 
 
 def toggle_events(n, period_ns, start=1_000_000, level0=1, perturb=None):
@@ -280,6 +286,27 @@ def test_wiring_check_names_miswired_pin():
         runner.wiring_check([0, 1])
 
 
+def late_timer_bench(self, args) -> dict:
+    """``timer_bench`` with every handler firing 60 us later than the DUT's own: the delays grow
+    by one handler overhead per timer, as they should, but from 90 us instead of 30 us."""
+    n_timers, period_ns, pin = args
+    target = self.clock.now + period_ns
+    self._toggle_train(pin, [target + 60_000 + (i + 1) * HANDLER_OVERHEAD_NS for i in range(n_timers)])
+    return {"result": SUCCESS, "data": target}
+
+
+def test_handlers_that_all_fire_late_fail_the_overlap_case(monkeypatch):
+    monkeypatch.setitem(dut._COMMANDS, "timer_bench", late_timer_bench)
+    cases = {c.id: c for c in run_suite("gpio_timer").cases}
+    overlap = cases.pop("timer.overlap_delay")
+    assert overlap.verdict == FAIL
+    first = overlap.measured["delays_ns"][0]
+    assert abs(first - 90_000) <= 100
+    assert overlap.reason == f"first overlap delay {first:.0f} ns outside 10% of 30000 ns"
+    assert overlap.measured["slope_ns_per_timer"] == pytest.approx(30_000, rel=0.10)
+    assert {c.verdict for c in cases.values()} == {PASS}
+
+
 def test_overlap_delay_scales_linearly():
     runner = SuiteRunner.local(RunConfig(seed=4))
     runner._setup()
@@ -287,6 +314,36 @@ def test_overlap_delay_scales_linearly():
     assert len(delays) == 10
     assert 270_000 <= delays[-1] <= 330_000
     assert slope == pytest.approx(30_000, rel=0.10)
+
+
+def test_a_device_that_raises_fails_its_case_locally_as_it_does_served(monkeypatch, tmp_path):
+    """Served, the raising handler drops its connection and the DUT client reads ``Timeout``;
+    locally, the transport turns the exception into the same ``TransportError``."""
+    handle_line = DutDevice.handle_line
+
+    def raising(self, line):
+        if line.startswith("gpio_toggle"):
+            raise RuntimeError("gpio_toggle refused")
+        return handle_line(self, line)
+
+    monkeypatch.setattr(DutDevice, "handle_line", raising)
+    local = run_suite("infrastructure")
+    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
+    bench = make_bench()
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
+    for server in servers:
+        server.serve_background()
+    try:
+        served = run_suite("infrastructure", servers[1].endpoint, servers[0].endpoint, map_dir=str(tmp_path))
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    failed = [(c.id, c.reason) for c in local.failed]
+    assert failed == [("infra.wiring", "gpio_toggle 0: expected result 'Success', got 'Timeout'")]
+    outcomes = [[(c.id, c.verdict, c.reason, c.measured) for c in report.cases] for report in (local, served)]
+    assert outcomes[0] == outcomes[1]
+    assert local.infrastructure_error == served.infrastructure_error == ""
 
 
 # -- 32-bit trace ticks across a wrap -----------------------------------

@@ -1,11 +1,17 @@
-"""Served benches: one lock over every server in the process, bounded request lines."""
+"""Served benches: one connection at a time per server, one lock over every server in the process,
+bounded request lines."""
 
 import socket
 import threading
 import time
 
+from hilsim.harness import SUITE_NAMES, run_suite
+from hilsim.memmap import emit_csv
+from hilsim.reference import reference_layout
 from hilsim.serve import LineServer
 from hilsim.wire import MAX_LINE
+
+from conftest import make_bench
 
 
 class OverlapProbe:
@@ -69,3 +75,43 @@ def test_an_over_long_line_closes_only_its_connection(bench):
     finally:
         server.shutdown()
         server.server_close()
+
+
+# passes of the five suites each harness runs: enough that cases which interleave show on every run
+PASSES = 4
+
+
+def outcomes(report) -> tuple:
+    return report.infrastructure_error, [(c.id, c.verdict, c.reason) for c in report.cases]
+
+
+def test_two_harnesses_on_one_served_bench_get_the_verdicts_of_a_lone_run(tmp_path):
+    """Each ``run_suite`` owns the bench from its DUT ``sync`` to its close; the other one waits its turn."""
+    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
+    lone = {suite: outcomes(run_suite(suite)) for suite in SUITE_NAMES}
+    bench = make_bench()
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
+    for server in servers:
+        server.serve_background()
+    ref, dut = (server.endpoint for server in servers)
+    differing = []  # (harness, pass, suite, outcomes) of each served suite run that differs from the lone run
+
+    def harness(index):
+        for done in range(PASSES):
+            for suite in SUITE_NAMES:
+                got = outcomes(run_suite(suite, dut, ref, map_dir=str(tmp_path)))
+                if got != lone[suite]:
+                    differing.append((index, done, suite, got))
+
+    try:
+        harnesses = [threading.Thread(target=harness, args=(index,)) for index in range(2)]
+        for thread in harnesses:
+            thread.start()
+        for thread in harnesses:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in harnesses)
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    assert differing == []

@@ -116,16 +116,17 @@ def test_a_request_split_across_two_sends_is_answered_once():
 
 
 def test_a_line_of_max_line_bytes_is_served_and_one_more_closes_only_its_connection():
-    """The cap counts the newline, as ``MAX_LINE`` says."""
+    """The cap counts the newline, as ``MAX_LINE`` says; the server goes on to the next connection."""
     device = RecordingDevice()
     with served(device) as addr:
-        with socket.create_connection(addr, timeout=5) as kept, socket.create_connection(addr, timeout=5) as cut:
-            kept.sendall(b"x" * (MAX_LINE - 1) + b"\n")
-            assert recv_lines(kept, 1) == b'{"result": 0}\n'
+        with socket.create_connection(addr, timeout=5) as cut:
+            cut.sendall(b"x" * (MAX_LINE - 1) + b"\n")
+            assert recv_lines(cut, 1) == b'{"result": 0}\n'
             cut.sendall(b"y" * MAX_LINE + b"\n")
             assert is_closed(cut)
-            kept.sendall(b"-v\n")
-            assert recv_lines(kept, 1) == b'{"result": 0}\n'
+        with socket.create_connection(addr, timeout=5) as after:
+            after.sendall(b"-v\n")
+            assert recv_lines(after, 1) == b'{"result": 0}\n'
     assert [len(line) for line in device.lines] == [MAX_LINE - 1, 2]
 
 
