@@ -113,13 +113,11 @@ class DutDevice:
 
     def reset(self) -> None:
         """Session reset: bus state and hang latches; faults stay configured."""
-        self._i2c_ready = False
-        self._spi_ready = False
+        # a bus is initialised once its init has set its bitrate
+        self._i2c_bitrate: int | None = None
+        self._spi_bitrate: int | None = None
         self._spi_mode = 0
-        self._spi_bitrate = DEFAULT_SPI_BITRATE
-        self._uart_ready = False
-        self._uart_bitrate = DEFAULT_UART_BITRATE
-        self._i2c_bitrate = DEFAULT_I2C_BITRATE
+        self._uart_bitrate: int | None = None
         self._hung = False
         self._write_streak = 0
         self._pin_levels: dict[int, int] = {}
@@ -169,14 +167,13 @@ class DutDevice:
     def _i2c_guard(self) -> None:
         if self._hung:
             raise _Hang()
-        if not self._i2c_ready:
+        if self._i2c_bitrate is None:
             raise _DutError(ENODEV)
 
     def _cmd_i2c_init(self, args) -> dict:
         if self._hung:
             raise _Hang()
         self._i2c_bitrate = args[0] if args else DEFAULT_I2C_BITRATE
-        self._i2c_ready = True
         self._write_streak = 0
         return {"result": SUCCESS}
 
@@ -231,11 +228,10 @@ class DutDevice:
             raise _DutError(EINVAL)
         self._spi_mode = mode
         self._spi_bitrate = args[1] if len(args) > 1 else DEFAULT_SPI_BITRATE
-        self._spi_ready = True
         return {"result": SUCCESS}
 
     def _cmd_spi_transfer(self, args) -> dict:
-        if not self._spi_ready:
+        if self._spi_bitrate is None:
             raise _DutError(ENODEV)
         data = _bus_data(self.spi.transfer(bytes(args), self._spi_bitrate, self._spi_mode))
         return {"data": list(data), "result": SUCCESS}
@@ -244,11 +240,10 @@ class DutDevice:
 
     def _cmd_uart_init(self, args) -> dict:
         self._uart_bitrate = args[0] if args else DEFAULT_UART_BITRATE
-        self._uart_ready = True
         return {"result": SUCCESS}
 
     def _cmd_uart_write(self, args) -> dict:
-        if not self._uart_ready:
+        if self._uart_bitrate is None:
             raise _DutError(ENODEV)
         data = _bus_data(self.uart.process(bytes(args), self._uart_bitrate))
         return {"data": list(data), "result": SUCCESS}

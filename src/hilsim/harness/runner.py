@@ -21,7 +21,6 @@ from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult, TestReport
 from hilsim.harness.stats import TimingStats, compute_timing_stats, fit_slope
 from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, PalResult, RefDeviceClient, SUCCESS, TIMEOUT, TransportError
-from hilsim.reference import reference_layout
 from hilsim.sim.gpio import GpioEvent, as_event
 
 SUITE_NAMES = ("infrastructure", "i2c", "spi", "uart", "gpio_timer")
@@ -146,7 +145,7 @@ class SuiteRunner:
         """Build a self-contained runner around an in-process bench."""
         config = config or RunConfig()
         bench = Bench(config)
-        layout = reference_layout()
+        layout = bench.refdev.regs.map
         name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
         return cls(
             DutClient(bench.dut),
@@ -383,7 +382,11 @@ def run_suite(
 
     Raises ``ValueError`` for an unknown suite, a manifest without a ``cases`` list, an endpoint
     that is not host:port, or remote endpoints without ``map_dir``; an unreachable endpoint (a
-    ``Timeout`` on the DUT's ``sync`` or the reference device's ``-v``) is an infrastructure error.
+    ``Timeout`` on the reference device's ``-v`` or the DUT's ``sync``) is an infrastructure error.
+
+    A served device answers one connection at a time, so each of the two connections is a lock.
+    The reference device is asked first, as every case's set-up asks it before it reconnects a
+    dropped DUT: with one order, no harness holds one device while it waits for the other.
     """
     config = config or RunConfig()
     try:
@@ -401,13 +404,13 @@ def run_suite(
         return TestReport(suite=suite, infrastructure_error=str(exc))
     try:
         try:
+            if runner.phil.connect().result == TIMEOUT:
+                unreachable = f"reference device {ref_endpoint}: endpoint unreachable"
+                return TestReport(suite=suite, infrastructure_error=unreachable)
             if runner.dut.sync().get("result") == TIMEOUT:
                 return TestReport(suite=suite, infrastructure_error=f"DUT {dut_endpoint}: no reply to sync")
-            connected = runner.phil.connect()
         except OSError as exc:
             return TestReport(suite=suite, infrastructure_error=str(exc))
-        if connected.result == TIMEOUT:
-            return TestReport(suite=suite, infrastructure_error=str(connected.error))
         return runner.run_suite(suite)
     finally:
         runner.dut.transport.close()

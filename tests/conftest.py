@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hilsim.bench import Bench, BenchConfig
+from hilsim.dut import DutDevice
 
 GOLDEN = Path(__file__).parent / "golden" / "protocol_responses.txt"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -17,6 +18,19 @@ def bench():
 
 def make_bench(**kwargs) -> Bench:
     return Bench(BenchConfig(**kwargs))
+
+
+@pytest.fixture
+def dut_raising_on_toggle(monkeypatch):
+    """Every ``DutDevice`` raises on ``gpio_toggle``: served, that drops the DUT's connection."""
+    handle_line = DutDevice.handle_line
+
+    def raising(self, line):
+        if line.startswith("gpio_toggle"):
+            raise RuntimeError("gpio_toggle refused")
+        return handle_line(self, line)
+
+    monkeypatch.setattr(DutDevice, "handle_line", raising)
 
 
 def golden_exchanges(bench: Bench) -> list[tuple[str, str]]:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hilsim import dut
-from hilsim.dut import HANDLER_OVERHEAD_NS, SUCCESS, DutDevice, FaultConfig
+from hilsim.dut import HANDLER_OVERHEAD_NS, SUCCESS, FaultConfig
 from hilsim.harness import (
     FAULT_CATEGORY,
     RunConfig,
@@ -307,6 +307,44 @@ def test_handlers_that_all_fire_late_fail_the_overlap_case(monkeypatch):
     assert {c.verdict for c in cases.values()} == {PASS}
 
 
+def spaced_timer_bench(first_ns, spacing_ns):
+    """``timer_bench`` whose k-th handler (from 0) fires ``first_ns + k * spacing_ns(n_timers)`` past the target."""
+
+    def timer_bench(self, args) -> dict:
+        n_timers, period_ns, pin = args
+        target = self.clock.now + period_ns
+        step = spacing_ns(n_timers)
+        self._toggle_train(pin, [target + first_ns + i * step for i in range(n_timers)])
+        return {"result": SUCCESS, "data": target}
+
+    return timer_bench
+
+
+def failed_cases(monkeypatch, command, handler, suite) -> dict:
+    """The reasons of the cases of a local ``suite`` run that fail with ``command`` answered by ``handler``."""
+    monkeypatch.setitem(dut._COMMANDS, command, handler)
+    return {c.id: c.reason for c in run_suite(suite).failed}
+
+
+def test_a_toggle_that_answers_success_but_drives_nothing_fails_the_wiring_case(monkeypatch):
+    failed = failed_cases(monkeypatch, "gpio_toggle", lambda self, args: {"result": SUCCESS}, "infrastructure")
+    reason = "; ".join(f"no edges observed on pin {pin}" for pin in range(3))
+    assert failed == {"infra.wiring": reason}
+
+
+def test_handlers_that_bunch_up_as_more_timers_share_a_target_fail_the_overlap_case_as_not_monotone(monkeypatch):
+    bunching = spaced_timer_bench(HANDLER_OVERHEAD_NS, lambda n: 10_000 if n >= 5 else HANDLER_OVERHEAD_NS)
+    failed = failed_cases(monkeypatch, "timer_bench", bunching, "gpio_timer")
+    assert list(failed) == ["timer.overlap_delay"]
+    assert failed["timer.overlap_delay"].startswith("overlap delay not monotone: [")
+
+
+def test_handlers_spaced_40_us_apart_fail_the_overlap_case_on_its_slope(monkeypatch):
+    slow = spaced_timer_bench(HANDLER_OVERHEAD_NS, lambda n: 40_000)
+    failed = failed_cases(monkeypatch, "timer_bench", slow, "gpio_timer")
+    assert failed == {"timer.overlap_delay": "overlap-delay slope 39997 ns/timer outside 10% of 30000 ns"}
+
+
 def test_overlap_delay_scales_linearly():
     runner = SuiteRunner.local(RunConfig(seed=4))
     runner._setup()
@@ -316,17 +354,9 @@ def test_overlap_delay_scales_linearly():
     assert slope == pytest.approx(30_000, rel=0.10)
 
 
-def test_a_device_that_raises_fails_its_case_locally_as_it_does_served(monkeypatch, tmp_path):
+def test_a_device_that_raises_fails_its_case_locally_as_it_does_served(dut_raising_on_toggle, tmp_path):
     """Served, the raising handler drops its connection and the DUT client reads ``Timeout``;
     locally, the transport turns the exception into the same ``TransportError``."""
-    handle_line = DutDevice.handle_line
-
-    def raising(self, line):
-        if line.startswith("gpio_toggle"):
-            raise RuntimeError("gpio_toggle refused")
-        return handle_line(self, line)
-
-    monkeypatch.setattr(DutDevice, "handle_line", raising)
     local = run_suite("infrastructure")
     (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
     bench = make_bench()

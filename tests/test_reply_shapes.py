@@ -441,6 +441,13 @@ def test_run_suite_with_an_unreachable_dut_is_an_infrastructure_error_naming_it(
     assert (report.infrastructure_error, report.exit_code()) == ("DUT 127.0.0.1:1: no reply to sync", 2)
 
 
+def test_run_suite_with_an_unreachable_reference_device_is_an_infrastructure_error_naming_it(map_dir):
+    with served(make_bench(seed=5).dut) as dut:
+        report = run_suite("infrastructure", dut, "127.0.0.1:1", map_dir)
+    expected = "reference device 127.0.0.1:1: endpoint unreachable"
+    assert (report.infrastructure_error, report.exit_code()) == (expected, 2)
+
+
 def test_run_suite_fails_every_case_of_a_reachable_dut_that_answers_sync_with_garbage(map_dir):
     bench = make_bench(seed=5)
     with served(Answering(bench.dut, "sync", "garbage")) as dut, served(bench.refdev) as ref:

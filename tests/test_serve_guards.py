@@ -6,6 +6,7 @@ import threading
 import time
 
 from hilsim.harness import SUITE_NAMES, run_suite
+from hilsim.harness.report import FAIL
 from hilsim.memmap import emit_csv
 from hilsim.reference import reference_layout
 from hilsim.serve import LineServer
@@ -115,3 +116,41 @@ def test_two_harnesses_on_one_served_bench_get_the_verdicts_of_a_lone_run(tmp_pa
             server.shutdown()
             server.server_close()
     assert differing == []
+
+
+def test_two_harnesses_on_a_bench_whose_dut_drops_a_connection_get_the_report_of_a_lone_run(
+    dut_raising_on_toggle, tmp_path
+):
+    """The DUT drops its connection mid-suite, and its harness reconnects while it holds the reference
+    device; a second harness that had taken the DUT server first would keep it from the DUT until
+    the client's 5 s limit."""
+    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
+    bench = make_bench()
+    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
+    for server in servers:
+        server.serve_background()
+    ref, dut = (server.endpoint for server in servers)
+    got = {}  # harness -> (outcomes, seconds taken)
+
+    def harness(index):
+        started = time.monotonic()
+        report = run_suite("gpio_timer", dut, ref, map_dir=str(tmp_path))
+        got[index] = outcomes(report), time.monotonic() - started
+
+    try:
+        harness("lone")
+        harnesses = [threading.Thread(target=harness, args=(index,)) for index in range(2)]
+        for thread in harnesses:
+            thread.start()
+            time.sleep(0.002)
+        for thread in harnesses:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in harnesses)
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+    lone = got.pop("lone")[0]
+    assert ("gpio.trace_count", FAIL, "gpio_toggle 1: expected result 'Success', got 'Timeout'") in lone[1]
+    assert {index: report for index, (report, _) in got.items()} == {0: lone, 1: lone}
+    assert all(seconds < 2.5 for _, seconds in got.values()), got
