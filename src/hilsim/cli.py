@@ -184,8 +184,9 @@ def shell(endpoint: str, maps: str) -> None:
 @click.option("--maps", default=None, type=click.Path(file_okay=False), help="map directory (remote endpoints)")
 @click.option("--report", "report_path", default=None, type=click.Path(dir_okay=False))
 @click.option("--format", "fmt", default="table", type=click.Choice(["json", "table"]), show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--faults", default=None, type=click.Path(exists=True, dir_okay=False))
+@click.option("--seed", default=0, show_default=True, help="bench seed (local bench only)")
+@click.option("--faults", default=None, type=click.Path(exists=True, dir_okay=False),
+              help="JSON file enabling seeded firmware faults (local bench only)")
 @click.option("--ppm", default=0.0, show_default=True, help="DUT clock error in PPM (local bench only)")
 def run_suite_cmd(suite, dut_endpoint, ref_endpoint, maps, report_path, fmt, seed, faults, ppm) -> None:
     """Run a test suite and emit a verdict report. Exits 0/1/2."""

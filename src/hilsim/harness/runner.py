@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -199,9 +199,7 @@ class SuiteRunner:
             # remote endpoints: restore defaults through the wire protocol
             if self.dut.command("reset").get("result") != SUCCESS:
                 raise StepFailure("DUT reset failed")
-            restored = self.phil.restore_defaults()
-            if not restored.ok:
-                raise StepFailure(f"soft reset {restored.error}")
+            _checked(self.phil.restore_defaults(), "soft reset")
         if self.dut.sync().get("result") != SUCCESS:
             raise StepFailure("DUT sync failed")
 
@@ -236,8 +234,7 @@ class SuiteRunner:
         _checked(written, f"write_reg {step['name']}")
 
     def _step_ref_execute(self, step: dict) -> None:
-        if not self.phil.execute().ok:
-            raise StepFailure("execute failed")
+        _checked(self.phil.execute(), "execute")
 
     def _step_ref_write_execute(self, step: dict) -> None:
         _checked(self.phil.write_and_execute(step["name"], step["value"]), f"write_and_execute {step['name']}")
@@ -381,8 +378,9 @@ def run_suite(
     """Run one suite against a local bench or remote endpoints.
 
     Raises ``ValueError`` for an unknown suite, a manifest without a ``cases`` list, an endpoint
-    that is not host:port, or remote endpoints without ``map_dir``; an unreachable endpoint (a
-    ``Timeout`` on the reference device's ``-v`` or the DUT's ``sync``) is an infrastructure error.
+    that is not host:port, or remote endpoints without ``map_dir`` or with a ``config`` that sets
+    any ``BenchConfig`` field (the servers build the bench); an unreachable endpoint (a ``Timeout``
+    on the reference device's ``-v`` or the DUT's ``sync``) is an infrastructure error.
 
     A served device answers one connection at a time, so each of the two connections is a lock.
     The reference device is asked first, as every case's set-up asks it before it reconnects a
@@ -395,6 +393,10 @@ def run_suite(
         else:
             if map_dir is None:
                 raise ValueError("remote endpoints need a map directory")
+            bench_set = [f.name for f in fields(BenchConfig) if getattr(config, f.name) != f.default]
+            if bench_set:
+                raise ValueError(f"remote endpoints serve their own bench, so {', '.join(bench_set)} cannot be set "
+                                 "here: use hilsim serve --seed, and hilsim dut serve --faults/--ppm")
             runner = SuiteRunner(
                 DutClient(dut_endpoint),
                 RefDeviceClient(ref_endpoint, map_dir),

@@ -284,60 +284,55 @@ class RefDeviceClient:
         data = [list(struct.unpack_from(fmt, raw, at - start)) for fmt, at in placed]
         return PalResult(cmd=[line], data=data)
 
+    def _wr_line(self, name: str, value, index: int = 0) -> str:
+        """The ``wr`` line of a write; raises ``KeyError`` or ``ValueError`` for one the client refuses."""
+        entry = self._require_map().lookup(name)
+        if entry.access == "read-only":
+            raise ValueError(f"{name} is read-only")
+        offset = entry.element_offset(index, len(value) if isinstance(value, (list, tuple)) else 1)
+        return "wr {} {}".format(offset, " ".join(map(str, entry.pack(value))))
+
     def write_reg(self, name: str, value, index: int = 0) -> PalResult:
         try:
-            entry = self._require_map().lookup(name)
-        except KeyError as exc:
+            line = self._wr_line(name, value, index)
+        except (KeyError, ValueError) as exc:
             return PalResult(result=ERROR, error=str(exc))
-        if entry.access == "read-only":
-            return PalResult(result=ERROR, error=f"{name} is read-only")
-        try:
-            offset = entry.element_offset(index, len(value) if isinstance(value, (list, tuple)) else 1)
-            data = entry.pack(value)
-        except ValueError as exc:
-            return PalResult(result=ERROR, error=str(exc))
-        return self._send("wr {} {}".format(offset, " ".join(map(str, data))))
+        return self._send((line,))
 
     def execute(self) -> PalResult:
-        return self._send("ex")
+        return self._send(("ex",))
 
-    def _send(self, line: str) -> PalResult:
-        """Send a ``wr`` or ``ex`` line; the result is an error unless the device answered success."""
-        error = _device_error(self.raw(line))
-        return PalResult(cmd=[line], result=ERROR if error else SUCCESS, error=error)
+    def _send(self, lines) -> PalResult:
+        """Send a run of ``wr`` and ``ex`` lines in order; ``cmd`` holds every line sent.
 
-    def restore_defaults(self) -> PalResult:
-        """Send the ``_reset_writes`` lines, then ``ex``: over the wire, what a local bench reset
-        restores. The first refused line ends it."""
-        for line in _reset_writes(self._require_map()):
+        The first line the device refuses ends the run with an error: the device's own for a
+        one-line run, else prefixed with the refused line (``write at 184: …``, ``execute: …``).
+        """
+        sent = []
+        for line in lines:
+            sent.append(line)
             error = _device_error(self.raw(line))
             if error:
-                return PalResult(cmd=[line], result=ERROR, error=f"write at {line.split()[1]}: {error}")
-        final = self.execute()
-        if not final.ok:
-            final.error = "execute failed"
-        return final
+                if len(lines) > 1:
+                    error = f"{'execute' if line == 'ex' else 'write at ' + line.split()[1]}: {error}"
+                return PalResult(cmd=sent, result=ERROR, error=error)
+        return PalResult(cmd=sent)
+
+    def restore_defaults(self) -> PalResult:
+        """Send the ``_reset_writes`` lines, then ``ex``: over the wire, what a local bench reset restores."""
+        return self._send((*_reset_writes(self._require_map()), "ex"))
 
     def write_and_execute(self, name: str, value) -> PalResult:
-        """Write a parameter, raise its module's ``init-trigger`` flag if any and not the write, and execute."""
-        # resolved before the first write, so a module with no init flag never leaves a write staged
+        """Write a parameter, raise its module's ``init-trigger`` flag if any and not the write, and
+        execute. Every line is built before the first is sent, so a run the client refuses sends nothing."""
         init_flag = self._require_map().init_flags.get(name.split(".")[0])
-        raise_flag = init_flag is not None and init_flag.name != name
-        first = self.write_reg(name, value)
-        if not first.ok:
-            return first
-        if raise_flag:
-            flag = self.write_reg(init_flag.name, 1)
-            flag.cmd = first.cmd + flag.cmd
-            if not flag.ok:
-                flag.error = f"init flag write failed: {flag.error}"
-                return flag
-            first = flag
-        final = self.execute()
-        final.cmd = first.cmd + final.cmd
-        if not final.ok:
-            final.error = "execute failed"
-        return final
+        try:
+            lines = [self._wr_line(name, value)]
+            if init_flag is not None and init_flag.name != name:
+                lines.append(self._wr_line(init_flag.name, 1))
+        except (KeyError, ValueError) as exc:
+            return PalResult(result=ERROR, error=str(exc))
+        return self._send((*lines, "ex"))
 
 
 class DutClient:

@@ -149,6 +149,39 @@ def test_shell_write_execute_and_raw(shell):
     assert '"data": 1' in out.getvalue()
 
 
+def test_shell_commands_each_print_their_line(shell):
+    sh, out = shell
+    commands = [
+        "connect",
+        "write i2c.mode.nack_data 1",
+        "write sys.sn 1",
+        "execute",
+        "read i2c.mode.nack_data",
+        "write_execute i2c.mode.nack_data 0",
+        "write_execute sys.sn 1",
+        "names i2c.mode.nack",
+        "read",
+        "write_execute i2c.mode.nack_data",
+        "raw  ",
+    ]
+    assert [sh.onecmd(line) for line in commands] == [None] * len(commands)
+    assert sh.onecmd("exit") is True
+    assert out.getvalue().splitlines() == [
+        "connected, map version 1.2.3",
+        "None",
+        "error: sys.sn is read-only",
+        "None",
+        "[1]",
+        "sent ['wr 191 0', 'wr 184 1', 'ex']",
+        "error: sys.sn is read-only",
+        "i2c.mode.nack_addr",
+        "i2c.mode.nack_data",
+        "usage: read <name> [index] [count]",
+        "usage: write_execute <name> <value>",
+        "usage: raw <line>",
+    ]
+
+
 def test_shell_completion(shell):
     sh, _ = shell
     matches = sh.complete_read("i2c.r", "read i2c.r", 5, 10)
@@ -333,6 +366,21 @@ def test_cli_run_suite_rejects_remote_endpoints_without_maps():
         main, ["run-suite", "--suite", "i2c", "--dut", "127.0.0.1:1", "--ref", "127.0.0.1:1"]
     )
     assert_bad_input(result, "remote endpoints need a map directory")
+
+
+@pytest.mark.parametrize(
+    ("option", "value", "field"),
+    [("--seed", "3", "seed"), ("--faults", "{tmp}/faults.json", "faults"), ("--ppm", "50", "dut_clock_ppm_error")],
+)
+def test_cli_run_suite_rejects_bench_options_on_a_remote_run(tmp_path, map_dir, option, value, field):
+    (tmp_path / "faults.json").write_text('{"extra_read_byte": true}', "utf-8")
+    remote = ["--dut", "127.0.0.1:1", "--ref", "127.0.0.1:1", "--maps", str(map_dir)]
+    result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", *remote, option, value.format(tmp=tmp_path)])
+    assert_bad_input(
+        result,
+        f"remote endpoints serve their own bench, so {field} cannot be set here: "
+        "use hilsim serve --seed, and hilsim dut serve --faults/--ppm",
+    )
 
 
 SERVE_COMMANDS = (["serve"], ["dut", "serve"])

@@ -482,3 +482,11 @@ def test_unreachable_endpoint_is_infrastructure_error(tmp_path):
     report = run_suite("i2c", "127.0.0.1:1", "127.0.0.1:1", str(tmp_path))
     assert report.infrastructure_error
     assert report.exit_code() == 2
+
+
+def test_a_remote_run_refuses_a_bench_field_but_takes_unsupported_modes(tmp_path):
+    remote = ("127.0.0.1:1", "127.0.0.1:1", str(tmp_path))
+    with pytest.raises(ValueError, match="so seed, pin_map cannot be set here"):
+        run_suite("i2c", *remote, RunConfig(seed=1, pin_map={0: 1}))
+    report = run_suite("i2c", *remote, RunConfig(unsupported_modes=("10bit",)))
+    assert report.infrastructure_error == "reference device 127.0.0.1:1: endpoint unreachable"

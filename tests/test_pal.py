@@ -146,6 +146,21 @@ def test_write_reg_client_side_guards(client):
     assert not client.write_reg("user_reg.user_reg", 1, index=500).ok  # index
 
 
+def test_a_run_the_client_refuses_sends_nothing(bench, name_map):
+    transport = RecordingTransport(bench.refdev)
+    client = RefDeviceClient(transport, name_map)
+    assert client.connect().ok
+    transport.lines.clear()
+    refused = [
+        client.write_reg("i2c.mode.nack_data", 300),
+        client.write_and_execute("i2c.mode.nack_data", 300),
+        client.write_and_execute("i2c.nope", 1),
+        client.write_and_execute("sys.sn", 1),
+    ]
+    assert [(r.ok, r.cmd) for r in refused] == [(False, [])] * 4
+    assert transport.lines == []
+
+
 def test_write_and_execute_wire_capture(bench, name_map, layout):
     """The staged-write command triple, verified against the raw wire log."""
     transport = RecordingTransport(bench.refdev)

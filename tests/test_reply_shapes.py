@@ -353,6 +353,8 @@ REFERENCE_CALLS = {
     "execute": lambda client: client.execute(),
     "write_and_execute": lambda client: client.write_and_execute("i2c.mode.nack_data", 1),
 }
+# a run of several lines names the refused one, here the first, before the device's error
+REFUSED_LINE = {"write_and_execute": "write at 191: "}
 
 
 @pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
@@ -361,7 +363,7 @@ def test_a_result_that_is_no_json_integer_0_fails_a_reference_call(call, result)
     runner = local_runner()
     runner.phil.transport = ReplyFilter(runner.bench.refdev, lambda line, fields: {**fields, "result": result})
     got = REFERENCE_CALLS[call](runner.phil)
-    assert (got.result, got.error) == (ERROR, f"device result {result!r}")
+    assert (got.result, got.error) == (ERROR, f"{REFUSED_LINE.get(call, '')}device result {result!r}")
 
 
 @pytest.mark.parametrize("result", NOT_INTEGER_ZERO)
@@ -384,7 +386,49 @@ def test_a_served_reset_fails_its_case_on_a_write_result_that_is_no_json_integer
     served = SuiteRunner(runner.dut, phil)  # no bench, so each case resets both devices over the wire
     case = served.run_case({"id": "reset.only", "steps": []})
     first = _reset_writes(phil.map)[0].split()[1]
-    assert (case.verdict, case.reason) == (FAIL, f"soft reset write at {first}: device result {result!r}")
+    assert (case.verdict, case.reason) == (FAIL, f"soft reset: write at {first}: device result {result!r}")
+
+
+# -- a refused line in a run of reference writes ------------------------------
+
+
+def refusing(runner, n):
+    """Send the runner's reference lines through a filter that answers the ``n``-th (from 0) with
+    result 3; return the list of lines sent."""
+    sent = []
+
+    def alter(line, fields):
+        sent.append(line)
+        return {**fields, "result": 3} if len(sent) == n + 1 else None
+
+    runner.phil.transport = ReplyFilter(runner.bench.refdev, alter)
+    return sent
+
+
+@pytest.mark.parametrize(
+    ("n", "error"),
+    [(0, "write at 191: device result 3"), (1, "write at 184: device result 3"), (2, "execute: device result 3")],
+    ids=["value", "init flag", "ex"],
+)
+def test_a_refused_line_ends_write_and_execute_and_is_named(n, error):
+    runner = local_runner()
+    sent = refusing(runner, n)
+    got = runner.phil.write_and_execute("i2c.mode.nack_data", 1)
+    assert (got.result, got.error) == (ERROR, error)
+    assert got.cmd == sent == ["wr 191 1", "wr 184 1", "ex"][: n + 1]  # the value, i2c.mode.init, ex
+
+
+@pytest.mark.parametrize(
+    ("n", "error"),
+    [(0, "write at 52: device result 3"), (8, "write at 630: device result 3"), (16, "execute: device result 3")],
+    ids=["first write", "middle write", "ex"],
+)
+def test_a_refused_line_ends_restore_defaults_and_is_named(n, error):
+    runner = local_runner()
+    sent = refusing(runner, n)
+    got = runner.phil.restore_defaults()
+    assert (got.result, got.error) == (ERROR, error)
+    assert got.cmd == sent == [*_reset_writes(runner.phil.map), "ex"][: n + 1]
 
 
 # -- a -v reply that names no version -----------------------------------------

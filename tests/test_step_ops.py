@@ -31,7 +31,7 @@ def test_each_op_passes_one_case_and_fails_the_other():
     report = runner.run_suite(str(MANIFEST))
     assert report.suite == "step_ops"
     assert [(c.id, c.verdict, c.reason) for c in report.cases] == [
-        ("ref_execute.refused", FAIL, "execute failed"),
+        ("ref_execute.refused", FAIL, "execute: device result 4"),
         ("ref_execute.commits_and_lowers_the_init_flag", PASS, ""),
         ("dut_data_equals_ref.same_bytes", PASS, ""),
         (
