@@ -396,7 +396,8 @@ def run_suite(
             bench_set = [f.name for f in fields(BenchConfig) if getattr(config, f.name) != f.default]
             if bench_set:
                 raise ValueError(f"remote endpoints serve their own bench, so {', '.join(bench_set)} cannot be set "
-                                 "here: use hilsim serve --seed, and hilsim dut serve --faults/--ppm")
+                                 "here: hilsim serve --seed sets a served bench's seed; faults, ppm and the pin map "
+                                 "apply to a local bench only")
             runner = SuiteRunner(
                 DutClient(dut_endpoint),
                 RefDeviceClient(ref_endpoint, map_dir),

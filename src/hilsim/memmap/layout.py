@@ -91,22 +91,32 @@ class LayoutedMap:
     @classmethod
     def from_csv(cls, text: str, version: str, source: str = "CSV map") -> "LayoutedMap":
         """Parse ``emit_csv`` rows into a map ending at its last entry; a one-element list default becomes a
-        scalar. A missing column, unknown type or access, or bad number raises ``ValueError`` naming the row."""
+        scalar. A missing column, unknown type or access, bad number, or a row no layout places (a negative
+        offset, a size that is no positive multiple of its type's, an offset inside the row before, or a
+        repeated name) raises ``ValueError`` naming the row."""
         entries = []
+        end = 0  # of the row before, so a negative offset is below it too
         for line, row in enumerate(csv.DictReader(io.StringIO(text)), start=2):
             try:
                 if row["type"] not in ELEMENT or row["access"] not in ACCESS_CODES:
                     raise ValueError(f"unknown type {row['type']!r} or access {row['access']!r}")
-                size = int(row["size"])
+                offset, size = int(row["offset"]), int(row["size"])
+                elem_size = ELEMENT[row["type"]].size
+                if offset < end:
+                    raise ValueError(f"negative offset {offset}" if offset < 0 else
+                                     f"offset {offset} is below {end}, where the row before ends")
+                if size <= 0 or size % elem_size:
+                    raise ValueError(f"size {size} is no positive multiple of {elem_size}, the size of {row['type']}")
+                end = offset + size
                 default = row.get("default") or "0"
                 flags = row.get("flags") or ""
                 entries.append(
                     LayoutEntry(
                         name=row["name"],
-                        offset=int(row["offset"]),
+                        offset=offset,
                         size=size,
                         type=row["type"],
-                        array_len=size // ELEMENT[row["type"]].size,
+                        array_len=size // elem_size,
                         access=row["access"],
                         default=[int(v) for v in default.split(";")] if ";" in default else int(default),
                         flags=tuple(flags.split("|")) if flags else (),
@@ -117,8 +127,14 @@ class LayoutedMap:
                 raise ValueError(f"{source}, row {line}: no {exc} column") from None
             except ValueError as exc:
                 raise ValueError(f"{source}, row {line}: {exc}") from None
-        end = entries[-1].offset + entries[-1].size if entries else 0
-        return cls(tuple(entries), end, version)
+        parsed = cls(tuple(entries), end, version)
+        if len(parsed.by_name) < len(entries):  # a name given twice: find its row, on this error path only
+            seen = set()
+            for line, entry in enumerate(entries, start=2):
+                if entry.name in seen:
+                    raise ValueError(f"{source}, row {line}: repeated name {entry.name!r}")
+                seen.add(entry.name)
+        return parsed
 
     @cached_property
     def default_image(self) -> bytes:

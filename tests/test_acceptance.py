@@ -17,9 +17,10 @@ from hilsim.harness import FAULT_CATEGORY, RunConfig, SUITE_NAMES, SuiteRunner, 
 from hilsim.harness.runner import PPM_THRESHOLD
 from hilsim.memmap import SCALAR_TYPES, compute_layout, parse_config
 from hilsim.pal import RefDeviceClient
-from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.reference import reference_layout
 from hilsim.sim.gpio import CAPTURE_METHODS, GpioTrace
+
+from conftest import csv_map
 
 
 def criterion(number, title, budget_s):
@@ -63,8 +64,7 @@ def test_criterion_1_protocol_golden():
 @criterion(2, "injected data NACK surfaces as Error/-EIO", budget_s=1)
 def test_criterion_2_nack_data_scenario():
     bench = Bench(BenchConfig(seed=0))
-    layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, csv_map())
     assert client.connect().ok
     assert client.write_and_execute("i2c.mode.nack_data", 1).ok
     bench.dut.handle_line("i2c_init")
@@ -229,7 +229,7 @@ def test_criterion_9_layout_properties():
 def test_criterion_10_name_address_parity():
     bench = Bench(BenchConfig(seed=0))
     layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, csv_map())
     assert client.connect().ok
     rng = random.Random(100)
     for _ in range(100):

@@ -16,25 +16,17 @@ from click.testing import CliRunner
 
 import hilsim
 from hilsim.cli import main
-from hilsim.memmap import LayoutedMap, emit_csv
+from hilsim.memmap import emit_csv
 from hilsim.dut import METADATA
 from hilsim.harness import SUITE_NAMES
 from hilsim.pal import RefDeviceClient, TransportError
 from hilsim.reference import reference_config_text, reference_layout
 from hilsim.repl import DeviceShell
-from hilsim.serve import LineServer, serve_stdio
+from hilsim.serve import serve_stdio
 
-from conftest import make_bench
+from conftest import Tap, csv_map, make_bench, served
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-@pytest.fixture(scope="module")
-def map_dir(tmp_path_factory):
-    layout = reference_layout()
-    path = tmp_path_factory.mktemp("maps")
-    (path / "ref_device_1.2.3.csv").write_text(emit_csv(layout), "utf-8")
-    return path
 
 
 # -- servers ------------------------------------------------------------
@@ -80,10 +72,8 @@ def test_cli_import_and_serve_load_only_the_device():
 
 
 def test_serve_tcp_with_pal_client(bench, map_dir):
-    server = LineServer(bench.refdev)
-    server.serve_background()
-    try:
-        client = RefDeviceClient(server.endpoint, str(map_dir))
+    with served(bench.refdev) as [server]:
+        client = RefDeviceClient(server.endpoint, map_dir)
         try:
             assert client.connect().ok
             assert client.read_reg("i2c.slave_addr_1").data == [85]
@@ -91,32 +81,24 @@ def test_serve_tcp_with_pal_client(bench, map_dir):
             assert client.read_reg("i2c.mode.nack_data").data == [1]
         finally:
             client.transport.close()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_serve_tcp_sequential_clients(bench, map_dir):
     """Clients take turns on one device: a write the first stages before it closes, the second commits."""
-    server = LineServer(bench.refdev)
-    server.serve_background()
-    try:
-        first = RefDeviceClient(server.endpoint, str(map_dir))
+    with served(bench.refdev) as [server]:
+        first = RefDeviceClient(server.endpoint, map_dir)
         try:
             assert first.connect().ok
             assert first.write_reg("user_reg.user_reg", 42).ok
         finally:
             first.transport.close()
-        second = RefDeviceClient(server.endpoint, str(map_dir))
+        second = RefDeviceClient(server.endpoint, map_dir)
         try:
             assert second.connect().ok
             assert second.execute().ok  # same device: the first client's staged write commits
             assert second.read_reg("user_reg.user_reg").data == [42]
         finally:
             second.transport.close()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # -- shell --------------------------------------------------------------
@@ -124,8 +106,7 @@ def test_serve_tcp_sequential_clients(bench, map_dir):
 
 @pytest.fixture
 def shell(bench):
-    layout = reference_layout()
-    client = RefDeviceClient(bench.refdev, LayoutedMap.from_csv(emit_csv(layout), version="1.2.3"))
+    client = RefDeviceClient(bench.refdev, csv_map())
     client.connect()
     out = io.StringIO()
     sh = DeviceShell(client, stdout=out)
@@ -201,19 +182,13 @@ def test_shell_survives_bad_input(shell):
     assert "invalid literal" in lines[2] and "'zz'" in lines[3] and "'q'" in lines[4]
 
 
-class DroppedTransport:
-    """A device connection that is gone: every request raises."""
-
-    def request(self, line):
-        raise TransportError("connection closed")
-
-    def close(self):
-        pass
+def closed(line):
+    """An ``answer`` for a device connection that is gone: every request raises."""
+    raise TransportError("connection closed")
 
 
 def test_shell_reports_a_dropped_connection_and_goes_on():
-    layout = reference_layout()
-    client = RefDeviceClient(DroppedTransport(), LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    client = RefDeviceClient(Tap(answer=closed), csv_map())
     commands = ["read i2c.slave_addr_1", "write i2c.mode.nack_data 1", "execute",
                 "write_execute i2c.mode.nack_data 1", "raw rr 0 1", "describe i2c.r_count"]
     out = io.StringIO()
@@ -356,7 +331,7 @@ def test_cli_run_suite_rejects_a_manifest_without_a_cases_list(tmp_path, manifes
 
 def test_cli_run_suite_rejects_an_endpoint_without_a_port(map_dir):
     result = CliRunner().invoke(
-        main, ["run-suite", "--suite", "i2c", "--dut", "nohost", "--ref", "nohost", "--maps", str(map_dir)]
+        main, ["run-suite", "--suite", "i2c", "--dut", "nohost", "--ref", "nohost", "--maps", map_dir]
     )
     assert_bad_input(result, "bad endpoint 'nohost'")
 
@@ -374,12 +349,12 @@ def test_cli_run_suite_rejects_remote_endpoints_without_maps():
 )
 def test_cli_run_suite_rejects_bench_options_on_a_remote_run(tmp_path, map_dir, option, value, field):
     (tmp_path / "faults.json").write_text('{"extra_read_byte": true}', "utf-8")
-    remote = ["--dut", "127.0.0.1:1", "--ref", "127.0.0.1:1", "--maps", str(map_dir)]
+    remote = ["--dut", "127.0.0.1:1", "--ref", "127.0.0.1:1", "--maps", map_dir]
     result = CliRunner().invoke(main, ["run-suite", "--suite", "i2c", *remote, option, value.format(tmp=tmp_path)])
     assert_bad_input(
         result,
         f"remote endpoints serve their own bench, so {field} cannot be set here: "
-        "use hilsim serve --seed, and hilsim dut serve --faults/--ppm",
+        "hilsim serve --seed sets a served bench's seed; faults, ppm and the pin map apply to a local bench only",
     )
 
 
@@ -432,15 +407,8 @@ def test_cli_dump_trace(map_dir):
     bench = make_bench()
     bench.dut.handle_line("gpio_toggle 0")
     bench.dut.handle_line("gpio_toggle 0")
-    server = LineServer(bench.refdev)
-    server.serve_background()
-    try:
-        result = CliRunner().invoke(
-            main, ["dump-trace", "--endpoint", server.endpoint, "--maps", str(map_dir)]
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
+    with served(bench.refdev) as [server]:
+        result = CliRunner().invoke(main, ["dump-trace", "--endpoint", server.endpoint, "--maps", map_dir])
     assert result.exit_code == 0, result.output
     lines = result.output.strip().splitlines()
     assert lines[0] == "index,pin,level,tick_ns"
@@ -448,26 +416,10 @@ def test_cli_dump_trace(map_dir):
     assert lines[1].startswith("0,0,1,")
 
 
-class RefusingReads:
-    """A reference device that answers every ``rr`` with result 4."""
-
-    def __init__(self, device):
-        self.device = device
-
-    def handle_line(self, line):
-        return '{"result": 4}' if line.startswith("rr") else self.device.handle_line(line)
-
-
 def test_cli_dump_trace_reports_a_refused_read_in_one_line(map_dir):
-    server = LineServer(RefusingReads(make_bench().refdev))
-    server.serve_background()
-    try:
-        result = CliRunner().invoke(
-            main, ["dump-trace", "--endpoint", server.endpoint, "--maps", str(map_dir)]
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
+    refusing_reads = Tap(make_bench().refdev, lambda line: '{"result": 4}' if line.startswith("rr") else None)
+    with served(refusing_reads) as [server]:
+        result = CliRunner().invoke(main, ["dump-trace", "--endpoint", server.endpoint, "--maps", map_dir])
     assert result.exit_code == 1, result.output
     assert result.output.strip() == "Error: read_reg trace.index: device result 4"
 
@@ -496,26 +448,13 @@ def answering_v_only(device, reply):
 )
 def test_cli_dump_trace_reports_an_unreadable_reply_in_one_line(map_dir, reply, error):
     endpoint = answering_v_only(make_bench().refdev, reply)
-    result = CliRunner().invoke(main, ["dump-trace", "--endpoint", endpoint, "--maps", str(map_dir)])
+    result = CliRunner().invoke(main, ["dump-trace", "--endpoint", endpoint, "--maps", map_dir])
     assert result.exit_code == 1, result.output
     assert result.output.strip() == f"Error: {error}"
 
 
 REFERENCE_CSV = emit_csv(reference_layout())
 HEADER, FIRST_ROW = REFERENCE_CSV.splitlines()[:2]
-
-
-@pytest.fixture
-def served_bench():
-    """The reference and DUT endpoints of one bench, each served over TCP."""
-    bench = make_bench()
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    yield [server.endpoint for server in servers]
-    for server in servers:
-        server.shutdown()
-        server.server_close()
 
 
 MALFORMED_MAPS = {
@@ -537,26 +476,45 @@ MALFORMED_MAPS = {
     "missing-column": (
         {"ref_device_1.2.3.csv": REFERENCE_CSV.replace(HEADER, HEADER.replace(",description", ""))}, "ref_device_1.2.3.csv, row 2: no 'description' column"
     ),
+    "negative-offset": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("sys.sn,0,", "sys.sn,-4,", 1)}, "ref_device_1.2.3.csv, row 2: negative offset -4"
+    ),
+    "zero-size": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("sys.fw_rev,12,4,", "sys.fw_rev,12,0,", 1)},
+        "ref_device_1.2.3.csv, row 3: size 0 is no positive multiple of 1, the size of u8",
+    ),
+    "size-between-elements": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("i2c.slave_addr_1,204,2,", "i2c.slave_addr_1,204,3,", 1)},
+        "ref_device_1.2.3.csv, row 37: size 3 is no positive multiple of 2, the size of u16",
+    ),
+    "offset-inside-the-row-before": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("sys.fw_rev,12,", "sys.fw_rev,10,", 1)},
+        "ref_device_1.2.3.csv, row 3: offset 10 is below 12, where the row before ends",
+    ),
+    "repeated-name": (
+        {"ref_device_1.2.3.csv": REFERENCE_CSV.replace("sys.fw_rev,", "sys.sn,", 1)}, "ref_device_1.2.3.csv, row 3: repeated name 'sys.sn'"
+    ),
 }
 
 
 @pytest.mark.parametrize("command", ["dump-trace", "shell", "run-suite"])
 @pytest.mark.parametrize("files,error", MALFORMED_MAPS.values(), ids=MALFORMED_MAPS)
-def test_a_malformed_map_directory_is_bad_input_in_one_line(command, files, error, served_bench, tmp_path):
+def test_a_malformed_map_directory_is_bad_input_in_one_line(command, files, error, tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text, "utf-8")
-    ref, dut = served_bench
-    if command == "run-suite":
-        args = ["run-suite", "--suite", "infrastructure", "--ref", ref, "--dut", dut]
-    else:
-        args = [command, "--endpoint", ref]
-    result = CliRunner().invoke(main, args + ["--maps", str(tmp_path)], input="")
+    bench = make_bench()
+    with served(bench.refdev, bench.dut) as [ref, dut]:
+        if command == "run-suite":
+            args = ["run-suite", "--suite", "infrastructure", "--ref", ref.endpoint, "--dut", dut.endpoint]
+        else:
+            args = [command, "--endpoint", ref.endpoint]
+        result = CliRunner().invoke(main, args + ["--maps", str(tmp_path)], input="")
     assert_bad_input(result, error)
 
 
 @pytest.mark.parametrize("command", ["dump-trace", "shell"])
 def test_a_client_command_rejects_an_endpoint_without_a_port(command, map_dir):
-    result = CliRunner().invoke(main, [command, "--endpoint", "nohost", "--maps", str(map_dir)], input="")
+    result = CliRunner().invoke(main, [command, "--endpoint", "nohost", "--maps", map_dir], input="")
     assert_bad_input(result, "bad endpoint 'nohost'")
 
 

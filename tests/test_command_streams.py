@@ -11,16 +11,15 @@ import random
 import pytest
 
 from hilsim.harness import RunConfig, SuiteRunner
-from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, RefDeviceClient
 from hilsim.reference import reference_layout
 
-from conftest import make_bench
+from conftest import csv_map, make_bench
 
 SEEDS = range(10)
 STEPS = 150
 LAYOUT = reference_layout()
-NAME_MAP = LayoutedMap.from_csv(emit_csv(LAYOUT), LAYOUT.version)
+NAME_MAP = csv_map()
 WRITABLE = [e for e in LAYOUT.entries if e.access != "read-only"]
 INIT_FLAGS = [e for e in WRITABLE if "init-trigger" in e.flags]
 GARBAGE = ["", "zz", "wr 5", "rr x 1", "rr 0", "wr 56 256", "ex 1"]

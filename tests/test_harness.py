@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hilsim import dut
-from hilsim.dut import HANDLER_OVERHEAD_NS, SUCCESS, FaultConfig
+from hilsim.dut import HANDLER_OVERHEAD_NS, METADATA, SUCCESS, FaultConfig
 from hilsim.harness import (
     FAULT_CATEGORY,
     RunConfig,
@@ -18,13 +18,11 @@ from hilsim.harness import (
     run_suite,
 )
 from hilsim.harness.report import FAIL, PASS, SKIP, CaseResult
-from hilsim.memmap import emit_csv
 from hilsim.pal import TransportError
-from hilsim.reference import reference_layout
-from hilsim.serve import LineServer
 from hilsim.sim.gpio import GpioEvent
 
-from conftest import make_bench
+import conftest
+from conftest import Tap, make_bench
 
 
 def toggle_events(n, period_ns, start=1_000_000, level0=1, perturb=None):
@@ -166,28 +164,16 @@ def test_measurement_steps_without_their_keys_take_the_packaged_limits(tmp_path,
     assert packaged.cases[2].verdict == (FAIL if ppm else PASS)
 
 
-class DroppingTransport:
-    """Serves a device in process, but the first request of one command word raises ``TransportError``."""
-
-    def __init__(self, device, word):
-        self.device = device
-        self.word = word
-        self.dropped = False
-
-    def request(self, line):
-        if not self.dropped and line.split()[0] == self.word:
-            self.dropped = True
-            raise TransportError("connection reset by peer")
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
-
-
 @pytest.mark.parametrize("word", ["rr", "wr", "ex"])
 def test_a_lost_reference_device_fails_its_case_and_the_later_cases_run(word):
     runner = SuiteRunner.local(RunConfig(seed=5))
-    runner.phil.transport = DroppingTransport(runner.bench.refdev, word)
+    drops = [TransportError("connection reset by peer")]
+
+    def drop_once(line):
+        if drops and line.split()[0] == word:
+            raise drops.pop()
+
+    runner.phil.transport = Tap(runner.bench.refdev, drop_once)
     report = runner.run_suite("gpio_timer")
     first, *later = report.cases
     assert first.verdict == FAIL
@@ -195,26 +181,9 @@ def test_a_lost_reference_device_fails_its_case_and_the_later_cases_run(word):
     assert [c.verdict for c in later] == [PASS] * len(later)
 
 
-class RefusingTransport:
-    """Serves a device in process, but answers an ``rr`` at one of ``offsets`` (any ``rr`` if None) with result 4."""
-
-    def __init__(self, device, offsets=None):
-        self.device = device
-        self.offsets = offsets
-
-    def request(self, line):
-        word, *args = line.split()
-        if word == "rr" and (self.offsets is None or int(args[0]) in self.offsets):
-            return '{"result": 4}'
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
-
-
 def test_a_refused_trace_read_fails_its_case_and_the_suite_finishes():
     runner = SuiteRunner.local(RunConfig(seed=5))
-    runner.phil.transport = RefusingTransport(runner.bench.refdev)
+    runner.phil.transport = Tap(runner.bench.refdev, lambda line: '{"result": 4}' if line.startswith("rr") else None)
     cases = {c.id: c for c in runner.run_suite("gpio_timer").cases}
     for case_id in ("gpio.trace_count", "timer.accuracy", "timer.overlap_delay"):
         assert (cases[case_id].verdict, cases[case_id].reason) == (FAIL, "read_reg trace.index: device result 4")
@@ -224,7 +193,8 @@ def test_a_refused_overrun_read_fails_the_overlap_case():
     # pin 0's edges land on pin 1, so the overlap step reads the overrun count for its message
     runner = SuiteRunner.local(RunConfig(seed=3, pin_map={0: 1, 1: 0, 2: 2}))
     offset = runner.phil.map.lookup("trace.overrun_count").offset
-    runner.phil.transport = RefusingTransport(runner.bench.refdev, {offset})
+    refused = f"rr {offset} "
+    runner.phil.transport = Tap(runner.bench.refdev, lambda line: '{"result": 4}' if line.startswith(refused) else None)
     case = runner.run_case(load_manifest("gpio_timer")["cases"][3])
     assert (case.id, case.verdict) == ("timer.overlap_delay", FAIL)
     assert case.reason == "read_reg trace.overrun_count: device result 4"
@@ -345,6 +315,12 @@ def test_handlers_spaced_40_us_apart_fail_the_overlap_case_on_its_slope(monkeypa
     assert failed == {"timer.overlap_delay": "overlap-delay slope 39997 ns/timer outside 10% of 30000 ns"}
 
 
+def test_a_metadata_check_fails_a_descriptor_that_lacks_the_text():
+    runner = SuiteRunner.local(RunConfig(seed=1))
+    case = runner.run_case({"id": "meta", "steps": [{"op": "metadata_check", "expect_contains": "no_such_board"}]})
+    assert (case.verdict, case.reason) == (FAIL, f"firmware descriptor {METADATA!r} lacks 'no_such_board'")
+
+
 def test_overlap_delay_scales_linearly():
     runner = SuiteRunner.local(RunConfig(seed=4))
     runner._setup()
@@ -354,21 +330,13 @@ def test_overlap_delay_scales_linearly():
     assert slope == pytest.approx(30_000, rel=0.10)
 
 
-def test_a_device_that_raises_fails_its_case_locally_as_it_does_served(dut_raising_on_toggle, tmp_path):
+def test_a_device_that_raises_fails_its_case_locally_as_it_does_served(dut_raising_on_toggle, map_dir):
     """Served, the raising handler drops its connection and the DUT client reads ``Timeout``;
     locally, the transport turns the exception into the same ``TransportError``."""
     local = run_suite("infrastructure")
-    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
     bench = make_bench()
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    try:
-        served = run_suite("infrastructure", servers[1].endpoint, servers[0].endpoint, map_dir=str(tmp_path))
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+    with conftest.served(bench.refdev, bench.dut) as [ref, dut]:  # qualified, as `served` names the report
+        served = run_suite("infrastructure", dut.endpoint, ref.endpoint, map_dir=map_dir)
     failed = [(c.id, c.reason) for c in local.failed]
     assert failed == [("infra.wiring", "gpio_toggle 0: expected result 'Success', got 'Timeout'")]
     outcomes = [[(c.id, c.verdict, c.reason, c.measured) for c in report.cases] for report in (local, served)]
@@ -471,6 +439,11 @@ def test_table_report_contains_verdicts():
     text = emit_report(sample_report(), "table")
     assert "FAIL" in text and "boom" in text
     assert "1 passed, 1 failed, 1 skipped" in text
+
+
+def test_table_report_of_an_infrastructure_error_leads_with_it():
+    text = emit_report(TestReport(suite="x", infrastructure_error="down"), "table")
+    assert text.splitlines() == ["INFRASTRUCTURE ERROR: down", "0 passed, 0 failed, 0 skipped  [wall 0.00 s, sim 0.00 ms]"]
 
 
 def test_unknown_format_rejected():

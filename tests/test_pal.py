@@ -17,6 +17,8 @@ from hilsim.refdev import ReferenceDevice
 from hilsim.reference import reference_layout
 from hilsim.wire import REF_SUCCESS_REPLY, SUCCESS, dut_success_text
 
+from conftest import Tap, csv_map
+
 
 @pytest.fixture(scope="module")
 def layout():
@@ -24,8 +26,8 @@ def layout():
 
 
 @pytest.fixture(scope="module")
-def name_map(layout):
-    return LayoutedMap.from_csv(emit_csv(layout), layout.version)
+def name_map():
+    return csv_map()
 
 
 @pytest.fixture
@@ -33,21 +35,6 @@ def client(bench, name_map):
     c = RefDeviceClient(bench.refdev, name_map)
     assert c.connect().ok
     return c
-
-
-class RecordingTransport:
-    """Wraps a device, logging every request line."""
-
-    def __init__(self, device):
-        self.device = device
-        self.lines = []
-
-    def request(self, line):
-        self.lines.append(line)
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
 
 
 # -- name map and map store ---------------------------------------------
@@ -147,7 +134,7 @@ def test_write_reg_client_side_guards(client):
 
 
 def test_a_run_the_client_refuses_sends_nothing(bench, name_map):
-    transport = RecordingTransport(bench.refdev)
+    transport = Tap(bench.refdev)
     client = RefDeviceClient(transport, name_map)
     assert client.connect().ok
     transport.lines.clear()
@@ -163,7 +150,7 @@ def test_a_run_the_client_refuses_sends_nothing(bench, name_map):
 
 def test_write_and_execute_wire_capture(bench, name_map, layout):
     """The staged-write command triple, verified against the raw wire log."""
-    transport = RecordingTransport(bench.refdev)
+    transport = Tap(bench.refdev)
     client = RefDeviceClient(transport, name_map)
     client.connect()
     transport.lines.clear()
@@ -201,7 +188,7 @@ def test_write_and_execute_raises_the_init_flag_the_map_names():
     device = ReferenceDevice(layout)
     seen = []
     device.register_init_hook("pwm", lambda: seen.append(device.regs.read_param("pwm.duty")))
-    transport = RecordingTransport(device)
+    transport = Tap(device)
     client = RefDeviceClient(transport, layout)
     assert client.connect().ok
     duty, go = (layout.lookup(name).offset for name in ("pwm.duty", "pwm.go"))

@@ -1,29 +1,14 @@
 """Client-side guards of the PAL: a rejected access never reaches the wire."""
 
-from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import ERROR, RefDeviceClient
 from hilsim.reference import reference_layout
 
-
-class WireLog:
-    """Wraps a device, logging every request line."""
-
-    def __init__(self, device):
-        self.device = device
-        self.lines = []
-
-    def request(self, line):
-        self.lines.append(line)
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
+from conftest import Tap, csv_map
 
 
 def connected_client(bench):
-    layout = reference_layout()
-    wire = WireLog(bench.refdev)
-    client = RefDeviceClient(wire, LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    wire = Tap(bench.refdev)
+    client = RefDeviceClient(wire, csv_map())
     assert client.connect().ok
     wire.lines.clear()
     return client, wire

@@ -3,7 +3,6 @@
 import gc
 import json
 import warnings
-from contextlib import contextmanager
 
 import pytest
 
@@ -13,9 +12,8 @@ from hilsim.harness.runner import StepFailure, json_equal
 from hilsim.memmap import emit_csv
 from hilsim.pal import ERROR, SUCCESS, DutClient, RefDeviceClient, _reset_writes
 from hilsim.reference import reference_layout
-from hilsim.serve import LineServer
 
-from conftest import make_bench, nested_reply
+from conftest import Tap, make_bench, nested_reply, served
 
 
 class ReplyFilter:
@@ -175,19 +173,11 @@ def test_a_timer_trace_reply_of_true_is_no_count_of_one_edge():
 # -- a DUT reply that is JSON but no object -----------------------------
 
 
-class Answering:
+class Answering(Tap):
     """Answers every line starting with ``word`` with the text ``reply``; ``device`` answers the rest."""
 
     def __init__(self, device, word, reply):
-        self.device, self.word, self.reply = device, word, reply
-
-    def request(self, line):
-        return self.reply if line.split()[0] == self.word else self.device.handle_line(line)
-
-    handle_line = request  # so a line server can serve it
-
-    def close(self):
-        pass
+        super().__init__(device, lambda line: reply if line.split()[0] == word else None)
 
 
 @pytest.mark.parametrize("reply", ["[1]", '"x"', "7", "null", "true"])
@@ -206,16 +196,6 @@ def test_a_dut_reply_that_is_no_json_object_fails_its_cases_and_the_suite_finish
 
 
 # -- a reply nested past the recursion limit ------------------------------
-
-
-class FirstAnswered(Answering):
-    """Answers only the first line starting with ``word`` with the text ``reply``; ``device`` answers the rest."""
-
-    def request(self, line):
-        if line.split()[0] != self.word:
-            return self.device.handle_line(line)
-        self.word = None
-        return self.reply
 
 
 def verdicts(report):
@@ -252,10 +232,16 @@ def test_a_nested_reply_is_no_json_object():
 def test_a_reply_nested_past_the_recursion_limit_fails_only_its_case(unaltered_spi, endpoint, word, fields, reason):
     runner = local_runner()
     reply = nested_reply(fields)
+    replies = iter([reply])
+
+    def first_answered(line):
+        """``reply`` to the first line starting with ``word``; the device answers the rest."""
+        return next(replies, None) if line.split()[0] == word else None
+
     if endpoint == "dut":
-        runner.dut.transport = FirstAnswered(runner.bench.dut, word, reply)
+        runner.dut.transport = Tap(runner.bench.dut, first_answered)
     else:
-        runner.phil.transport = FirstAnswered(runner.bench.refdev, word, reply)
+        runner.phil.transport = Tap(runner.bench.refdev, first_answered)
     got = verdicts(runner.run_suite("spi"))
     assert got.pop("spi.usage.roundtrip") == (FAIL, reason(reply))
     assert got == {k: v for k, v in unaltered_spi.items() if k != "spi.usage.roundtrip"}
@@ -449,55 +435,56 @@ def test_a_version_reply_without_a_usable_version_is_an_error_not_a_timeout(repl
     assert (got.result, got.error) == (ERROR, f"no version in reply {reply[:80]!r}")
 
 
-@contextmanager
-def served(device):
-    """A background ``LineServer`` for ``device``; yields its endpoint."""
-    server = LineServer(device)
-    server.serve_background()
-    try:
-        yield server.endpoint
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture(scope="module")
-def map_dir(tmp_path_factory):
-    layout = reference_layout()
-    path = tmp_path_factory.mktemp("maps")
-    (path / f"ref_device_{layout.version}.csv").write_text(emit_csv(layout), "utf-8")
-    return str(path)
-
-
 @pytest.mark.parametrize("reply", UNUSABLE_VERSION_REPLIES, ids=["nested", "result 4", "version 123", "garbage"])
 def test_run_suite_fails_every_case_of_a_device_without_a_usable_version(map_dir, reply):
     bench = make_bench(seed=5)
-    with served(bench.dut) as dut, served(Answering(bench.refdev, "-v", reply)) as ref:
-        report = run_suite("infrastructure", dut, ref, map_dir)
+    with served(bench.dut, Answering(bench.refdev, "-v", reply)) as [dut, ref]:
+        report = run_suite("infrastructure", dut.endpoint, ref.endpoint, map_dir)
     assert (report.infrastructure_error, report.exit_code()) == ("", 1)
     reason = f"reference device connect failed: no version in reply {reply[:80]!r}"
     assert [c.reason for c in report.cases] == [reason] * 3
 
 
 def test_run_suite_with_an_unreachable_dut_is_an_infrastructure_error_naming_it(map_dir):
-    with served(make_bench(seed=5).refdev) as ref:
-        report = run_suite("infrastructure", "127.0.0.1:1", ref, map_dir)
+    with served(make_bench(seed=5).refdev) as [ref]:
+        report = run_suite("infrastructure", "127.0.0.1:1", ref.endpoint, map_dir)
     assert (report.infrastructure_error, report.exit_code()) == ("DUT 127.0.0.1:1: no reply to sync", 2)
 
 
 def test_run_suite_with_an_unreachable_reference_device_is_an_infrastructure_error_naming_it(map_dir):
-    with served(make_bench(seed=5).dut) as dut:
-        report = run_suite("infrastructure", dut, "127.0.0.1:1", map_dir)
+    with served(make_bench(seed=5).dut) as [dut]:
+        report = run_suite("infrastructure", dut.endpoint, "127.0.0.1:1", map_dir)
     expected = "reference device 127.0.0.1:1: endpoint unreachable"
     assert (report.infrastructure_error, report.exit_code()) == (expected, 2)
 
 
 def test_run_suite_fails_every_case_of_a_reachable_dut_that_answers_sync_with_garbage(map_dir):
     bench = make_bench(seed=5)
-    with served(Answering(bench.dut, "sync", "garbage")) as dut, served(bench.refdev) as ref:
-        report = run_suite("infrastructure", dut, ref, map_dir)
+    with served(Answering(bench.dut, "sync", "garbage"), bench.refdev) as [dut, ref]:
+        report = run_suite("infrastructure", dut.endpoint, ref.endpoint, map_dir)
     assert (report.infrastructure_error, report.exit_code()) == ("", 1)
     assert [c.reason for c in report.cases] == ["DUT sync failed"] * 3
+
+
+def test_run_suite_fails_every_case_of_a_served_dut_that_refuses_its_reset(map_dir):
+    bench = make_bench(seed=5)
+    with served(Answering(bench.dut, "reset", '{"cmd": ["reset"], "result": "Error"}'), bench.refdev) as [dut, ref]:
+        report = run_suite("infrastructure", dut.endpoint, ref.endpoint, map_dir)
+    assert (report.infrastructure_error, report.exit_code()) == ("", 1)
+    assert [c.reason for c in report.cases] == ["DUT reset failed"] * 3
+
+
+@pytest.mark.parametrize("directory", ["ref_device_version.txt", "ref_device_1.2.3.csv"])
+def test_run_suite_with_a_map_file_that_is_a_directory_is_an_infrastructure_error_naming_it(tmp_path, directory):
+    """A version file is read as the map store is built, a map file as the first ``-v`` names its version."""
+    if directory == "ref_device_version.txt":
+        (tmp_path / "ref_device_map.csv").write_text(emit_csv(reference_layout()), "utf-8")
+    (tmp_path / directory).mkdir()
+    bench = make_bench(seed=5)
+    with served(bench.dut, bench.refdev) as [dut, ref]:
+        report = run_suite("infrastructure", dut.endpoint, ref.endpoint, str(tmp_path))
+    expected = f"[Errno 21] Is a directory: '{tmp_path / directory}'"
+    assert (report.infrastructure_error, report.exit_code()) == (expected, 2)
 
 
 def resource_warnings(call):
@@ -513,7 +500,7 @@ def resource_warnings(call):
 @pytest.mark.parametrize("reachable", [True, False], ids=["served", "unreachable reference device"])
 def test_run_suite_closes_the_connections_it_opens(map_dir, reachable):
     bench = make_bench(seed=5)
-    with served(bench.dut) as dut, served(bench.refdev) as ref:
-        ref = ref if reachable else "127.0.0.1:1"
-        report, unclosed = resource_warnings(lambda: run_suite("infrastructure", dut, ref, map_dir))
+    with served(bench.dut, bench.refdev) as [dut, ref]:
+        ref = ref.endpoint if reachable else "127.0.0.1:1"
+        report, unclosed = resource_warnings(lambda: run_suite("infrastructure", dut.endpoint, ref, map_dir))
     assert (report.exit_code(), unclosed) == (0 if reachable else 2, [])

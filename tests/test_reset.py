@@ -7,9 +7,8 @@ from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, RefDeviceClient, _reset_writes
 from hilsim.refdev import RangeViolation
 from hilsim.reference import reference_layout
-from hilsim.serve import LineServer
 
-from conftest import make_bench
+from conftest import csv_map, make_bench, served
 
 
 def test_bench_reset_keeps_one_register_file_shared_by_every_model(bench):
@@ -142,28 +141,21 @@ def local_verdicts():
 
 def test_served_verdicts_equal_local_verdicts_in_any_order(local_verdicts):
     bench = make_bench(seed=SEED)
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    ref_server, dut_server = servers
-    layout = reference_layout()
-    runner = SuiteRunner(
-        DutClient(dut_server.endpoint),
-        RefDeviceClient(ref_server.endpoint, LayoutedMap.from_csv(emit_csv(layout), layout.version)),
-        config=RunConfig(seed=SEED),
-    )
-    try:
-        mismatches = []
-        for order in ORDERS:
-            for suite in order:
-                for case in runner.run_suite(suite).cases:
-                    expected = local_verdicts[suite][case.id]
-                    if case.verdict != expected:
-                        mismatches.append(f"{order}: {case.id} served {case.verdict}, local {expected} ({case.reason})")
-        assert mismatches == []
-    finally:
-        runner.dut.transport.close()
-        runner.phil.transport.close()
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+    with served(bench.refdev, bench.dut) as [ref_server, dut_server]:
+        runner = SuiteRunner(
+            DutClient(dut_server.endpoint),
+            RefDeviceClient(ref_server.endpoint, csv_map()),
+            config=RunConfig(seed=SEED),
+        )
+        try:
+            mismatches = []
+            for order in ORDERS:
+                for suite in order:
+                    for case in runner.run_suite(suite).cases:
+                        expected = local_verdicts[suite][case.id]
+                        if case.verdict != expected:
+                            mismatches.append(f"{order}: {case.id} served {case.verdict}, local {expected} ({case.reason})")
+            assert mismatches == []
+        finally:
+            runner.dut.transport.close()
+            runner.phil.transport.close()

@@ -14,10 +14,10 @@ from hilsim.dut import _COMMANDS, FaultConfig
 from hilsim.harness import RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL
 from hilsim.harness.runner import read_trace
-from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import RefDeviceClient
-from hilsim.serve import LineServer
 from hilsim.sim.gpio import GpioEvent
+
+from conftest import Tap, csv_map, served
 
 TRACE_ARRAYS = ("trace.source", "trace.value", "trace.tick")
 METHOD_CODES = {"timer-capture-dma": 0, "timer-capture-irq": 1, "gpio-irq": 2}
@@ -100,19 +100,6 @@ def test_a_command_no_handler_serves_is_einval_and_parses_no_argument(bench, wor
 # -- the trace read back ------------------------------------------------
 
 
-class CountingTransport:
-    def __init__(self, device):
-        self.device = device
-        self.lines = []
-
-    def request(self, line):
-        self.lines.append(line)
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
-
-
 def per_entry_trace(client):
     """The trace read one element of one array per request."""
     count = client.read_reg("trace.index").data[0]
@@ -135,7 +122,7 @@ def capture(method, edges):
 def test_read_trace_takes_two_requests_and_reads_what_per_entry_reads_read(method, count):
     # the timer DMA capture keeps rising edges only
     runner = capture(method, 2 * count - 1 if method == "timer-capture-dma" and count else count)
-    counting = CountingTransport(runner.bench.refdev)
+    counting = Tap(runner.bench.refdev)
     runner.phil.transport = counting
     events = runner.read_trace()
     assert len(events) == count
@@ -157,8 +144,7 @@ def test_a_shifted_full_window_reads_back_as_the_latest_held_events(method):
 
 
 def test_read_regs_refuses_entries_that_do_not_follow_each_other(bench):
-    layout = bench.refdev.regs.map
-    client = RefDeviceClient(CountingTransport(bench.refdev), LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    client = RefDeviceClient(Tap(bench.refdev), csv_map())
     result = client.read_regs(("trace.source", "trace.tick"), 4)
     assert not result.ok and "trace.tick does not follow trace.source" in result.error
     assert not client.read_regs(("trace.source", "trace.value"), 129).ok
@@ -171,7 +157,7 @@ def test_read_regs_from_an_index_decodes_each_entry_from_its_own_element(bench):
     first, last = layout.lookup(names[0]), layout.lookup(names[-1])
     rng = random.Random(9)
     bench.refdev.regs.poke(first.offset, bytes(rng.randrange(256) for _ in range(last.offset + last.size - first.offset)))
-    client = RefDeviceClient(CountingTransport(bench.refdev), LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    client = RefDeviceClient(Tap(bench.refdev), csv_map())
     result = client.read_regs(names, 3, index=5)
     start, end = first.element_offset(5, 3), last.element_offset(5, 3) + 3 * last.elem_size
     assert result.ok and client.transport.lines == [f"rr {start} {end - start}"]
@@ -181,19 +167,13 @@ def test_read_regs_from_an_index_decodes_each_entry_from_its_own_element(bench):
 
 def test_the_tcp_read_back_equals_the_in_process_one():
     runner = capture("timer-capture-irq", 300)
-    layout = runner.bench.refdev.regs.map
-    server = LineServer(runner.bench.refdev)
-    server.serve_background()
-    try:
-        remote = RefDeviceClient(server.endpoint, LayoutedMap.from_csv(emit_csv(layout), layout.version))
+    with served(runner.bench.refdev) as [server]:
+        remote = RefDeviceClient(server.endpoint, csv_map())
         assert remote.connect().ok
         try:
             assert read_trace(remote) == runner.read_trace() != []
         finally:
             remote.transport.close()
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # -- dispatch -----------------------------------------------------------

@@ -7,12 +7,9 @@ import time
 
 from hilsim.harness import SUITE_NAMES, run_suite
 from hilsim.harness.report import FAIL
-from hilsim.memmap import emit_csv
-from hilsim.reference import reference_layout
-from hilsim.serve import LineServer
 from hilsim.wire import MAX_LINE
 
-from conftest import make_bench
+from conftest import make_bench, served
 
 
 class OverlapProbe:
@@ -41,10 +38,7 @@ def ask(endpoint, line):
 
 def test_two_servers_over_one_bench_never_handle_requests_at_once():
     probe = OverlapProbe()
-    servers = [LineServer(probe), LineServer(probe)]
-    for server in servers:
-        server.serve_background()
-    try:
+    with served(probe, probe) as servers:
         clients = [
             threading.Thread(target=lambda ep=server.endpoint: [ask(ep, "-v") for _ in range(8)])
             for server in servers
@@ -53,19 +47,12 @@ def test_two_servers_over_one_bench_never_handle_requests_at_once():
             client.start()
         for client in clients:
             client.join()
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
     assert probe.most == 1
 
 
 def test_an_over_long_line_closes_only_its_connection(bench):
-    server = LineServer(bench.refdev)
-    server.serve_background()
-    host, port = server.endpoint.rsplit(":", 1)
-    try:
-        with socket.create_connection((host, int(port)), timeout=5) as sock:
+    with served(bench.refdev) as [server]:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
             sock.sendall(b"wr 0" + b" 1" * (MAX_LINE // 2) + b"\n")
             try:
                 reply = sock.recv(4096)
@@ -73,9 +60,6 @@ def test_an_over_long_line_closes_only_its_connection(bench):
                 reply = b""
             assert reply == b""
         assert '"result": 0' in ask(server.endpoint, "-v")
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 # passes of the five suites each harness runs: enough that cases which interleave show on every run
@@ -86,58 +70,44 @@ def outcomes(report) -> tuple:
     return report.infrastructure_error, [(c.id, c.verdict, c.reason) for c in report.cases]
 
 
-def test_two_harnesses_on_one_served_bench_get_the_verdicts_of_a_lone_run(tmp_path):
+def test_two_harnesses_on_one_served_bench_get_the_verdicts_of_a_lone_run(map_dir):
     """Each ``run_suite`` owns the bench from its DUT ``sync`` to its close; the other one waits its turn."""
-    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
     lone = {suite: outcomes(run_suite(suite)) for suite in SUITE_NAMES}
     bench = make_bench()
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    ref, dut = (server.endpoint for server in servers)
     differing = []  # (harness, pass, suite, outcomes) of each served suite run that differs from the lone run
 
     def harness(index):
         for done in range(PASSES):
             for suite in SUITE_NAMES:
-                got = outcomes(run_suite(suite, dut, ref, map_dir=str(tmp_path)))
+                got = outcomes(run_suite(suite, dut.endpoint, ref.endpoint, map_dir=map_dir))
                 if got != lone[suite]:
                     differing.append((index, done, suite, got))
 
-    try:
+    with served(bench.refdev, bench.dut) as [ref, dut]:
         harnesses = [threading.Thread(target=harness, args=(index,)) for index in range(2)]
         for thread in harnesses:
             thread.start()
         for thread in harnesses:
             thread.join(60)
         assert not any(thread.is_alive() for thread in harnesses)
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
     assert differing == []
 
 
 def test_two_harnesses_on_a_bench_whose_dut_drops_a_connection_get_the_report_of_a_lone_run(
-    dut_raising_on_toggle, tmp_path
+    dut_raising_on_toggle, map_dir
 ):
     """The DUT drops its connection mid-suite, and its harness reconnects while it holds the reference
     device; a second harness that had taken the DUT server first would keep it from the DUT until
     the client's 5 s limit."""
-    (tmp_path / "ref_device_1.2.3.csv").write_text(emit_csv(reference_layout()), "utf-8")
     bench = make_bench()
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    ref, dut = (server.endpoint for server in servers)
     got = {}  # harness -> (outcomes, seconds taken)
 
     def harness(index):
         started = time.monotonic()
-        report = run_suite("gpio_timer", dut, ref, map_dir=str(tmp_path))
+        report = run_suite("gpio_timer", dut.endpoint, ref.endpoint, map_dir=map_dir)
         got[index] = outcomes(report), time.monotonic() - started
 
-    try:
+    with served(bench.refdev, bench.dut) as [ref, dut]:
         harness("lone")
         harnesses = [threading.Thread(target=harness, args=(index,)) for index in range(2)]
         for thread in harnesses:
@@ -146,10 +116,6 @@ def test_two_harnesses_on_a_bench_whose_dut_drops_a_connection_get_the_report_of
         for thread in harnesses:
             thread.join(30)
         assert not any(thread.is_alive() for thread in harnesses)
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
     lone = got.pop("lone")[0]
     assert ("gpio.trace_count", FAIL, "gpio_toggle 1: expected result 'Success', got 'Timeout'") in lone[1]
     assert {index: report for index, (report, _) in got.items()} == {0: lone, 1: lone}

@@ -13,9 +13,9 @@ from pathlib import Path
 import hilsim
 from hilsim.bench import Bench, BenchConfig
 from hilsim.harness import SUITE_NAMES, RunConfig, SuiteRunner
-from hilsim.memmap import LayoutedMap, emit_csv
 from hilsim.pal import DutClient, RefDeviceClient
-from hilsim.serve import LineServer
+
+from conftest import csv_map, served
 
 PASSES = 20
 # Bytes hilsim may hold after the last pass beyond what it held after the second: room for a
@@ -47,29 +47,21 @@ def test_a_served_bench_holds_no_more_memory_after_twenty_passes_than_after_two(
     fresh = {suite: outcomes(SuiteRunner.local(RunConfig(seed=3)).run_suite(suite)) for suite in SUITE_NAMES}
     differing = []  # (pass, suite) of each served suite run whose cases differ from the fresh run
     bench = Bench(BenchConfig(seed=3))
-    layout = bench.refdev.regs.map
-    name_map = LayoutedMap.from_csv(emit_csv(layout), layout.version)
-    servers = [LineServer(bench.refdev), LineServer(bench.dut)]
-    for server in servers:
-        server.serve_background()
-    ref, dut = (server.endpoint for server in servers)
-    runner = SuiteRunner(DutClient(dut), RefDeviceClient(ref, name_map), config=RunConfig(seed=3))
-    tracemalloc.start()
-    try:
-        for done in range(1, PASSES + 1):
-            for suite in SUITE_NAMES:
-                if outcomes(runner.run_suite(suite)) != fresh[suite]:
-                    differing.append((done, suite))
-            if done == 2:
-                second = held_by_hilsim()
-        last = held_by_hilsim()
-    finally:
-        tracemalloc.stop()
-        runner.dut.transport.close()
-        runner.phil.transport.close()
-        for server in servers:
-            server.shutdown()
-            server.server_close()
+    with served(bench.refdev, bench.dut) as [ref, dut]:
+        runner = SuiteRunner(DutClient(dut.endpoint), RefDeviceClient(ref.endpoint, csv_map()), config=RunConfig(seed=3))
+        tracemalloc.start()
+        try:
+            for done in range(1, PASSES + 1):
+                for suite in SUITE_NAMES:
+                    if outcomes(runner.run_suite(suite)) != fresh[suite]:
+                        differing.append((done, suite))
+                if done == 2:
+                    second = held_by_hilsim()
+            last = held_by_hilsim()
+        finally:
+            tracemalloc.stop()
+            runner.dut.transport.close()
+            runner.phil.transport.close()
     assert bench.clock.now > 2**32  # the passes took the clock past one 32-bit tick wrap
     assert differing == []
     assert last - second <= ALLOWANCE, (second, last)

@@ -5,29 +5,15 @@ from pathlib import Path
 from hilsim.harness import RunConfig, SuiteRunner
 from hilsim.harness.report import FAIL, PASS
 
+from conftest import Tap
+
 MANIFEST = Path(__file__).parent / "manifests" / "step_ops.json"
-
-
-class RefusingFirstExecute:
-    """Serves a device in process, but answers its first ``ex`` with an internal error, as a failed re-init does."""
-
-    def __init__(self, device):
-        self.device = device
-        self.refused = False
-
-    def request(self, line):
-        if line == "ex" and not self.refused:
-            self.refused = True
-            return '{"result": 4}'
-        return self.device.handle_line(line)
-
-    def close(self):
-        pass
 
 
 def test_each_op_passes_one_case_and_fails_the_other():
     runner = SuiteRunner.local(RunConfig(seed=2))
-    runner.phil.transport = RefusingFirstExecute(runner.bench.refdev)
+    refusals = iter(['{"result": 4}'])  # the first ex gets an internal error, as a failed re-init does
+    runner.phil.transport = Tap(runner.bench.refdev, lambda line: next(refusals, None) if line == "ex" else None)
     report = runner.run_suite(str(MANIFEST))
     assert report.suite == "step_ops"
     assert [(c.id, c.verdict, c.reason) for c in report.cases] == [

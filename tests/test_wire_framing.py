@@ -10,43 +10,14 @@ import pytest
 from hilsim.harness.report import FAIL, SKIP
 from hilsim.harness.runner import RunConfig, SuiteRunner
 from hilsim.pal import DutClient, RefDeviceClient, TcpTransport, TransportError, _reset_writes
-from hilsim.serve import LineServer
 from hilsim.wire import MAX_LINE
 
-from conftest import golden_exchanges, make_bench
+from conftest import Tap, golden_exchanges, make_bench, served
 
 
-class RecordingDevice:
-    """Answers every line with ``{"result": 0}`` and keeps the lines it was given."""
-
-    def __init__(self):
-        self.lines = []
-
-    def handle_line(self, line):
-        self.lines.append(line)
-        return '{"result": 0}'
-
-
-@contextmanager
-def served(device):
-    """A background ``LineServer`` for ``device``; yields its (host, port)."""
-    server = LineServer(device)
-    server.serve_background()
-    try:
-        yield server.server_address[:2]
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-class MalformedWrites:
-    """A reference device that answers ``not json`` to every ``wr`` and passes every other line on."""
-
-    def __init__(self, device):
-        self.device = device
-
-    def handle_line(self, line):
-        return "not json" if line.startswith("wr") else self.device.handle_line(line)
+def recording_device():
+    """A device that answers every line with ``{"result": 0}`` and keeps the lines it was given."""
+    return Tap(answer=lambda line: '{"result": 0}')
 
 
 @contextmanager
@@ -97,14 +68,14 @@ def is_closed(sock):
 
 
 def test_two_request_lines_in_one_send_get_two_replies_in_order(bench):
-    with served(bench.refdev) as addr, socket.create_connection(addr, timeout=5) as sock:
+    with served(bench.refdev) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"-v\nrr 204 2\n")
         assert recv_lines(sock, 2) == b'{"version": "1.2.3", "result": 0}\n{"data": [85, 0], "result": 0}\n'
 
 
 def test_a_request_split_across_two_sends_is_answered_once():
-    device = RecordingDevice()
-    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+    device = recording_device()
+    with served(device) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"rr 20")
         time.sleep(0.05)
         sock.sendall(b"4 2\n")
@@ -117,14 +88,14 @@ def test_a_request_split_across_two_sends_is_answered_once():
 
 def test_a_line_of_max_line_bytes_is_served_and_one_more_closes_only_its_connection():
     """The cap counts the newline, as ``MAX_LINE`` says; the server goes on to the next connection."""
-    device = RecordingDevice()
-    with served(device) as addr:
-        with socket.create_connection(addr, timeout=5) as cut:
+    device = recording_device()
+    with served(device) as [server]:
+        with socket.create_connection(server.server_address, timeout=5) as cut:
             cut.sendall(b"x" * (MAX_LINE - 1) + b"\n")
             assert recv_lines(cut, 1) == b'{"result": 0}\n'
             cut.sendall(b"y" * MAX_LINE + b"\n")
             assert is_closed(cut)
-        with socket.create_connection(addr, timeout=5) as after:
+        with socket.create_connection(server.server_address, timeout=5) as after:
             after.sendall(b"-v\n")
             assert recv_lines(after, 1) == b'{"result": 0}\n'
     assert [len(line) for line in device.lines] == [MAX_LINE - 1, 2]
@@ -132,34 +103,34 @@ def test_a_line_of_max_line_bytes_is_served_and_one_more_closes_only_its_connect
 
 def test_the_golden_file_replays_byte_for_byte_over_tcp(bench):
     exchanges = golden_exchanges(bench)
-    with served(bench.refdev) as addr:
-        transport = TcpTransport(*addr)
+    with served(bench.refdev) as [server]:
+        transport = TcpTransport(*server.server_address)
         try:
             for request, expected in exchanges:
                 assert transport.request(request) == expected, request
         finally:
             transport.close()
         # the same exchanges again, every request in one send: the reply stream is the golden replies in order
-        with socket.create_connection(addr, timeout=5) as sock:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
             sock.sendall("".join(request + "\n" for request, _ in exchanges).encode())
             expected = "".join(reply + "\n" for _, reply in exchanges).encode()
             assert recv_lines(sock, len(exchanges)) == expected
 
 
 def test_a_handler_installed_on_a_live_server_answers_the_next_line_of_an_open_connection(monkeypatch):
-    device = RecordingDevice()
-    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+    device = recording_device()
+    with served(device) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"-v\n")
         assert recv_lines(sock, 1) == b'{"result": 0}\n'
-        monkeypatch.setattr(RecordingDevice, "handle_line", lambda self, line: '{"wrapped": 1}')
+        monkeypatch.setattr(Tap, "handle_line", lambda self, line: '{"wrapped": 1}')
         sock.sendall(b"-v\n")
         assert recv_lines(sock, 1) == b'{"wrapped": 1}\n'
     assert device.lines == ["-v"]
 
 
 def test_blank_and_whitespace_only_lines_get_no_reply():
-    device = RecordingDevice()
-    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+    device = recording_device()
+    with served(device) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"\n  \t \r\n\x1c\n-v\n")
         assert recv_lines(sock, 1) == b'{"result": 0}\n'
         sock.settimeout(0.2)
@@ -169,12 +140,12 @@ def test_blank_and_whitespace_only_lines_get_no_reply():
 
 
 def test_a_byte_that_is_not_utf8_is_replaced_and_the_line_answered(bench):
-    device = RecordingDevice()
-    with served(device) as addr, socket.create_connection(addr, timeout=5) as sock:
+    device = recording_device()
+    with served(device) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"rr \xff 1\nwr 52 \xc3\xa9\n")
         assert recv_lines(sock, 2) == b'{"result": 0}\n' * 2
     assert device.lines == ["rr \ufffd 1", "wr 52 \u00e9"]
-    with served(bench.refdev) as addr, socket.create_connection(addr, timeout=5) as sock:
+    with served(bench.refdev) as [server], socket.create_connection(server.server_address, timeout=5) as sock:
         sock.sendall(b"rr \xff 1\n")
         assert recv_lines(sock, 1) == b'{"result": 1}\n'
 
@@ -185,8 +156,8 @@ def test_a_served_reset_answers_and_commits_as_the_in_process_one():
     offset = served_bench.refdev.regs.map.lookup("user_reg.user_reg").offset
     lines = [f"wr {offset} 1 2 3", "wr 52 7", "ex", *_reset_writes(served_bench.refdev.regs.map), "ex"] * 2
     local = [local_bench.refdev.handle_line(line) for line in lines]
-    with served(served_bench.refdev) as addr:
-        transport = TcpTransport(*addr)
+    with served(served_bench.refdev) as [server]:
+        transport = TcpTransport(*server.server_address)
         try:
             remote = [transport.request(line) for line in lines]
         finally:
@@ -294,10 +265,10 @@ def test_a_reply_that_is_not_a_json_object_raises_transport_error(bench, reply):
 
 
 def test_a_malformed_reply_fails_only_its_case_and_the_suite_runs_on(bench):
-    with served(MalformedWrites(bench.refdev)) as addr:
+    with served(Tap(bench.refdev, lambda line: "not json" if line.startswith("wr") else None)) as [server]:
         runner = SuiteRunner(
             DutClient(bench.dut),
-            RefDeviceClient("{}:{}".format(*addr), bench.refdev.regs.map),
+            RefDeviceClient(server.endpoint, bench.refdev.regs.map),
             config=RunConfig(seed=7),
         )
         try:
